@@ -109,12 +109,23 @@ def max_parallelism(graph: DataFlowGraph,
 
 def is_connected(graph: DataFlowGraph) -> bool:
     """True when the undirected skeleton of the DFG is one component."""
-    import networkx as nx
-
-    g = graph.nx_graph()
-    if g.number_of_nodes() == 0:
+    parent = {op_id: op_id for op_id in graph.op_ids()}
+    if not parent:
         return False
-    return nx.is_weakly_connected(g)
+
+    def root(op_id: str) -> str:
+        while parent[op_id] != op_id:
+            parent[op_id] = parent[parent[op_id]]  # path halving
+            op_id = parent[op_id]
+        return op_id
+
+    components = len(parent)
+    for producer, consumer in graph.edges():
+        a, b = root(producer), root(consumer)
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return components == 1
 
 
 def summarize(graph: DataFlowGraph) -> Dict[str, object]:
@@ -122,7 +133,7 @@ def summarize(graph: DataFlowGraph) -> Dict[str, object]:
     return {
         "name": graph.name,
         "operations": len(graph),
-        "edges": len(graph.edges()),
+        "edges": graph.edge_count(),
         "by_rtype": graph.counts_by_rtype(),
         "depth": depth(graph),
         "sources": len(graph.sources()),

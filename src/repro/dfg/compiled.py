@@ -2,13 +2,12 @@
 
 Profiling cold synthesis runs showed the single hottest operation in
 the whole flow was not arithmetic but *graph bookkeeping*: every
-``time_frames`` call re-derived the topological order through
-networkx's lexicographical sort, and every scheduler pass walked
-string-keyed adjacency dicts.  A :class:`CompiledGraph` pays those
-costs exactly once per graph: the node set is flattened into dense
-integer indices (insertion order), adjacency into CSR arrays, the
-deterministic topological order into a permutation array, and resource
-types into small integer codes.  Structural *levels* (longest-path
+``time_frames`` call re-derived the topological order, and every
+scheduler pass walked string-keyed adjacency dicts.  A
+:class:`CompiledGraph` pays those costs exactly once per graph: the
+node set is flattened into dense integer indices (insertion order),
+adjacency into CSR arrays, the deterministic topological order into a
+permutation array, and resource types into small integer codes.  Structural *levels* (longest-path
 depth in edge count, forward and reverse) are precomputed so timing
 passes can propagate level-by-level with NumPy gather/``reduceat``
 kernels instead of per-node Python (:mod:`repro.hls.fastsched` builds
@@ -20,14 +19,13 @@ including the thousands a single sweep performs — shares one compiled
 form.  The compiled form is faithful: :meth:`CompiledGraph.to_graph`
 reconstructs an equivalent :class:`~repro.dfg.graph.DataFlowGraph`
 (same ids, kinds, rtypes, labels and edge order), and the topological
-order is *identical* to :meth:`DataFlowGraph.topological_order`
-(smallest insertion index among ready nodes), so array-based and
-reference algorithms traverse nodes in the same sequence.
+order *is* :meth:`DataFlowGraph.topological_order` (smallest insertion
+index among ready nodes), so array-based and reference algorithms
+traverse nodes in the same sequence.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -102,7 +100,9 @@ class CompiledGraph:
         self.pred_ptr, self.pred_idx = _to_csr(preds)
         self.succ_ptr, self.succ_idx = _to_csr(succs)
 
-        self.topo = _lexicographic_topo(n, self.preds, self.succs, self.name)
+        self.topo = np.fromiter(
+            (index[op_id] for op_id in graph.topological_order()),
+            dtype=np.int32, count=n)
         self.topo_rank = np.empty(n, dtype=np.int32)
         self.topo_rank[self.topo] = np.arange(n, dtype=np.int32)
 
@@ -168,27 +168,6 @@ def _to_csr(adjacency: List[List[int]]
     idx = np.fromiter((j for neighbours in adjacency for j in neighbours),
                       dtype=np.int32, count=int(ptr[-1]))
     return ptr, idx
-
-
-def _lexicographic_topo(n: int, preds, succs, name: str) -> np.ndarray:
-    """Kahn's algorithm taking the smallest insertion index among ready
-    nodes — exactly :meth:`DataFlowGraph.topological_order`."""
-    indegree = [len(p) for p in preds]
-    ready = [i for i in range(n) if indegree[i] == 0]
-    heapq.heapify(ready)
-    order = np.empty(n, dtype=np.int32)
-    filled = 0
-    while ready:
-        node = heapq.heappop(ready)
-        order[filled] = node
-        filled += 1
-        for succ in succs[node]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-    if filled != n:
-        raise DFGError(f"{name!r} contains a cycle")
-    return order
 
 
 def _levels(n: int, preds, order

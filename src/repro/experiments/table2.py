@@ -74,5 +74,6 @@ def run_table2(benchmark: str,
         )
     table.add_note(
         "'-' marks bounds infeasible under sound instance-based area "
-        "accounting; see EXPERIMENTS.md for the paper-accounting run.")
+        "accounting; 'repro experiment table2a|table2b|table2c "
+        "--area-model versions' gives the paper-accounting run.")
     return table

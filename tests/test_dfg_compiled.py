@@ -180,16 +180,6 @@ class TestPickling:
         assert compile_graph(restored).topo_ids() == \
             compile_graph(g).topo_ids()
 
-    def test_pickle_without_edge_counter_is_backfilled(self):
-        import pickle
-
-        g = diamond()
-        state = g.__getstate__()
-        del state["_n_edges"]  # a pickle from before the counter
-        restored = DataFlowGraph.__new__(DataFlowGraph)
-        restored.__setstate__(state)
-        assert restored.edge_count() == 4
-
 
 class TestConstruction:
     def test_direct_constructor_matches_helper(self):

@@ -78,16 +78,49 @@ class TestDataFlowGraph:
 
     def test_cycle_rejected_and_rolled_back(self):
         g = diamond()
+        edges, order = g.edges(), g.topological_order()
         with pytest.raises(DFGError):
             g.add_edge("d", "a")
         # graph must still validate after the failed insertion
         g.validate()
         assert ("d", "a") not in g.edges()
+        assert g.edge_count() == 4
+        assert g.edges() == edges
+        assert g.topological_order() == order
+        assert g.successors("d") == [] and g.predecessors("a") == []
+
+    def test_long_cycle_rejected(self):
+        g = DataFlowGraph("chain")
+        for i in range(6):
+            g.add(f"n{i}", "add", deps=[f"n{i - 1}"] if i else [])
+        with pytest.raises(DFGError, match="cycle"):
+            g.add_edge("n5", "n0")
+        g.add_edge("n0", "n5")  # a shortcut is no cycle
+        assert g.edge_count() == 6
+
+    def test_duplicate_edge_is_noop(self):
+        g = diamond()
+        edges = g.edges()
+        g.add_edge("a", "b")
+        assert g.edges() == edges and g.edge_count() == 4
 
     def test_predecessors_successors(self):
         g = diamond()
         assert set(g.predecessors("d")) == {"b", "c"}
         assert set(g.successors("a")) == {"b", "c"}
+
+    def test_adjacency_keeps_edge_insertion_order(self):
+        g = DataFlowGraph("order")
+        for op_id in "pqrs":
+            g.add(op_id, "add")
+        g.add_edge("r", "s")
+        g.add_edge("p", "s")
+        g.add_edge("q", "s")
+        g.add_edge("p", "r")
+        assert g.predecessors("s") == ["r", "p", "q"]
+        assert g.successors("p") == ["s", "r"]
+        # producers in op-insertion order, consumers in edge order
+        assert g.edges() == [("p", "s"), ("p", "r"), ("q", "s"), ("r", "s")]
 
     def test_sources_sinks(self):
         g = diamond()
@@ -138,3 +171,45 @@ class TestDataFlowGraph:
     def test_unknown_operation_lookup(self):
         with pytest.raises(DFGError):
             diamond().operation("zz")
+
+
+class TestMemoizedOrder:
+    def test_topological_order_sees_mutation(self):
+        g = diamond()
+        assert g.topological_order() == ["a", "b", "c", "d"]
+        g.add("e", "add")
+        assert g.topological_order() == ["a", "b", "c", "d", "e"]
+        g.add_edge("e", "a")
+        assert g.topological_order() == ["e", "a", "b", "c", "d"]
+
+    def test_compile_graph_sees_mutation(self):
+        from repro.dfg import compile_graph
+
+        g = diamond()
+        g.add("e", "add")
+        assert compile_graph(g).topo_ids() == ["a", "b", "c", "d", "e"]
+        g.add_edge("e", "a")
+        assert compile_graph(g).topo_ids() == ["e", "a", "b", "c", "d"]
+        g.add("f", "mul", deps=["d"])
+        compiled = compile_graph(g)
+        assert compiled.topo_ids() == g.topological_order()
+        assert compiled.n_ops == 6 and compiled.n_edges == 6
+
+    def test_returned_list_is_a_copy(self):
+        g = diamond()
+        order = g.topological_order()
+        order.reverse()
+        order.append("zz")
+        assert g.topological_order() == ["a", "b", "c", "d"]
+
+    def test_memo_not_pickled(self):
+        import pickle
+
+        g = diamond()
+        g.topological_order()
+        assert "_topo" not in g.__getstate__()
+        restored = pickle.loads(pickle.dumps(g))
+        assert restored.topological_order() == ["a", "b", "c", "d"]
+        restored.add("e", "add")
+        restored.add_edge("e", "b")
+        assert restored.topological_order() == ["a", "c", "e", "b", "d"]

@@ -44,6 +44,21 @@ class TestTopLevel:
         assert design.area <= 8
         assert design.latency <= 11
 
+    def test_cli_import_loads_no_third_party_module_but_numpy(self):
+        # numpy is the only runtime dependency; a fresh interpreter
+        # keeps every other import (graph libraries included) honest
+        import subprocess
+        import sys
+
+        code = ("import sys; before = set(sys.modules); import repro.cli; "
+                "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
+                "print(sorted(loaded - set(sys.stdlib_module_names)"
+                " - {'repro', 'numpy'}))")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_subpackages_import(self):
         import repro.bench
         import repro.charlib
