@@ -9,7 +9,6 @@ Subcommands::
     explore BENCH --latencies .. --areas ..           Pareto sweep
     cache-serve [--address PATH] [--cache-dir DIR]    run a live cache server
     cache-stats [--address PATH | --cache-dir DIR]    query a running server
-    cache-ring status|join|leave --address SPEC       reshape a live shard ring
 
 ``synth`` and ``explore`` accept ``--stats`` to print the evaluation
 engine's cache statistics (evaluations requested, memo hits, schedules
@@ -26,17 +25,14 @@ ignored — the run simply starts cold.
 The same three commands accept ``--cache-server auto|ADDR`` to share
 caches *live* across concurrent processes through a cache server
 (:mod:`repro.core.cache_server`): ``ADDR`` attaches to an
-already-running ``cache-serve`` process — a unix-domain socket path,
-a ``tcp://host:port`` URL (pass the server's shared secret with
-``--cache-token``), or a comma-separated shard ring
-(``a.sock,b.sock`` / attaching to any single ring member discovers
-the rest) — while ``auto`` attaches to (or spawns, for the run's
-duration) a server at the default socket path — inside ``--cache-dir``
-when given, so several simultaneous invocations against one cache dir
-serve each other mid-run.  Sharing is best-effort and behaviourally
-transparent: an unreachable or dying server — or single shard — is
-reported and the run continues on local caches with identical
-results.
+already-running ``cache-serve`` process — a unix-domain socket path
+or a ``tcp://host:port`` URL (pass the server's shared secret with
+``--cache-token``) — while ``auto`` attaches to (or spawns, for the
+run's duration) a server at the default socket path — inside
+``--cache-dir`` when given, so several simultaneous invocations
+against one cache dir serve each other mid-run.  Sharing is best-effort and behaviourally
+transparent: an unreachable or dying server is reported and the
+run continues on local caches with identical results.
 
 ``synth --remote ADDR`` goes one step further and submits the whole
 search to the server's ``synthesize`` RPC, which executes it on the
@@ -50,27 +46,10 @@ present (one is generated and printed when omitted).
 ``unix-abstract://NAME`` listens in the abstract ``AF_UNIX``
 namespace — local-only like a socket file, but with no file to
 reclaim (it carries the TCP trust rules: json only, optional auth).
-``cache-serve --shards N`` runs N servers as one consistent-hash
-ring — each shard owns its slice of the key space with its own LRU
-budget and write-behind snapshot — and prints the comma-separated
-ring spec clients attach with.  Rings replicate every entry on two
-members (RF=2): clients write both copies, fail over reads to the
-replica, and read-repair the primary — so a dead shard's warm keys
-are recovered, not recomputed.
 
 ``cache-stats`` queries a running server's telemetry (requests,
-hit rate, entries per layer, flushes, replica hits) as text or
-``--json`` — point it at ``--address`` or at the default socket
-inside a ``--cache-dir``; unreachable ring members are reported, not
-fatal.
-
-``cache-ring`` inspects or reshapes a *running* ring: ``status``
-prints the versioned ``(members, epoch)`` map; ``join`` adds an
-already-listening server (warm-pulling its key ranges from the
-previous owners before the epoch-bumped map is broadcast, so it
-starts serving warm — also the re-admission path for a restarted
-member); ``leave`` removes one.  Live clients adopt the new map
-mid-sweep; nothing restarts.
+hit rate, entries per layer, flushes) as text or ``--json`` — point
+it at ``--address`` or at the default socket inside a ``--cache-dir``.
 
 The scheduling kernels themselves come in two interchangeable
 implementations (``REPRO_SCHEDULER_IMPL=fast|reference``, default
@@ -121,8 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="persist/reload engine caches in this directory")
     synth.add_argument("--cache-server", metavar="auto|ADDR",
                        help="share engine caches live through a cache "
-                            "server (socket path, tcp://host:port, "
-                            "or a comma-separated shard ring)")
+                            "server (socket path or tcp://host:port)")
     synth.add_argument("--cache-token",
                        help="shared secret for a tcp:// cache server")
     synth.add_argument("--remote", metavar="ADDR",
@@ -153,9 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "directory")
     experiment.add_argument("--cache-server", metavar="auto|ADDR",
                             help="share engine caches live through a "
-                                 "cache server (socket path, "
-                                 "tcp://host:port, or a comma-separated "
-                                 "shard ring)")
+                                 "cache server (socket path or "
+                                 "tcp://host:port)")
     experiment.add_argument("--cache-token",
                             help="shared secret for a tcp:// cache server")
 
@@ -173,8 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="persist/reload engine caches in this directory")
     explore.add_argument("--cache-server", metavar="auto|ADDR",
                          help="share engine caches live through a cache "
-                              "server (socket path, tcp://host:port, "
-                              "or a comma-separated shard ring)")
+                              "server (socket path or tcp://host:port)")
     explore.add_argument("--cache-token",
                          help="shared secret for a tcp:// cache server")
 
@@ -185,12 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "unix-abstract://name to listen on "
                             "(default: inside --cache-dir, else a "
                             "fresh temp dir)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="run N servers as one consistent-hash ring "
-                            "(unix path P becomes P.shard0..N-1; a tcp "
-                            "port p becomes p..p+N-1); clients attach "
-                            "with the printed comma-separated spec or "
-                            "any single member (default: 1)")
     serve.add_argument("--auth-token",
                        help="shared secret TCP clients must present "
                             "(generated and printed when omitted)")
@@ -215,8 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="query a running cache server's telemetry")
     stats.add_argument("--address",
                        help="unix socket path or tcp://host:port of the "
-                            "server, or a comma-separated shard ring "
-                            "(default: the socket inside --cache-dir)")
+                            "server (default: the socket inside "
+                            "--cache-dir)")
     stats.add_argument("--auth-token",
                        help="shared secret for a tcp:// server")
     stats.add_argument("--cache-dir",
@@ -225,27 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--json", action="store_true",
                        help="emit the telemetry as JSON")
 
-    ring_cmd = sub.add_parser(
-        "cache-ring",
-        help="inspect or reshape a running shard ring")
-    ring_cmd.add_argument("action", choices=("status", "join", "leave"),
-                          help="status: print the versioned member "
-                               "map; join: add --member (warm-pulls "
-                               "its key ranges first); leave: remove "
-                               "--member")
-    ring_cmd.add_argument("--address", required=True,
-                          help="any reachable ring member, or the "
-                               "comma-separated ring spec")
-    ring_cmd.add_argument("--member",
-                          help="the server address joining or leaving "
-                               "(join: it must already be listening)")
-    ring_cmd.add_argument("--replication", type=int, default=2,
-                          help="copies per key to warm-pull for a "
-                               "joining member (default: 2)")
-    ring_cmd.add_argument("--auth-token",
-                          help="shared secret for tcp:// members")
-    ring_cmd.add_argument("--json", action="store_true",
-                          help="emit the ring map as JSON")
     return parser
 
 
@@ -581,9 +530,6 @@ def _cmd_cache_serve(args) -> int:
               f"--auth-token): {auth_token}", file=sys.stderr)
     max_snapshot_bytes = (args.max_snapshot_kib * 1024
                           if args.max_snapshot_kib else None)
-    if args.shards > 1:
-        return _serve_shard_ring(args, address, auth_token,
-                                 snapshot_file, max_snapshot_bytes)
     server = cache_server.CacheServer(
         address,  # None → the server owns (and cleans up) a temp dir
         auth_token=auth_token,
@@ -612,67 +558,6 @@ def _cmd_cache_serve(args) -> int:
     return 0
 
 
-def _serve_shard_ring(args, address, auth_token, snapshot_file,
-                      max_snapshot_bytes) -> int:
-    """``cache-serve --shards N``: one local consistent-hash ring.
-
-    Each shard keeps its own LRU budget and write-behind snapshot
-    (``<snapshot>.shard<i>``).  Shards are re-seeded from their own
-    snapshot when one exists, else from the shared single-server
-    snapshot — partitioned, so every entry lands only on the shard
-    clients will actually ask.
-    """
-    import os
-
-    from repro.core import cache_store, shard
-
-    ring = shard.start_shard_ring(
-        args.shards, address=address, auth_token=auth_token,
-        snapshot_dir=args.cache_dir,
-        flush_interval=args.flush_interval,
-        max_snapshot_bytes=max_snapshot_bytes,
-        batch_window=args.batch_window / 1000.0)
-    base = None
-    if snapshot_file and os.path.exists(snapshot_file):
-        try:
-            base = cache_store.load(snapshot_file)
-        except ReproError as exc:
-            print(f"warning: ignoring engine cache {snapshot_file}: "
-                  f"{exc}", file=sys.stderr)
-    hash_ring = ring.ring()
-    adopted = 0
-    for index, server in enumerate(ring.servers):
-        own = server.snapshot_path
-        if own and os.path.exists(own):
-            try:
-                adopted += server.seed(cache_store.load(own).layers)
-                continue
-            except ReproError as exc:
-                print(f"warning: ignoring engine cache {own}: {exc}",
-                      file=sys.stderr)
-        if base is not None:
-            adopted += server.seed(shard.partition_layers(
-                base.layers, hash_ring, index))
-    if adopted:
-        print(f"seeded {adopted} entries across {args.shards} shards",
-              file=sys.stderr)
-    for index, server in enumerate(ring.servers):
-        print(f"cache shard {index} listening on {server.address}",
-              flush=True)
-    print(f"cache ring: {ring.address}", flush=True)
-    try:
-        ring.serve_forever()
-    except KeyboardInterrupt:
-        ring.stop()
-    for index, server in enumerate(ring.servers):
-        stats = server.stats
-        print(f"shard {index} served {stats.requests} requests "
-              f"({stats.hits}/{stats.gets} hits, {stats.adopted} "
-              f"entries adopted, {stats.flushes} flushes)",
-              file=sys.stderr)
-    return 0
-
-
 def _cmd_cache_stats(args) -> int:
     from repro.core import cache_server
 
@@ -684,44 +569,6 @@ def _cmd_cache_stats(args) -> int:
         print("error: pass --address or --cache-dir to locate the server",
               file=sys.stderr)
         return 2
-    from repro.core.shard import parse_ring
-
-    members = parse_ring(address)
-    if len(members) > 1:
-        from repro.errors import CacheError
-
-        gathered = {}
-        for member in members:
-            try:
-                with cache_server.CacheClient(
-                        member, auth_token=args.auth_token) as client:
-                    client.ping()
-                    gathered[member] = client.stats()
-            except CacheError:
-                # a dead member is telemetry, not a query failure
-                gathered[member] = None
-        if all(stats is None for stats in gathered.values()):
-            print(f"error: no member of {address} is reachable",
-                  file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps(gathered, indent=2, sort_keys=True))
-            return 0
-        for member, stats in gathered.items():
-            if stats is None:
-                print(f"{member}: unreachable")
-                continue
-            shard_index = stats.get("shard_index")
-            label = f"shard {shard_index} at {member}" \
-                if shard_index is not None else member
-            print(f"{label}: {stats['gets']} lookups "
-                  f"(hit rate {stats['hit_rate']:.1%}, "
-                  f"negative hits {stats.get('negative_hits', 0)}, "
-                  f"replica hits {stats.get('replica_hits', 0)}), "
-                  f"{stats['entries']} entries, "
-                  f"{stats['connections']} connections, "
-                  f"ring epoch {stats.get('ring_epoch', 0)}")
-        return 0
     with cache_server.CacheClient(address,
                                   auth_token=args.auth_token) as client:
         client.ping()
@@ -746,43 +593,10 @@ def _cmd_cache_stats(args) -> int:
           f"accept errors {stats.get('accept_errors', 0)}, "
           f"backpressure drops "
           f"{stats.get('backpressure_disconnects', 0)}")
-    print(f"  ring        : epoch {stats.get('ring_epoch', 0)}, "
-          f"replica hits {stats.get('replica_hits', 0)}, "
-          f"ring updates {stats.get('ring_updates', 0)}")
     if layer_sizes:
         rendered = ", ".join(f"{name}={size}"
                              for name, size in sorted(layer_sizes.items()))
         print(f"  layer sizes : {rendered}")
-    return 0
-
-
-def _cmd_cache_ring(args) -> int:
-    from repro.core import shard
-
-    kwargs = {}
-    if args.auth_token:
-        kwargs["auth_token"] = args.auth_token
-    if args.action in ("join", "leave") and not args.member:
-        print(f"error: cache-ring {args.action} needs --member",
-              file=sys.stderr)
-        return 2
-    pulled = None
-    if args.action == "status":
-        members, epoch = shard.ring_status(args.address, **kwargs)
-    elif args.action == "join":
-        members, epoch, pulled = shard.join_member(
-            args.address, args.member,
-            replication=args.replication, **kwargs)
-    else:
-        members, epoch = shard.leave_member(args.address, args.member,
-                                            **kwargs)
-    if args.json:
-        print(json.dumps({"members": list(members), "epoch": epoch,
-                          "pulled": pulled}))
-        return 0
-    print(f"ring epoch {epoch}: {shard.format_ring(members)}")
-    if pulled is not None:
-        print(f"warm-pulled {pulled} entries into {args.member}")
     return 0
 
 
@@ -798,7 +612,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "explore": _cmd_explore,
         "cache-serve": _cmd_cache_serve,
         "cache-stats": _cmd_cache_stats,
-        "cache-ring": _cmd_cache_ring,
     }
     try:
         return handlers[args.command](args)

@@ -19,7 +19,7 @@ from repro.core.engine import (
     default_engine,
     set_default_engine,
 )
-from repro.core import cache_server, shard, wire
+from repro.core import cache_server, wire
 from repro.core.cache_server import (
     CacheClient,
     CacheServer,
@@ -27,12 +27,6 @@ from repro.core.cache_server import (
     detach_engine,
     evaluate_batch_remote,
     synthesize_remote,
-)
-from repro.core.shard import (
-    ShardedCacheClient,
-    ShardRing,
-    ShardRingHandle,
-    start_shard_ring,
 )
 from repro.core.evaluate import (
     SCHEDULER_IMPLS,
@@ -73,13 +67,8 @@ __all__ = [
     "RemoteCacheBackend",
     "CacheClient",
     "CacheServer",
-    "ShardRing",
-    "ShardRingHandle",
-    "ShardedCacheClient",
-    "start_shard_ring",
     "cache_store",
     "cache_server",
-    "shard",
     "wire",
     "attach_engine",
     "detach_engine",

@@ -66,13 +66,7 @@ RPC batch window (``batch_window`` / ``--batch-window``)
     :func:`evaluate_batch_remote` extend the same contract to job
     submission — a dead server means the job runs locally, with
     identical results.
-sharding (:mod:`repro.core.shard`)
-    The cache tier scales horizontally: the content-addressed layers
-    are partitioned by key hash across a consistent-hash ring of
-    server processes.  Each shard carries the ring membership in its
-    ``hello`` ack (and the ``shard_map`` request), so attaching to any
-    one member discovers the ring; ``attach_engine`` and the
-    ``*_remote`` helpers accept a comma-separated ring spec directly.
+negative windows
     Misses are answered with authoritative server-side *negative
     windows* — ``get`` returns ``(found, value, window)`` — so an
     absent key is asked once per window fleet-wide, not once per
@@ -135,19 +129,17 @@ from repro.library.library import ResourceLibrary
 #: Bumped whenever request/response shapes change; a client refuses to
 #: attach to a server speaking a different version.  Version 2 added
 #: the ``hello`` handshake, the json codec and the job operations.
-#: Version 3 added the shard map to the hello ack (plus the
-#: ``shard_map`` request) and authoritative server-side negative
-#: windows: ``get`` replies are ``(found, value, window)`` and
-#: ``get_many`` replies are ``(found, windows)``.  Version 4 added
-#: ring epochs — the hello ack gains the epoch, plus the ``ring``,
-#: ``ring_update`` and ``pull_owned`` operations behind live ring
-#: membership — and replication-aware telemetry (``replica_hits``).
+#: Version 3 added a shard map to the hello ack and authoritative
+#: server-side negative windows: ``get`` replies are ``(found, value, window)`` and
+#: ``get_many`` replies are ``(found, windows)``.  Version 4 added a
+#: ring epoch to the hello ack.  A server always acks with no shard map
+#: (``None``) and epoch 0; both fields stay so version-3 and version-4
+#: peers parse the ack unchanged.
 PROTOCOL_VERSION = 4
 
-#: Versions this server still serves.  Version-3 peers negotiated the
-#: same op set minus the ring-membership extensions, so they are
-#: served unchanged: their hello ack keeps the version-3 4-tuple shape
-#: (no epoch field) and their pongs echo version 3.
+#: Versions this server still serves.  Version-3 peers are served
+#: unchanged: their hello ack keeps the version-3 4-tuple shape (no
+#: epoch field) and their pongs echo version 3.
 SUPPORTED_VERSIONS = (3, 4)
 
 #: Hard ceiling on a single frame; anything larger is rejected with
@@ -398,10 +390,10 @@ class CacheClient:
         self._sock: Optional[socket.socket] = None
         self._lock = threading.Lock()
         self._owner_pid = os.getpid()
-        #: Ring membership learned from the hello ack (``None`` for an
-        #: unsharded server or before the first handshake).
+        #: Shard map field of the hello ack (``None`` from every
+        #: server of this build, and before the first handshake).
         self.server_shard_map: Optional[Tuple[str, ...]] = None
-        #: Ring epoch learned from the hello ack (0 before it).
+        #: Ring epoch field of the hello ack (always 0).
         self.server_ring_epoch: int = 0
 
     def _connect(self) -> socket.socket:
@@ -577,45 +569,6 @@ class CacheClient:
                 "cache server sent a malformed get_many reply")
         return reply
 
-    def shard_map(self) -> Optional[Tuple[str, ...]]:
-        """Ring membership, or ``None`` for an unsharded server."""
-        return self._check_shard_map(self._request(("shard_map",)))
-
-    def ring(self) -> Tuple[Optional[Tuple[str, ...]], int]:
-        """The server's versioned ring map: ``(members, epoch)``.
-        *members* is ``None`` for an unsharded server."""
-        reply = self._request(("ring",))
-        if not isinstance(reply, tuple) or len(reply) != 2 \
-                or not isinstance(reply[1], int):
-            raise CacheError("cache server sent a malformed ring reply")
-        return (self._check_shard_map(reply[0]), reply[1])
-
-    def ring_update(self, members: Sequence[str], epoch: int
-                    ) -> Tuple[Optional[Tuple[str, ...]], int]:
-        """Offer the server a ``(members, epoch)`` map; it adopts the
-        map iff *epoch* is newer than its own.  Returns the server's
-        ring map after the offer (its own when the offer was stale)."""
-        reply = self._request(("ring_update", list(members),
-                               int(epoch)))
-        if not isinstance(reply, tuple) or len(reply) != 2 \
-                or not isinstance(reply[1], int):
-            raise CacheError(
-                "cache server sent a malformed ring_update reply")
-        return (self._check_shard_map(reply[0]), reply[1])
-
-    def pull_owned(self, members: Sequence[str], index: int,
-                   rf: int = 1) -> Dict[str, list]:
-        """The server's entries that shard *index* of the ring over
-        *members* holds (``{layer: [(key, value), ...]}``) — how a
-        joining member warm-pulls its key ranges from a previous
-        owner.  Runs with the job timeout: the export can be large."""
-        reply = self._request(("pull_owned", list(members), int(index),
-                               int(rf)), timeout=self.job_timeout)
-        if not isinstance(reply, dict):
-            raise CacheError(
-                "cache server sent a malformed pull_owned reply")
-        return reply
-
     def put(self, layer: str, key: tuple, value: object) -> int:
         """Insert one entry; returns 1 if the key was new."""
         return self._request(("put", layer, key, value))
@@ -765,8 +718,6 @@ class ServerStats:
     designs_streamed: int = 0  # improving designs pushed to clients
     designs_dropped: int = 0   # ... withheld from non-draining clients
     negative_hits: int = 0   # misses answered from a live window
-    replica_hits: int = 0    # hits on keys another member is primary for
-    ring_updates: int = 0    # newer ring maps adopted via ring_update
     accept_errors: int = 0   # accept() resource failures (paused, lived)
     backpressure_disconnects: int = 0  # clients dropped at the outbuf cap
     window_batches: int = 0  # merged window flushes dispatched
@@ -921,16 +872,6 @@ class CacheServer:
         latency.  ``synthesize`` jobs always dispatch immediately
         (their candidate rounds already run batched inside
         :func:`~repro.core.find_design.find_design`).
-    shard_map / shard_index / ring_epoch:
-        Ring membership (every member's address, in ring order), this
-        server's position in it, and the map's version — served to
-        clients in the hello ack and the ``shard_map`` / ``ring``
-        requests.  Usually assigned by
-        :func:`repro.core.shard.start_shard_ring` rather than passed
-        here (addresses are only known once every member is bound);
-        a running server adopts newer maps offered via the
-        ``ring_update`` op (:func:`repro.core.shard.join_member` /
-        :func:`~repro.core.shard.leave_member`).
     """
 
     def __init__(self, address: Optional[str] = None, *,
@@ -947,10 +888,7 @@ class CacheServer:
                  max_outbuf_bytes: int = MAX_OUTBUF_BYTES,
                  stream_outbuf_bytes: int = STREAM_OUTBUF_BYTES,
                  batch_window: float = DEFAULT_BATCH_WINDOW,
-                 batch_max_items: int = BATCH_WINDOW_MAX_ITEMS,
-                 shard_map: Optional[Sequence[str]] = None,
-                 shard_index: Optional[int] = None,
-                 ring_epoch: int = 0):
+                 batch_max_items: int = BATCH_WINDOW_MAX_ITEMS):
         overrides = dict(layer_capacities or {})
         unknown = sorted(set(overrides)
                          - set(EvaluationEngine.LAYER_SHARES))
@@ -979,10 +917,6 @@ class CacheServer:
         self.stream_outbuf_bytes = int(stream_outbuf_bytes)
         self.batch_window = max(0.0, float(batch_window))
         self.batch_max_items = max(1, int(batch_max_items))
-        self._ring_cache = None  # lazily built from the shard map
-        self.shard_map = tuple(shard_map) if shard_map else None
-        self.shard_index = shard_index
-        self.ring_epoch = int(ring_epoch)
         self.stats = ServerStats()
         self._layers: Dict[str, LRUCache] = {
             name: LRUCache(
@@ -1022,38 +956,6 @@ class CacheServer:
 
     def _note_eviction(self) -> None:
         self.stats.evictions += 1  # under self._lock (all layer ops are)
-
-    # -- ring membership -----------------------------------------------
-    @property
-    def shard_map(self) -> Optional[Tuple[str, ...]]:
-        """Ring membership, or ``None`` for an unsharded server."""
-        return self._shard_map
-
-    @shard_map.setter
-    def shard_map(self, value) -> None:
-        self._shard_map = tuple(value) if value else None
-        self._ring_cache = None  # rebuilt lazily for the new map
-
-    def _member_ring(self):
-        """This member's view of the hash ring (``None`` unsharded or
-        single-member: nothing to be a replica *of*)."""
-        members = self._shard_map
-        if members is None or len(members) < 2:
-            return None
-        ring = self._ring_cache
-        if ring is None or ring.members != members:
-            from repro.core.shard import ShardRing
-
-            ring = self._ring_cache = ShardRing(members)
-        return ring
-
-    def _is_replica(self, layer: str, key: tuple) -> bool:
-        """Whether another ring member is primary for this key — a hit
-        here means replication served a key its owner could not."""
-        ring = self._member_ring()
-        if ring is None or self.shard_index is None:
-            return False
-        return ring.owner_index(layer, key) != self.shard_index
 
     # -- lifecycle -----------------------------------------------------
     def _bind_unix(self) -> socket.socket:
@@ -1550,16 +1452,14 @@ class CacheServer:
                 reject("authentication failed")
                 return
         # reply in the handshake codec, then switch to the negotiated
-        # one for everything that follows; the ack carries the shard
-        # map so attaching to any one ring member discovers the ring.
-        # A version-3 peer gets the version-3 4-tuple ack (no epoch
-        # field) and is served at its own version from here on.
+        # one for everything that follows; the ack advertises no shard
+        # map.  A version-3 peer gets the version-3 4-tuple ack (no
+        # epoch field) and is served at its own version from here on.
         conn.version = version
         if version >= 4:
-            ack = ("hello", version, encoding, self.shard_map,
-                   self.ring_epoch)
+            ack = ("hello", version, encoding, None, 0)
         else:
-            ack = ("hello", version, encoding, self.shard_map)
+            ack = ("hello", version, encoding, None)
         self._queue_send(conn, ("ok", ack))
         conn.codec = encoding
         conn.handshaken = True
@@ -1568,7 +1468,7 @@ class CacheServer:
 
     def _serve_message(self, conn: _Connection, message: tuple) -> None:
         op = message[0]
-        if op in ("synthesize", "evaluate_batch", "flush", "pull_owned"):
+        if op in ("synthesize", "evaluate_batch", "flush"):
             # blocking work: hand the request stream to a job thread
             conn.busy = True
             with self._lock:
@@ -1822,8 +1722,6 @@ class CacheServer:
         try:
             if op == "flush":
                 reply = ("ok", self.flush())
-            elif op == "pull_owned":
-                reply = ("ok", self._pull_owned(message))
             elif op == "synthesize":
                 reply = ("ok", self._job_synthesize(conn, message))
             else:
@@ -1834,7 +1732,7 @@ class CacheServer:
             reply = ("error", str(exc))
         except Exception as exc:  # never let a job kill the worker
             reply = ("error", f"internal server error: {exc}")
-        if reply[0] == "error" and op not in ("flush", "pull_owned"):
+        if reply[0] == "error" and op != "flush":
             with self._lock:
                 self.stats.job_errors += 1
         self._post("done", conn, reply)
@@ -1936,8 +1834,6 @@ class CacheServer:
                 # a window registered before the entry arrived is moot
                 self._negative.pop((layer, key), None)
                 self.stats.hits += 1
-                if self._is_replica(layer, key):
-                    self.stats.replica_hits += 1
                 return (True, value, 0.0)
             return (False, None,
                     self._miss_window(layer, key, time.monotonic()))
@@ -1956,8 +1852,6 @@ class CacheServer:
                 if value is not _MISSING:
                     self._negative.pop((layer, key), None)
                     self.stats.hits += 1
-                    if self._is_replica(layer, key):
-                        self.stats.replica_hits += 1
                     found[key] = value
                 else:
                     windows[key] = self._miss_window(layer, key, now)
@@ -2010,13 +1904,6 @@ class CacheServer:
             if op == "put_many":
                 (_, entries) = message
                 return self._adopt(entries)
-            if op == "shard_map":
-                return self.shard_map
-            if op == "ring":
-                return (self.shard_map, self.ring_epoch)
-            if op == "ring_update":
-                _, members, epoch = message
-                return self._ring_update(members, epoch)
             if op == "stats":
                 with self._lock:
                     snapshot = self.stats.as_dict()
@@ -2026,61 +1913,12 @@ class CacheServer:
                         name: len(cache)
                         for name, cache in self._layers.items()}
                     snapshot["negative_entries"] = len(self._negative)
-                    snapshot["ring_epoch"] = self.ring_epoch
-                    if self.shard_map is not None:
-                        snapshot["shard_index"] = self.shard_index
-                        snapshot["shard_map"] = list(self.shard_map)
                 return snapshot
             if op == "shutdown":
                 return None  # the loop tears down after replying
         except ValueError as exc:
             raise CacheError(f"malformed {op!r} request: {exc}") from exc
         raise CacheError(f"unknown cache request {op!r}")
-
-    def _ring_update(self, members, epoch) -> tuple:
-        """Adopt a newer ring map; a stale epoch changes nothing.
-
-        The server's own position is recomputed from the new map (a
-        member that was voted out keeps serving as an unpositioned
-        cache — its clients drain away as they adopt the new map).
-        Replies with the post-offer ``(members, epoch)`` either way,
-        so racing updaters converge on the newest map.
-        """
-        if not isinstance(members, (tuple, list)) or not members \
-                or not all(isinstance(m, str) for m in members) \
-                or not isinstance(epoch, int):
-            raise CacheError("malformed 'ring_update' request: "
-                             "expected (members, epoch)")
-        if epoch > self.ring_epoch:
-            members = tuple(members)
-            self.ring_epoch = epoch
-            self.shard_map = members
-            self.shard_index = members.index(self.address) \
-                if self.address in members else None
-            with self._lock:
-                self.stats.ring_updates += 1
-        return (self.shard_map, self.ring_epoch)
-
-    def _pull_owned(self, message: tuple) -> Dict[str, list]:
-        """Serve a joining member's warm-pull: this server's entries
-        that shard *index* of the ring over *members* holds."""
-        from repro.core.shard import ShardRing, partition_layers
-
-        try:
-            _, members, index, rf = message
-        except ValueError as exc:
-            raise CacheError(
-                f"malformed 'pull_owned' request: {exc}") from exc
-        if not isinstance(members, (tuple, list)) or not members \
-                or not all(isinstance(m, str) for m in members) \
-                or not isinstance(index, int) \
-                or not 0 <= index < len(members) \
-                or not isinstance(rf, int) or rf < 1:
-            raise CacheError(
-                "malformed 'pull_owned' request: expected "
-                "(members, index, rf)")
-        ring = ShardRing(tuple(members))
-        return partition_layers(self.export_layers(), ring, index, rf)
 
     def _adopt(self, entries) -> int:
         adopted = 0
@@ -2102,45 +1940,21 @@ class CacheServer:
 # ----------------------------------------------------------------------
 # engine attachment + fail-open job submission
 # ----------------------------------------------------------------------
-def _open_client(address: str, *, timeout: float = CLIENT_TIMEOUT,
-                 auth_token: Optional[str] = None,
-                 encoding: Optional[str] = None,
-                 job_timeout: float = JOB_TIMEOUT):
-    """A client for *address*: a plain :class:`CacheClient` for a
-    single server, a :class:`~repro.core.shard.ShardedCacheClient` for
-    a comma-separated ring spec.  Construction never connects."""
-    from repro.core import shard as shard_mod
-
-    addresses = shard_mod.parse_ring(address)
-    if len(addresses) > 1:
-        return shard_mod.ShardedCacheClient(
-            addresses, timeout=timeout, auth_token=auth_token,
-            encoding=encoding, job_timeout=job_timeout)
-    return CacheClient(addresses[0], timeout=timeout,
-                       auth_token=auth_token, encoding=encoding,
-                       job_timeout=job_timeout)
-
-
 def attach_engine(engine: EvaluationEngine, address: str, *,
                   timeout: float = CLIENT_TIMEOUT,
                   batch_size: int = RemoteCacheBackend.PUT_BATCH,
                   auth_token: Optional[str] = None,
                   encoding: Optional[str] = None) -> bool:
-    """Attach *engine* to the cache tier at *address* (best-effort).
+    """Attach *engine* to the cache server at *address* (best-effort).
 
-    *address* may be one server or a comma-separated shard ring; a
-    single address that turns out to be a ring member (its handshake
-    or ``shard_map`` reports siblings) is transparently upgraded to
-    the full ring, so clients only ever need to know one member.
-
-    Returns ``True`` on success; ``False`` when the server (every
-    shard, for a ring) is unreachable, rejects the handshake, or
-    speaks a different protocol version — the engine is left untouched
-    and computes locally, which is always behaviourally identical.
+    Returns ``True`` on success; ``False`` when the server is
+    unreachable, rejects the handshake, or speaks a different protocol
+    version — the engine is left untouched and computes locally, which
+    is always behaviourally identical.
     """
     try:
-        client = _open_client(address, timeout=timeout,
-                              auth_token=auth_token, encoding=encoding)
+        client = CacheClient(address, timeout=timeout,
+                             auth_token=auth_token, encoding=encoding)
     except ReproError:
         return False
     try:
@@ -2148,26 +1962,6 @@ def attach_engine(engine: EvaluationEngine, address: str, *,
     except ReproError:
         client.close()
         return False
-    if isinstance(client, CacheClient):
-        members = client.server_shard_map  # learned in the handshake
-        if members is None:
-            try:
-                members = client.shard_map()
-            except ReproError:
-                members = None
-        if members and len(members) > 1:
-            from repro.core.shard import ShardedCacheClient
-
-            sharded = ShardedCacheClient(
-                members, timeout=timeout, auth_token=auth_token,
-                encoding=encoding)
-            try:
-                sharded.ping()
-            except ReproError:
-                sharded.close()  # keep the single reachable member
-            else:
-                client.close()
-                client = sharded
     engine.attach_backend(RemoteCacheBackend(client, batch_size=batch_size))
     return True
 
@@ -2202,9 +1996,9 @@ def synthesize_remote(graph: DataFlowGraph, library: ResourceLibrary,
     from repro.core.find_design import find_design
 
     try:
-        client = _open_client(address, timeout=timeout,
-                              auth_token=auth_token, encoding=encoding,
-                              job_timeout=job_timeout)
+        client = CacheClient(address, timeout=timeout,
+                             auth_token=auth_token, encoding=encoding,
+                             job_timeout=job_timeout)
     except CacheError:
         client = None
     if client is not None:
@@ -2235,9 +2029,9 @@ def evaluate_batch_remote(graph: DataFlowGraph, allocations,
 
     allocations = list(allocations)
     try:
-        client = _open_client(address, timeout=timeout,
-                              auth_token=auth_token, encoding=encoding,
-                              job_timeout=job_timeout)
+        client = CacheClient(address, timeout=timeout,
+                             auth_token=auth_token, encoding=encoding,
+                             job_timeout=job_timeout)
     except CacheError:
         client = None
     if client is not None:

@@ -85,7 +85,7 @@ import heapq
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -192,8 +192,6 @@ class EngineStats:
     remote_hits: int = 0          # L1 misses answered by a cache server
     remote_negative_hits: int = 0  # round trips skipped by absent markers
     remote_fallbacks: int = 0     # times the remote backend was abandoned
-    remote_replica_hits: int = 0  # ring hits served by a non-primary copy
-    remote_read_repairs: int = 0  # primaries re-warmed after replica hits
     batch_items: int = 0          # items submitted to evaluate_batch()
     batched_evals: int = 0        # ... actually solved by the batched path
     wall_time: float = 0.0        # seconds spent inside evaluate()
@@ -262,9 +260,6 @@ class EngineStats:
             f"  remote cache          : {self.remote_hits} hits"
             f" (negative hits {self.remote_negative_hits},"
             f" fallbacks {self.remote_fallbacks})",
-            f"  ring replication      : {self.remote_replica_hits}"
-            f" replica hits"
-            f" (read repairs {self.remote_read_repairs})",
             f"  evaluation wall time  : {self.wall_time:.3f}s"
             f" ({self.evaluations_per_second:.0f} evaluations/s)",
         ])
@@ -436,11 +431,7 @@ class RemoteCacheBackend:
     ``get_many(layer, keys) -> {key: value}`` or ``({key: value},
     {key: window})``, ``put_many(entries)``, and ``close()``, all
     raising :class:`~repro.errors.CacheError` on any transport
-    problem.  :class:`~repro.core.shard.ShardedCacheClient` speaks the
-    same surface, so a backend over a shard ring behaves identically —
-    including per-shard fail-open: a dead shard only mutes its own
-    keys, and the client raises (flipping this backend local-only)
-    only when every shard is gone.
+    problem.
     """
 
     #: buffered stores shipped per ``put_many`` round trip.
@@ -475,7 +466,6 @@ class RemoteCacheBackend:
         self.stats: Optional[EngineStats] = None  # set by attach_backend
         self._pending: List[Tuple[str, tuple, object]] = []
         self._negative: Dict[Tuple[str, tuple], float] = {}
-        self._counter_marks: Dict[str, int] = {}
         self._owner_pid = os.getpid()
 
     def _fail(self) -> None:
@@ -607,32 +597,8 @@ class RemoteCacheBackend:
         if len(self._pending) >= self.batch_size:
             self.flush()
 
-    def _sync_client_counters(self) -> None:
-        """Adopt replication telemetry from a ring client.
-
-        :class:`~repro.core.shard.ShardedCacheClient` keeps cumulative
-        ``counters`` (replica hits, read repairs); the deltas since the
-        last sync surface as engine stats so ``--stats`` shows when a
-        sweep was served by replication.  Duck-typed clients without
-        counters are simply skipped.
-        """
-        counters = getattr(self.client, "counters", None)
-        if not isinstance(counters, dict) or self.stats is None:
-            return
-        for name, field in (("replica_hits", "remote_replica_hits"),
-                            ("read_repairs", "remote_read_repairs")):
-            total = counters.get(name, 0)
-            if not isinstance(total, int):
-                continue
-            seen = self._counter_marks.get(name, 0)
-            if total > seen:
-                setattr(self.stats, field,
-                        getattr(self.stats, field) + total - seen)
-                self._counter_marks[name] = total
-
     def flush(self) -> None:
         """Ship every buffered store to the server."""
-        self._sync_client_counters()
         if not self._pending or not self._usable():
             return
         pending, self._pending = self._pending, []
@@ -644,7 +610,6 @@ class RemoteCacheBackend:
     def close(self) -> None:
         """Flush buffers and release the transport."""
         self.flush()
-        self._sync_client_counters()
         try:
             self.client.close()
         except ReproError:
@@ -660,7 +625,6 @@ class RemoteCacheBackend:
         state = self.__dict__.copy()
         state["_pending"] = []
         state["_negative"] = {}
-        state["_counter_marks"] = {}
         return state
 
 

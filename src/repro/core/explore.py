@@ -126,12 +126,10 @@ def sweep_bounds(graph: DataFlowGraph,
         ``False`` runs workers fully cold and discards their caches.
         Results are identical in every mode — only wall clock differs.
     cache_server:
-        Address of an already-running cache tier to share through
-        (implies ``"live"``): an AF_UNIX socket path, a
-        ``tcp://host:port`` URL, or a comma-separated shard-ring
-        spec (every worker routes keys per shard).  Without it, live
-        mode spawns an ephemeral server for the duration of the
-        sweep.
+        Address of an already-running cache server to share through
+        (implies ``"live"``): an AF_UNIX socket path or a
+        ``tcp://host:port`` URL.  Without it, live mode spawns an
+        ephemeral server for the duration of the sweep.
     cache_token:
         Shared secret for a TCP *cache_server*; ignored for AF_UNIX
         sockets.

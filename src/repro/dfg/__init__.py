@@ -22,12 +22,7 @@ from repro.dfg.analysis import (
     width_profile,
 )
 from repro.dfg.builder import DFGBuilder, chain, reduction_tree
-from repro.dfg.compiled import (
-    BatchedDelays,
-    CompiledGraph,
-    GraphBatch,
-    compile_graph,
-)
+from repro.dfg.compiled import CompiledGraph, compile_graph
 from repro.dfg.dot import to_dot
 from repro.dfg.generators import fir_like, layered_dag, random_dag
 from repro.dfg.graph import DataFlowGraph
@@ -36,9 +31,7 @@ from repro.dfg.transforms import duplicate_graph, rebalance_reduction
 
 __all__ = [
     "DataFlowGraph",
-    "BatchedDelays",
     "CompiledGraph",
-    "GraphBatch",
     "compile_graph",
     "DFGBuilder",
     "Operation",

@@ -206,109 +206,6 @@ def _levels(n: int, preds, order
     return levels
 
 
-class BatchedDelays:
-    """B delay assignments for one :class:`CompiledGraph`, stacked.
-
-    The matrix is ``(B, n_ops)`` int64, one row per assignment, columns
-    in graph insertion order — exactly B copies of
-    :meth:`CompiledGraph.delays_array` laid out so the batched timing
-    kernels of :mod:`repro.hls.fastsched` can propagate every row in
-    one ``reduceat`` pass per level.  :meth:`key` returns the same
-    per-row ``tobytes`` key the per-item base-timing memo uses, so a
-    batched pass and the per-item path land on the same memo entries.
-    """
-
-    __slots__ = ("compiled", "matrix")
-
-    def __init__(self, compiled: CompiledGraph, matrix: np.ndarray):
-        matrix = np.ascontiguousarray(matrix, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != compiled.n_ops:
-            raise DFGError(
-                f"delay matrix of shape {matrix.shape} does not match "
-                f"{compiled.n_ops} operations")
-        self.compiled = compiled
-        self.matrix = matrix
-
-    @classmethod
-    def from_mappings(cls, graph: DataFlowGraph, delays_list
-                      ) -> "BatchedDelays":
-        """Stack op-id keyed delay mappings into one batch."""
-        compiled = compile_graph(graph)
-        rows = [compiled.delays_array(delays) for delays in delays_list]
-        if rows:
-            matrix = np.stack(rows)
-        else:
-            matrix = np.empty((0, compiled.n_ops), dtype=np.int64)
-        return cls(compiled, matrix)
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    def row(self, b: int) -> np.ndarray:
-        """Delay vector of assignment *b* (graph insertion order)."""
-        return self.matrix[b]
-
-    def key(self, b: int) -> bytes:
-        """Memo key of row *b* — identical to the per-item path's."""
-        return self.matrix[b].tobytes()
-
-
-class GraphBatch:
-    """A disjoint union of several graphs compiled as one structure.
-
-    The random-DFG suites time many *different* graphs under one delay
-    assignment each; stacking them as a block-diagonal union graph
-    level-aligns their operations (depth-``k`` nodes of every member
-    share the union's depth-``k`` level), so a single level pass of the
-    batched timing kernels propagates all members at once.  Member op
-    ids are prefixed ``"b<k>|"`` to keep the union's id space disjoint;
-    :meth:`union_delays` lifts per-member delay mappings onto it and
-    :meth:`split` projects union-keyed results back per member.
-
-    Density scheduling is deliberately *not* offered on the union: the
-    occupancy distribution couples operations of one resource type
-    across members, so a union schedule would differ from per-member
-    schedules.  Timing (ASAP/tails/criticals) decomposes exactly.
-    """
-
-    __slots__ = ("graphs", "union", "_prefixes")
-
-    def __init__(self, graphs):
-        self.graphs = list(graphs)
-        if not self.graphs:
-            raise DFGError("cannot batch zero graphs")
-        self._prefixes = [f"b{k}|" for k in range(len(self.graphs))]
-        union = DataFlowGraph("+".join(g.name for g in self.graphs))
-        for prefix, graph in zip(self._prefixes, self.graphs):
-            for op in graph:
-                union.add_operation(Operation(prefix + op.op_id, op.kind,
-                                              op.rtype, op.label))
-            for u, v in graph.edges():
-                union.add_edge(prefix + u, prefix + v)
-        self.union = union
-
-    def __len__(self) -> int:
-        return len(self.graphs)
-
-    def union_delays(self, delays_list) -> Dict[str, int]:
-        """One union-keyed delay mapping from per-member mappings."""
-        if len(delays_list) != len(self.graphs):
-            raise DFGError(
-                f"expected {len(self.graphs)} delay mappings, "
-                f"got {len(delays_list)}")
-        merged: Dict[str, int] = {}
-        for prefix, graph, delays in zip(self._prefixes, self.graphs,
-                                         delays_list):
-            for op in graph:
-                merged[prefix + op.op_id] = delays[op.op_id]
-        return merged
-
-    def split(self, union_values) -> List[Dict[str, int]]:
-        """Project a union-keyed mapping back to per-member mappings."""
-        return [{op.op_id: union_values[prefix + op.op_id] for op in graph}
-                for prefix, graph in zip(self._prefixes, self.graphs)]
-
-
 class MergedBatch:
     """Merge several per-request item lists into one deduplicated work
     list, then split flat results back per request.
@@ -320,8 +217,8 @@ class MergedBatch:
     allocation signature), so an allocation submitted by several fleet
     clients in the same window is *computed once* and fanned back out
     to every requester — the cross-request analogue of the duplicate
-    collapsing :class:`BatchedDelays`-backed kernels already perform
-    within one request.
+    collapsing the batched timing kernels already perform within one
+    request.
 
     >>> merged = MergedBatch()
     >>> merged.add_request(["a", "b"], keys=["a", "b"])

@@ -67,20 +67,6 @@ class CacheTimeoutError(CacheError):
     """
 
 
-class CacheRetryExhausted(CacheError):
-    """Bounded connect/request retries against the cache tier ran out.
-
-    Raised by :class:`repro.core.shard.ShardedCacheClient` when a
-    request could not be served after retrying every responsible ring
-    member (primary and replicas) within the retry budget — most
-    drastically when every shard of the ring is unreachable at once.
-    A subclass of :class:`CacheError`, so every fail-open call site
-    still treats it as "compute locally"; catching this type
-    specifically distinguishes a whole-tier outage from a single bad
-    frame or snapshot.
-    """
-
-
 class ProtocolError(CacheError):
     """A cache-service peer violated the wire protocol.
 

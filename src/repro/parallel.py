@@ -65,10 +65,8 @@ def _worker_init(snapshot_bytes: Optional[bytes]) -> None:
 def _worker_init_live(address: Optional[str],
                       auth_token: Optional[str] = None) -> None:
     """Pool initializer: attach this worker's default engine to the
-    cache tier at *address* — one server or a comma-separated shard
-    ring (best-effort: an unreachable server, or any single dead
-    shard, leaves the worker computing locally with identical
-    results)."""
+    cache server at *address* (best-effort: an unreachable server
+    leaves the worker computing locally with identical results)."""
     if not address:
         return
     from repro.core import cache_server, default_engine
@@ -117,13 +115,11 @@ def run_tasks(tasks: Sequence[Task],
         while running.
     server_address:
         Live mode only: attach workers to the already-running cache
-        tier at this address (an AF_UNIX socket path, a
-        ``tcp://host:port`` URL, or a comma-separated shard-ring spec
-        — each worker routes per-shard through
-        :class:`~repro.core.shard.ShardedCacheClient`) instead of
-        spawning an ephemeral server.  The external tier owns the
-        shared state, so no merge-back into *share_engine* happens
-        (an attached parent engine reads through it anyway).
+        server at this address (an AF_UNIX socket path or a
+        ``tcp://host:port`` URL) instead of spawning an ephemeral
+        server.  The external server owns the shared state, so no
+        merge-back into *share_engine* happens (an attached parent
+        engine reads through it anyway).
     server_token:
         Shared secret handed to workers attaching to a TCP
         *server_address*; ignored for AF_UNIX sockets.

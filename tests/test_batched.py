@@ -17,9 +17,9 @@ import random
 import pytest
 
 from repro.bench import diffeq, ewf, fir16
-from repro.dfg import BatchedDelays, GraphBatch, compile_graph, random_dag
+from repro.dfg import random_dag
 from repro.dfg.graph import DataFlowGraph, Operation
-from repro.errors import DFGError, SchedulingError
+from repro.errors import SchedulingError
 from repro.hls import (
     batched_density_schedules,
     batched_time_frames,
@@ -331,61 +331,6 @@ class TestFindDesignBatchedParity:
             assert {o: v.name for o, v in fast.allocation.items()} \
                 == {o: v.name for o, v in ref.allocation.items()}
             assert fast_engine.stats.batch_items > 0
-
-
-class TestGraphBatch:
-    def test_union_timing_decomposes(self):
-        graphs = [random_dag(8 + 4 * k, seed=40 + k) for k in range(3)]
-        batch = GraphBatch(graphs)
-        delays_list = [random_delays(g, 60 + k)
-                       for k, g in enumerate(graphs)]
-        union_delays = batch.union_delays(delays_list)
-        timing = base_timing(batch.union, union_delays)
-        cg = compile_graph(batch.union)
-        union_asap = dict(zip(cg.op_ids, timing.asap))
-        per_member = batch.split(union_asap)
-        for graph, delays, asap in zip(graphs, delays_list, per_member):
-            single = base_timing(graph, delays)
-            assert asap == dict(zip(compile_graph(graph).op_ids,
-                                    single.asap))
-
-    def test_split_round_trip(self):
-        graphs = [diffeq(), fir16()]
-        batch = GraphBatch(graphs)
-        delays_list = [random_delays(g, k) for k, g in enumerate(graphs)]
-        assert batch.split(batch.union_delays(delays_list)) == delays_list
-
-    def test_wrong_arity_raises(self):
-        batch = GraphBatch([diffeq()])
-        with pytest.raises(DFGError, match="expected 1 delay mappings"):
-            batch.union_delays([])
-
-    def test_zero_graphs_raises(self):
-        with pytest.raises(DFGError, match="zero graphs"):
-            GraphBatch([])
-
-
-class TestBatchedDelays:
-    def test_keys_match_per_item_memo_keys(self):
-        graph = fir16()
-        delays_list = [random_delays(graph, k) for k in range(3)]
-        batch = BatchedDelays.from_mappings(graph, delays_list)
-        cg = compile_graph(graph)
-        assert len(batch) == 3
-        for b, delays in enumerate(delays_list):
-            assert batch.key(b) == cg.delays_array(delays).tobytes()
-            assert list(batch.row(b)) == list(cg.delays_array(delays))
-
-    def test_shape_validation(self):
-        import numpy as np
-
-        cg = compile_graph(fir16())
-        with pytest.raises(DFGError, match="does not match"):
-            BatchedDelays(cg, np.zeros((2, cg.n_ops + 1), dtype=np.int64))
-
-    def test_empty_batch(self):
-        batch = BatchedDelays.from_mappings(fir16(), [])
-        assert len(batch) == 0
 
 
 def test_table2_style_grid_end_to_end():

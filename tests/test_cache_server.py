@@ -639,6 +639,88 @@ class TestNegativeResultMarkers:
 
 
 # ----------------------------------------------------------------------
+# server-side negative windows + marker pickling
+# ----------------------------------------------------------------------
+class TestServerNegativeWindows:
+    def test_first_miss_registers_a_window(self, tmp_path):
+        address = str(tmp_path / "neg.sock")
+        with cache_server.CacheServer(address) as server:
+            with cache_server.CacheClient(address) as client:
+                found, _value, window = client.get("density", (("g",), "m"))
+                assert found is False and window > 0.0
+                client.get("density", (("g",), "m"))
+                assert server.stats.negative_hits == 1
+
+    def test_a_put_clears_the_window(self, tmp_path):
+        address = str(tmp_path / "neg2.sock")
+        with cache_server.CacheServer(address) as server:
+            with cache_server.CacheClient(address) as client:
+                client.get("density", (("g",), "m"))
+                client.put("density", (("g",), "m"), "v")
+                assert client.get("density", (("g",), "m"))[:2] \
+                    == (True, "v")
+                assert server.stats.negative_hits == 0
+
+    def test_fleet_wide_single_ask(self, server):
+        """The windows live server-side, so one engine's miss saves a
+        *different* engine's round trip — impossible with client-local
+        markers."""
+        key = (("g",), "cold-everywhere")
+        with CacheClient(server.address, timeout=10.0) as first:
+            assert first.get("density", key)[0] is False
+        with CacheClient(server.address, timeout=10.0) as second:
+            found, _value, window = second.get("density", key)
+            assert found is False and window > 0.0
+        assert server.stats.negative_hits == 1
+
+    def test_backend_honours_the_server_window(self):
+        from repro.core.engine import EngineStats, RemoteCacheBackend
+
+        class _WindowClient:
+            def __init__(self):
+                self.gets = 0
+
+            def get(self, layer, key):
+                self.gets += 1
+                return (False, None, 60.0)
+
+            def close(self):
+                pass
+
+        client = _WindowClient()
+        # a tiny client-side default, but the server grants 60s: the
+        # authoritative window governs, outliving the local ttl
+        backend = RemoteCacheBackend(client, negative_ttl=0.005)
+        backend.stats = EngineStats()
+        assert backend.fetch("density", ("k",)) == (False, None)
+        time.sleep(0.02)  # the local default would have expired
+        assert backend.fetch("density", ("k",)) == (False, None)
+        assert client.gets == 1, \
+            "the server-granted window was not honoured"
+        assert backend.stats.remote_negative_hits == 1
+
+    def test_markers_do_not_survive_pickling(self, server):
+        """``time.monotonic`` deadlines are only meaningful in the
+        process that measured them.  A backend pickled into a
+        forked/spawned worker must arrive with an empty marker table
+        and an empty write-behind buffer."""
+        engine = EvaluationEngine()
+        assert attach_engine(engine, server.address)
+        try:
+            backend = engine.backend
+            backend.fetch("density", (("g",), "will-miss"))
+            backend.store("density", (("g",), "pending"), "v")
+            assert backend._negative and backend._pending
+            clone = pickle.loads(pickle.dumps(backend))
+            assert clone._negative == {}
+            assert clone._pending == []
+            # the original keeps its state; only the copy is scrubbed
+            assert backend._negative and backend._pending
+        finally:
+            detach_engine(engine)
+
+
+# ----------------------------------------------------------------------
 # stale unix sockets (bind-time hygiene)
 # ----------------------------------------------------------------------
 class TestStaleSockets:
@@ -1008,6 +1090,13 @@ class TestBackpressure:
                 request = wire.encode(("get", "density", key), "pickle")
                 framed = struct.pack("!I", len(request)) + request
                 sock.sendall(framed * 400)  # ~6.5 MB of replies due
+                # stay stalled until the server condemns the connection:
+                # a reader that drains while the replies are produced
+                # can keep the outbuf under the cap
+                deadline = time.monotonic() + 30.0
+                while server.stats.backpressure_disconnects == 0 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 # now drain: ok replies, then the condemnation frame,
                 # then EOF — never a hang, never a killed server
                 saw_backpressure = False

@@ -57,6 +57,15 @@ class TestRoundTrip:
         cache_store.save(snapshot_engine(warm_engine), path)
         assert cache_store.load(path).entry_count > 0
 
+    def test_failed_save_leaves_no_temp_file(self, warm_engine, tmp_path):
+        # a directory in the snapshot's place makes the final rename
+        # fail after the temporary file was written
+        path = cache_store.snapshot_path(str(tmp_path))
+        os.mkdir(path)
+        with pytest.raises(OSError):
+            cache_store.save(snapshot_engine(warm_engine), path)
+        assert sorted(os.listdir(tmp_path)) == [os.path.basename(path)]
+
     def test_merged_engine_serves_hits(self, warm_engine, lib):
         snapshot = cache_store.loads(
             cache_store.dumps(snapshot_engine(warm_engine)))

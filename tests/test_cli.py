@@ -409,76 +409,3 @@ class TestCacheStats:
         assert main(["cache-stats", "--address",
                      str(tmp_path / "nothing.sock")]) == 1
         assert "error" in capsys.readouterr().err
-
-    def test_ring_stats_tolerate_a_dead_member(self, tmp_path, capsys):
-        from repro.core import shard
-
-        with shard.start_shard_ring(
-                2, address=str(tmp_path / "ring.sock")) as ring:
-            ring.servers[0].stop()
-            assert main(["cache-stats", "--address",
-                         ring.address]) == 0
-            out = capsys.readouterr().out
-        assert f"{ring.addresses[0]}: unreachable" in out
-        assert "replica hits" in out and "ring epoch 1" in out
-
-    def test_whole_ring_down_is_a_clean_error(self, tmp_path, capsys):
-        spec = f"{tmp_path}/a.sock,{tmp_path}/b.sock"
-        assert main(["cache-stats", "--address", spec]) == 1
-        assert "no member" in capsys.readouterr().err
-
-
-class TestCacheRing:
-    """The cache-ring subcommand against a live shard ring."""
-
-    def test_status_join_leave_round_trip(self, tmp_path, capsys):
-        from repro.core import cache_server, shard
-
-        with shard.start_shard_ring(
-                2, address=str(tmp_path / "ring.sock")) as ring:
-            assert main(["cache-ring", "status", "--address",
-                         ring.addresses[0]]) == 0
-            out = capsys.readouterr().out
-            assert "ring epoch 1" in out
-            assert ring.addresses[1] in out
-
-            with shard.ShardedCacheClient(ring.addresses,
-                                          timeout=5.0) as client:
-                for index in range(10):
-                    client.put("density", (("g",), "k", index), index)
-            joiner = cache_server.CacheServer(
-                str(tmp_path / "joiner.sock")).start()
-            try:
-                assert main(["cache-ring", "join",
-                             "--address", ring.address,
-                             "--member", joiner.address]) == 0
-                out = capsys.readouterr().out
-                assert "ring epoch 2" in out
-                assert joiner.address in out
-                assert "warm-pulled" in out
-                assert joiner.entry_count() > 0
-
-                assert main(["cache-ring", "leave",
-                             "--address", ring.address,
-                             "--member", joiner.address,
-                             "--json"]) == 0
-                payload = json.loads(capsys.readouterr().out)
-                assert payload["epoch"] == 3
-                assert joiner.address not in payload["members"]
-            finally:
-                joiner.stop()
-
-    def test_join_requires_member(self, capsys):
-        assert main(["cache-ring", "join", "--address", "x.sock"]) == 2
-        assert "--member" in capsys.readouterr().err
-
-    def test_leaving_a_stranger_is_a_clean_error(self, tmp_path,
-                                                 capsys):
-        from repro.core import shard
-
-        with shard.start_shard_ring(
-                2, address=str(tmp_path / "ring.sock")) as ring:
-            assert main(["cache-ring", "leave",
-                         "--address", ring.address,
-                         "--member", "stranger.sock"]) == 1
-        assert "not a member" in capsys.readouterr().err

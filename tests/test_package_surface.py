@@ -73,3 +73,19 @@ class TestTopLevel:
                        repro.experiments, repro.hls, repro.library,
                        repro.reliability):
             assert module.__doc__
+
+    def test_every_all_name_resolves(self):
+        # a stale `__all__` entry breaks only `from module import *`,
+        # which no ordinary import exercises
+        import importlib
+        import pkgutil
+
+        stale = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith(".__main__"):
+                continue
+            module = importlib.import_module(info.name)
+            for name in getattr(module, "__all__", ()):
+                if not hasattr(module, name):
+                    stale.append(f"{info.name}.{name}")
+        assert stale == []

@@ -296,64 +296,6 @@ class TestLegacyPeer:
 
 
 # ----------------------------------------------------------------------
-# versioned ring membership, identical over every matrix row
-# ----------------------------------------------------------------------
-class TestRingOps:
-    """PROTOCOL_VERSION 4's membership surface — ``ring`` /
-    ``ring_update`` / ``pull_owned`` — behaves identically on every
-    transport/encoding row.  Function-scoped rigs: these ops mutate
-    the server's ring state."""
-
-    @pytest.fixture(params=MATRIX, ids=[row[0] for row in MATRIX])
-    def fresh_rig(self, request, tmp_path_factory):
-        _id, transport, encoding, client_token, server_token = \
-            request.param
-        built = _make_rig(tmp_path_factory, transport, encoding,
-                          client_token, server_token)
-        yield built
-        built.server.stop()
-
-    def test_unsharded_server_reports_epoch_zero(self, fresh_rig):
-        with fresh_rig.client() as client:
-            assert client.ring() == (None, 0)
-            if fresh_rig.encoding == "json":
-                assert client.server_ring_epoch == 0
-
-    def test_ring_update_adopts_only_newer_epochs(self, fresh_rig):
-        server = fresh_rig.server
-        members = (server.address, "tcp://127.0.0.1:65000")
-        with fresh_rig.client() as client:
-            # a newer epoch is adopted; the server finds its own index
-            assert client.ring_update(members, 1) == (members, 1)
-            assert server.shard_index == 0
-            assert server.ring_epoch == 1
-            # stale offers are refused; the current map is echoed back
-            assert client.ring_update((server.address,), 1) \
-                == (members, 1)
-            assert client.ring_update(tuple(reversed(members)), 0) \
-                == (members, 1)
-            # handshaking clients learn the adopted epoch from the ack
-            if fresh_rig.encoding == "json":
-                with fresh_rig.client() as late:
-                    late.ping()
-                    assert late.server_ring_epoch == 1
-                    assert late.server_shard_map == members
-            # a leave that drops this server clears its shard index
-            survivors = ("tcp://127.0.0.1:65000",)
-            assert client.ring_update(survivors, 2) == (survivors, 2)
-            assert server.shard_index is None
-        assert server.stats.ring_updates == 2
-
-    def test_pull_owned_returns_the_owned_partition(self, fresh_rig):
-        key = (("pull", fresh_rig.encoding), "k", 1)
-        members = [fresh_rig.server.address]
-        with fresh_rig.client() as client:
-            client.put("density", key, "warm")
-            pulled = client.pull_owned(members, 0)
-        assert (key, "warm") in pulled["density"]
-
-
-# ----------------------------------------------------------------------
 # the same job ops with an RPC batch window enabled
 # ----------------------------------------------------------------------
 class TestWindowedOpSet:
