@@ -1,17 +1,16 @@
 """Benchmark: the evaluation service under multi-client load.
 
-PR 7 turned the cache sidecar into a network service: TCP transport
-with a safe json wire encoding, an event-loop server core, and a
+The cache server is a same-host service: pickle frames over an
+``AF_UNIX`` path socket, an event-loop server core, and a
 ``synthesize`` RPC that runs whole searches server-side.  This
-benchmark puts numbers behind both halves:
+benchmark puts numbers behind it:
 
 * **load generator** — ``WORKERS`` client processes replay real cache
   traffic (the layer entries a Table 2 search produces — schedules,
-  evaluations, density points) against the same server over both
-  transports, recording per-request p50/p99 latency and aggregate
-  throughput for AF_UNIX+pickle and TCP+json;
+  evaluations, density points) against one server, recording
+  per-request p50/p99 latency and aggregate throughput;
 * **remote synthesize** — the Table 2 grids are swept twice, once via
-  the ``synthesize`` RPC of a TCP server and once locally, and every
+  the ``synthesize`` RPC of a server and once locally, and every
   selected design must be identical (the acceptance gate; timing is
   reported but never asserted — the equivalence carries the claim);
 * **RPC batch window** — the same 4 clients drive ``evaluate_batch``
@@ -52,7 +51,6 @@ QUICK_ROUNDS = 2
 WINDOW_ROUNDS = 10
 QUICK_WINDOW_ROUNDS = 4
 BATCH_WINDOW_S = 0.01
-AUTH_TOKEN = "bench-cache-service"
 WORKLOADS = ("fir", "ew", "diffeq")
 
 
@@ -66,10 +64,10 @@ def _traffic_entries():
             for key, value in entries]
 
 
-def _client_worker(address, token, entries, rounds, worker_id, out):
+def _client_worker(address, entries, rounds, worker_id, out):
     """One load-generator process: timed puts then timed gets."""
     try:
-        client = CacheClient(address, auth_token=token, timeout=60.0)
+        client = CacheClient(address, timeout=60.0)
         latencies = []
         for round_no in range(rounds):
             for layer, key, value in entries:
@@ -89,13 +87,13 @@ def _client_worker(address, token, entries, rounds, worker_id, out):
         out.put((worker_id, repr(exc)))
 
 
-def _drive_transport(address, token, entries, rounds):
+def _drive_transport(address, entries, rounds):
     """Fan WORKERS load processes at *address*; aggregate latencies."""
     context = multiprocessing.get_context("fork")
     out = context.Queue()
     processes = [
         context.Process(target=_client_worker,
-                        args=(address, token, entries, rounds, i, out))
+                        args=(address, entries, rounds, i, out))
         for i in range(WORKERS)
     ]
     started = time.perf_counter()
@@ -125,27 +123,19 @@ def _drive_transport(address, token, entries, rounds):
 
 
 def measure_load(quick=False):
-    """Replay the same traffic against a unix and a tcp server."""
+    """Replay real cache traffic against a unix-socket server."""
     entries = _traffic_entries()
     rounds = QUICK_ROUNDS if quick else ROUNDS
-    results = {}
     with CacheServer() as server:  # AF_UNIX in a server-owned temp dir
-        results["unix"] = _drive_transport(server.address, None,
-                                           entries, rounds)
-        results["unix"]["server_stats"] = server.stats.as_dict()
-    with CacheServer("tcp://127.0.0.1:0", auth_token=AUTH_TOKEN) as server:
-        results["tcp"] = _drive_transport(server.address, AUTH_TOKEN,
-                                          entries, rounds)
-        results["tcp"]["server_stats"] = server.stats.as_dict()
-    for transport, row in results.items():
-        stats = row["server_stats"]
-        expected = WORKERS * rounds * len(entries)
-        assert stats["puts"] == expected, (transport, stats["puts"])
-        assert stats["gets"] == expected and stats["hits"] == expected, \
-            (transport, stats["gets"], stats["hits"])
-        assert stats["bad_frames"] == 0 and stats["auth_failures"] == 0
+        row = _drive_transport(server.address, entries, rounds)
+        row["server_stats"] = stats = server.stats.as_dict()
+    expected = WORKERS * rounds * len(entries)
+    assert stats["puts"] == expected, stats["puts"]
+    assert stats["gets"] == expected and stats["hits"] == expected, \
+        (stats["gets"], stats["hits"])
+    assert stats["bad_frames"] == 0
     return {"rounds": rounds, "entries": len(entries),
-            "transports": results}
+            "transports": {"unix": row}}
 
 
 def _design_fingerprint(result):
@@ -300,8 +290,8 @@ def measure_synthesize(quick=False):
     library = paper_library()
     workloads = ("diffeq",) if quick else WORKLOADS
     rows = {}
-    with CacheServer("tcp://127.0.0.1:0", auth_token=AUTH_TOKEN) as server:
-        client = CacheClient(server.address, auth_token=AUTH_TOKEN)
+    with CacheServer() as server:
+        client = CacheClient(server.address)
         for benchmark in workloads:
             graph = get_benchmark(benchmark)
             pairs = _grid(benchmark, quick)
@@ -359,9 +349,6 @@ def report(load, synthesize, window):
             int(stats["puts"]),
             int(stats["hits"]),
         )
-    unix_p50 = load["transports"]["unix"]["p50_ms"]
-    tcp_p50 = load["transports"]["tcp"]["p50_ms"]
-    table.add_note(f"tcp/unix p50 ratio {tcp_p50 / unix_p50:.2f}")
     rpc = ExperimentTable(
         title="Remote synthesize vs local compute (Table 2 grids)",
         headers=("benchmark", "grid", "feasible", "remote s", "local s",

@@ -23,14 +23,13 @@ stale, corrupted, or version-mismatched snapshot is reported and
 ignored — the run simply starts cold.
 
 The same three commands accept ``--cache-server auto|ADDR`` to share
-caches *live* across concurrent processes through a cache server
-(:mod:`repro.core.cache_server`): ``ADDR`` attaches to an
-already-running ``cache-serve`` process — a unix-domain socket path
-or a ``tcp://host:port`` URL (pass the server's shared secret with
-``--cache-token``) — while ``auto`` attaches to (or spawns, for the
-run's duration) a server at the default socket path — inside
-``--cache-dir`` when given, so several simultaneous invocations
-against one cache dir serve each other mid-run.  Sharing is best-effort and behaviourally
+caches *live* across concurrent processes on one host through a cache
+server (:mod:`repro.core.cache_server`): ``ADDR`` attaches to an
+already-running ``cache-serve`` process by its unix socket path,
+while ``auto`` attaches to (or spawns, for the run's duration) a
+server at the default socket path — inside ``--cache-dir`` when
+given, so several simultaneous invocations against one cache dir
+serve each other mid-run.  Sharing is best-effort and behaviourally
 transparent: an unreachable or dying server is reported and the
 run continues on local caches with identical results.
 
@@ -38,14 +37,6 @@ run continues on local caches with identical results.
 search to the server's ``synthesize`` RPC, which executes it on the
 server's warm caches and streams improving designs back; if the
 server is unreachable the search runs locally with identical results.
-
-``cache-serve --address tcp://host:port`` exposes the server over
-TCP using the versioned JSON wire encoding (pickle never crosses a
-TCP socket); ``--auth-token`` sets the shared secret clients must
-present (one is generated and printed when omitted).
-``unix-abstract://NAME`` listens in the abstract ``AF_UNIX``
-namespace — local-only like a socket file, but with no file to
-reclaim (it carries the TCP trust rules: json only, optional auth).
 
 ``cache-stats`` queries a running server's telemetry (requests,
 hit rate, entries per layer, flushes) as text or ``--json`` — point
@@ -100,14 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="persist/reload engine caches in this directory")
     synth.add_argument("--cache-server", metavar="auto|ADDR",
                        help="share engine caches live through a cache "
-                            "server (socket path or tcp://host:port)")
-    synth.add_argument("--cache-token",
-                       help="shared secret for a tcp:// cache server")
+                            "server (unix socket path)")
     synth.add_argument("--remote", metavar="ADDR",
                        help="submit the search to the synthesize RPC of "
-                            "the cache server at ADDR (socket path or "
-                            "tcp://host:port); falls back to local "
-                            "compute if unreachable")
+                            "the cache server at the unix socket ADDR; "
+                            "falls back to local compute if unreachable")
 
     bench = sub.add_parser("bench", help="list or inspect benchmarks")
     bench.add_argument("name", nargs="?", help="benchmark to inspect")
@@ -131,10 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "directory")
     experiment.add_argument("--cache-server", metavar="auto|ADDR",
                             help="share engine caches live through a "
-                                 "cache server (socket path or "
-                                 "tcp://host:port)")
-    experiment.add_argument("--cache-token",
-                            help="shared secret for a tcp:// cache server")
+                                 "cache server (unix socket path)")
 
     explore = sub.add_parser("explore", help="Pareto sweep over bounds")
     explore.add_argument("benchmark")
@@ -150,20 +135,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="persist/reload engine caches in this directory")
     explore.add_argument("--cache-server", metavar="auto|ADDR",
                          help="share engine caches live through a cache "
-                              "server (socket path or tcp://host:port)")
-    explore.add_argument("--cache-token",
-                         help="shared secret for a tcp:// cache server")
+                              "server (unix socket path)")
 
     serve = sub.add_parser("cache-serve",
                            help="run a live shared-cache server")
     serve.add_argument("--address",
-                       help="unix socket path, tcp://host:port, or "
-                            "unix-abstract://name to listen on "
-                            "(default: inside --cache-dir, else a "
-                            "fresh temp dir)")
-    serve.add_argument("--auth-token",
-                       help="shared secret TCP clients must present "
-                            "(generated and printed when omitted)")
+                       help="unix socket path to listen on (default: "
+                            "inside --cache-dir, else a fresh temp dir)")
     serve.add_argument("--cache-dir",
                        help="seed from and write-behind flush to this "
                             "directory's snapshot")
@@ -184,11 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("cache-stats",
                            help="query a running cache server's telemetry")
     stats.add_argument("--address",
-                       help="unix socket path or tcp://host:port of the "
-                            "server (default: the socket inside "
-                            "--cache-dir)")
-    stats.add_argument("--auth-token",
-                       help="shared secret for a tcp:// server")
+                       help="unix socket path of the server (default: "
+                            "the socket inside --cache-dir)")
     stats.add_argument("--cache-dir",
                        help="cache directory whose default server socket "
                             "to query")
@@ -265,9 +240,8 @@ def _attach_cache_server(args):
     from repro.core import cache_server, default_engine
 
     engine = default_engine()
-    token = getattr(args, "cache_token", None)
     if spec != "auto":
-        if cache_server.attach_engine(engine, spec, auth_token=token):
+        if cache_server.attach_engine(engine, spec):
             return None, spec
         print(f"warning: cache server at {spec!r} is unreachable; "
               f"running with local caches only", file=sys.stderr)
@@ -346,7 +320,6 @@ def _cmd_synth(args) -> int:
                 result = synthesize_remote(
                     graph, library, args.latency, args.area,
                     address=args.remote,
-                    auth_token=getattr(args, "cache_token", None),
                     area_model=args.area_model)
             else:
                 result = synthesize(args.method, graph, library,
@@ -448,7 +421,6 @@ def _cmd_experiment(args) -> int:
         share_engine=default_engine(),
         share_mode="live" if address else "snapshot",
         server_address=address,
-        server_token=getattr(args, "cache_token", None),
         checkpoint=_checkpoint)
     try:
         for index, (_name, tables) in enumerate(suites):
@@ -475,9 +447,7 @@ def _cmd_explore(args) -> int:
     try:
         points = sweep_bounds(graph, library, args.latencies, args.areas,
                               args.method, workers=args.workers,
-                              cache_server=address,
-                              cache_token=getattr(args, "cache_token",
-                                                  None))
+                              cache_server=address)
     finally:
         _release_cache_server(server)
     _save_engine_cache(args.cache_dir)
@@ -520,19 +490,16 @@ def _cmd_cache_serve(args) -> int:
         snapshot_file = cache_store.snapshot_path(args.cache_dir)
         if address is None:
             address = cache_server.default_address(args.cache_dir)
-    auth_token = args.auth_token
-    if auth_token is None and address \
-            and cache_server.parse_address(address)[0] == "tcp":
-        import secrets
-
-        auth_token = secrets.token_hex(16)
-        print(f"auth token (pass to clients as --cache-token / "
-              f"--auth-token): {auth_token}", file=sys.stderr)
+    if address is not None:
+        try:
+            cache_server.parse_address(address)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     max_snapshot_bytes = (args.max_snapshot_kib * 1024
                           if args.max_snapshot_kib else None)
     server = cache_server.CacheServer(
         address,  # None → the server owns (and cleans up) a temp dir
-        auth_token=auth_token,
         snapshot_path=snapshot_file,
         flush_interval=args.flush_interval,
         max_snapshot_bytes=max_snapshot_bytes,
@@ -569,8 +536,7 @@ def _cmd_cache_stats(args) -> int:
         print("error: pass --address or --cache-dir to locate the server",
               file=sys.stderr)
         return 2
-    with cache_server.CacheClient(address,
-                                  auth_token=args.auth_token) as client:
+    with cache_server.CacheClient(address) as client:
         client.ping()
         stats = client.stats()
     if args.json:

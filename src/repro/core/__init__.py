@@ -19,7 +19,7 @@ from repro.core.engine import (
     default_engine,
     set_default_engine,
 )
-from repro.core import cache_server, wire
+from repro.core import cache_server
 from repro.core.cache_server import (
     CacheClient,
     CacheServer,
@@ -69,7 +69,6 @@ __all__ = [
     "CacheServer",
     "cache_store",
     "cache_server",
-    "wire",
     "attach_engine",
     "detach_engine",
     "synthesize_remote",

@@ -1,21 +1,21 @@
-"""Network evaluation service: shared caches + remote synthesis jobs.
+"""Same-host evaluation service: shared caches + remote synthesis jobs.
 
 Snapshots (:mod:`repro.core.cache_store`) let engine caches outlive a
 process, but concurrent long-lived processes — parallel ``experiment``
-runs, several CLI invocations pointed at one ``--cache-dir``,
-cross-host client fleets — still only exchange results at fork/join or
-snapshot boundaries.  This module closes that gap with a *cache and
-evaluation server*: one process owns the content-addressed cache
-layers and serves ``get`` / ``put`` / ``multi-get`` — plus whole
-``synthesize`` and ``evaluate_batch`` jobs — to any number of client
-engines over a unix-domain or TCP socket.
+runs, several CLI invocations pointed at one ``--cache-dir`` — still
+only exchange results at fork/join or snapshot boundaries.  This
+module closes that gap with a *cache and evaluation server*: one
+process owns the content-addressed cache layers and serves ``get`` /
+``put`` / ``multi-get`` — plus whole ``synthesize`` and
+``evaluate_batch`` jobs — to any number of client engines on the same
+host over a unix-domain socket.
 
 Pieces, bottom to top:
 
 ``frames``
-    Length-prefixed payloads (a 4-byte big-endian length, then the
-    payload) in one of two :mod:`repro.core.wire` codecs.  A frame
-    that is oversized, truncated, or undecodable raises a clean
+    Length-prefixed pickled payloads (a 4-byte big-endian length,
+    then the payload).  A frame that is oversized, truncated, or
+    undecodable raises a clean
     :class:`~repro.errors.CacheError` on whichever side reads it —
     never a hang (both sides run on bounded clocks) and never a crash.
 ``CacheClient``
@@ -72,25 +72,11 @@ negative windows
     absent key is asked once per window fleet-wide, not once per
     client.
 
-Transports, encodings and trust:
-
-* ``AF_UNIX`` (a filesystem path): filesystem permissions gate access
-  — the same trust boundary as a ``--cache-dir``.  Both wire codecs
-  are allowed; legacy clients that speak pickle without a handshake
-  keep working (the server sniffs the first frame).
-* Abstract-namespace ``AF_UNIX`` (``unix-abstract://name``, or a raw
-  leading-``\\0`` address): local-only like a path socket, but the
-  kernel owns the name — no socket file to reclaim after a SIGKILL,
-  and no filesystem permissions either, so the TCP trust rules apply
-  on the wire: json only (pickle refused), with the auth token
-  enforced whenever the server carries one.
-* TCP (``tcp://host:port``): crosses the local trust domain, so the
-  pickle codec is refused outright — unpickling attacker-controlled
-  bytes executes arbitrary code, and no pickle bytes ever cross a TCP
-  socket in either direction.  Every TCP connection must open with a
-  ``hello`` handshake carrying :data:`PROTOCOL_VERSION`, the ``json``
-  encoding, and the server's shared-secret auth token; anything else
-  is rejected with a clean error and a closed connection.
+Trust: frames are pickles, and unpickling executes code, so the
+socket file's permissions are the trust boundary.  The server creates
+its socket owner-only (mode ``0600``) whatever the umask — the same
+boundary as a ``--cache-dir`` — and every address is a filesystem
+path; ``scheme://`` URLs and abstract-namespace names are rejected.
 
 Wire values use the same encoding as snapshot files (content-tuple
 graph keys; ``schedules`` entries as plain tuples), so the server's
@@ -100,8 +86,8 @@ layers can be seeded from an engine export and merged back verbatim.
 from __future__ import annotations
 
 import errno
-import hmac
 import os
+import pickle
 import selectors
 import socket
 import stat
@@ -116,7 +102,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CacheError, CacheTimeoutError, NoSolutionError, \
     ProtocolError, ReproError
-from repro.core import cache_store, wire
+from repro.core import cache_store
 from repro.core.design import DesignResult
 from repro.core.engine import (
     EvaluationEngine,
@@ -127,20 +113,8 @@ from repro.dfg.graph import DataFlowGraph
 from repro.library.library import ResourceLibrary
 
 #: Bumped whenever request/response shapes change; a client refuses to
-#: attach to a server speaking a different version.  Version 2 added
-#: the ``hello`` handshake, the json codec and the job operations.
-#: Version 3 added a shard map to the hello ack and authoritative
-#: server-side negative windows: ``get`` replies are ``(found, value, window)`` and
-#: ``get_many`` replies are ``(found, windows)``.  Version 4 added a
-#: ring epoch to the hello ack.  A server always acks with no shard map
-#: (``None``) and epoch 0; both fields stay so version-3 and version-4
-#: peers parse the ack unchanged.
+#: attach to a server whose ``ping`` reports a different version.
 PROTOCOL_VERSION = 4
-
-#: Versions this server still serves.  Version-3 peers are served
-#: unchanged: their hello ack keeps the version-3 4-tuple shape (no
-#: epoch field) and their pongs echo version 3.
-SUPPORTED_VERSIONS = (3, 4)
 
 #: Hard ceiling on a single frame; anything larger is rejected with
 #: :class:`CacheError` before its payload is read.
@@ -232,47 +206,49 @@ def default_address(base_dir: Optional[str] = None) -> str:
                         SOCKET_BASENAME)
 
 
-def parse_address(address: str) -> tuple:
-    """``("tcp", host, port)`` for ``tcp://host:port``,
-    ``("abstract", "\\0name")`` for ``unix-abstract://name`` (or a raw
-    leading-``\\0`` address), else ``("unix", path)``;
-    :class:`CacheError` on a malformed tcp or abstract form.
+def parse_address(address: str) -> str:
+    """The unix socket path *address* names.
 
-    Abstract-namespace ``AF_UNIX`` sockets live in a kernel namespace,
-    not the filesystem: no socket file to reclaim or unlink, but also
-    no filesystem permissions gating access — so they carry the TCP
-    trust rules (json only, optional auth) over a local-only
-    transport.
+    :class:`CacheError` for a ``scheme://`` URL or a leading-``\\0``
+    (abstract-namespace) name: only a filesystem path carries the
+    file permissions that gate who may send the server a pickle.
     """
-    if address.startswith("unix-abstract://"):
-        name = address[len("unix-abstract://"):]
-        if not name:
-            raise CacheError(
-                f"malformed abstract address {address!r}; use "
-                f"unix-abstract://name")
-        return ("abstract", "\0" + name)
-    if address.startswith("\0"):
-        if len(address) < 2:
-            raise CacheError("malformed abstract address: empty name")
-        return ("abstract", address)
-    if not address.startswith("tcp://"):
-        return ("unix", address)
-    rest = address[len("tcp://"):]
-    host, sep, port = rest.rpartition(":")
-    if not sep or not port.isdigit():
+    if "://" in address or address.startswith("\0"):
         raise CacheError(
-            f"malformed tcp address {address!r}; use tcp://host:port")
-    return ("tcp", host or "127.0.0.1", int(port))
+            f"unsupported cache server address {address!r}; use a unix "
+            f"socket path")
+    return address
 
 
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+def _encode(message: tuple) -> bytes:
+    """Pickle one frame payload; :class:`CacheError` if it cannot be."""
+    try:
+        return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # pickle raises a zoo of error types
+        raise CacheError(f"cannot encode cache frame: {exc}") from exc
+
+
+def _decode(payload: bytes) -> tuple:
+    """Unpickle one frame payload into an operation tuple;
+    :class:`CacheError` on anything malformed."""
+    try:
+        message = pickle.loads(payload)
+    except Exception as exc:
+        raise CacheError(f"undecodable cache frame: {exc}") from exc
+    if not isinstance(message, tuple) or not message \
+            or not isinstance(message[0], str):
+        raise CacheError("malformed cache frame "
+                         "(expected an operation tuple)")
+    return message
+
+
 def _send_frame(sock: socket.socket, message: tuple,
-                max_bytes: int = MAX_FRAME_BYTES,
-                encoding: str = "pickle") -> None:
-    """Encode *message* with *encoding* and send it length-prefixed."""
-    payload = wire.encode(message, encoding)
+                max_bytes: int = MAX_FRAME_BYTES) -> None:
+    """Pickle *message* and send it length-prefixed."""
+    payload = _encode(message)
     if len(payload) > max_bytes:
         raise CacheError(
             f"cache frame of {len(payload)} bytes exceeds the "
@@ -315,8 +291,7 @@ def _recv_exact(sock: socket.socket, n: int,
 
 
 def _recv_frame(sock: socket.socket,
-                max_bytes: int = MAX_FRAME_BYTES,
-                encoding: str = "pickle") -> Optional[tuple]:
+                max_bytes: int = MAX_FRAME_BYTES) -> Optional[tuple]:
     """Read one frame; ``None`` on clean EOF, :class:`CacheError` on
     anything malformed (oversized, truncated, undecodable)."""
     header = _recv_exact(sock, _LEN.size, allow_eof=True)
@@ -327,13 +302,7 @@ def _recv_frame(sock: socket.socket,
         raise CacheError(
             f"cache frame of {length} bytes exceeds the "
             f"{max_bytes}-byte limit")
-    payload = _recv_exact(sock, length)
-    message = wire.decode(payload, encoding)
-    if not isinstance(message, tuple) or not message \
-            or not isinstance(message[0], str):
-        raise CacheError("malformed cache frame "
-                         "(expected an operation tuple)")
-    return message
+    return _decode(_recv_exact(sock, length))
 
 
 # ----------------------------------------------------------------------
@@ -347,115 +316,41 @@ class CacheClient:
     ``fork()`` is never written — the child drops it and reconnects on
     its own (writing on the shared descriptor would interleave frames
     with the parent's requests).  Every transport problem — refused
-    connection, timeout, oversized or corrupt frame, a handshake
-    rejection, a server-reported error — raises
+    connection, timeout, oversized or corrupt frame, a
+    server-reported error — raises
     :class:`~repro.errors.CacheError`; after a transport failure the
     connection is dropped and the next request reconnects.
 
     Parameters
     ----------
     address:
-        ``tcp://host:port`` or a unix socket path.
-    encoding:
-        Wire codec (:data:`repro.core.wire.ENCODINGS`).  Defaults to
-        ``"json"`` on tcp (where pickle is refused) and the legacy
-        ``"pickle"`` on unix sockets.  A json client opens every
-        connection with the versioned ``hello`` handshake.
-    auth_token:
-        Shared secret presented in the handshake; required by TCP
-        servers.
+        The server's unix socket path.
     job_timeout:
         Per-reply timeout while a server-side job is in flight.
     """
 
     def __init__(self, address: str, timeout: float = CLIENT_TIMEOUT,
                  max_frame_bytes: int = MAX_FRAME_BYTES, *,
-                 encoding: Optional[str] = None,
-                 auth_token: Optional[str] = None,
                  job_timeout: float = JOB_TIMEOUT):
-        self.address = address
-        self.transport = parse_address(address)[0]
-        if encoding is None:
-            encoding = "pickle" if self.transport == "unix" else "json"
-        wire.check_encoding(encoding)
-        if self.transport != "unix" and encoding != "json":
-            raise ProtocolError(
-                f"the pickle encoding is not allowed on "
-                f"{self.transport} transports; use encoding='json'")
-        self.encoding = encoding
-        self.auth_token = auth_token
+        self.address = parse_address(address)
         self.timeout = timeout
         self.job_timeout = job_timeout
         self.max_frame_bytes = max_frame_bytes
         self._sock: Optional[socket.socket] = None
         self._lock = threading.Lock()
         self._owner_pid = os.getpid()
-        #: Shard map field of the hello ack (``None`` from every
-        #: server of this build, and before the first handshake).
-        self.server_shard_map: Optional[Tuple[str, ...]] = None
-        #: Ring epoch field of the hello ack (always 0).
-        self.server_ring_epoch: int = 0
 
     def _connect(self) -> socket.socket:
-        parsed = parse_address(self.address)
-        if parsed[0] == "tcp":
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            target: object = (parsed[1], parsed[2])
-        else:
-            # "unix" and "abstract" both dial AF_UNIX; the abstract
-            # target is the parsed leading-\0 name
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            target = parsed[1]
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.settimeout(self.timeout)
         try:
-            sock.connect(target)
+            sock.connect(self.address)
         except OSError as exc:
             sock.close()
             raise CacheError(
                 f"cannot reach cache server at {self.address!r}: "
                 f"{exc}") from exc
-        if self.encoding == "json":
-            try:
-                self._handshake(sock)
-            except CacheError:
-                sock.close()
-                raise
         return sock
-
-    def _handshake(self, sock: socket.socket) -> None:
-        """Negotiate version + encoding + auth (always json-encoded)."""
-        _send_frame(sock, ("hello", PROTOCOL_VERSION, self.encoding,
-                           self.auth_token or ""),
-                    self.max_frame_bytes, encoding="json")
-        reply = _recv_frame(sock, self.max_frame_bytes, encoding="json")
-        if reply is None:
-            raise ProtocolError(
-                "cache server closed the connection during the handshake")
-        if reply[0] == "error":
-            detail = reply[1] if len(reply) > 1 else "unspecified"
-            raise ProtocolError(
-                f"cache server rejected the handshake: {detail}")
-        if reply[0] != "ok" or len(reply) != 2:
-            raise ProtocolError(
-                "cache server sent a malformed handshake reply")
-        ack = reply[1]
-        if not isinstance(ack, tuple) or len(ack) != 5 \
-                or ack[0] != "hello":
-            raise ProtocolError(
-                "cache server sent a malformed handshake reply")
-        if ack[1] != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"cache server speaks protocol {ack[1]!r}, this build "
-                f"speaks {PROTOCOL_VERSION}")
-        if ack[2] != self.encoding:
-            raise ProtocolError(
-                f"cache server switched to encoding {ack[2]!r}, "
-                f"{self.encoding!r} was requested")
-        self.server_shard_map = self._check_shard_map(ack[3])
-        if not isinstance(ack[4], int) or ack[4] < 0:
-            raise ProtocolError(
-                "cache server sent a malformed ring epoch")
-        self.server_ring_epoch = ack[4]
 
     def __getstate__(self):
         """Pickle (into a ``parallel`` worker, or inside a pickled
@@ -472,16 +367,6 @@ class CacheClient:
         self.__dict__.update(state)
         self._lock = threading.Lock()
         self._owner_pid = os.getpid()
-
-    @staticmethod
-    def _check_shard_map(raw) -> Optional[Tuple[str, ...]]:
-        if raw is None:
-            return None
-        if not isinstance(raw, (tuple, list)) \
-                or not all(isinstance(member, str) for member in raw):
-            raise ProtocolError(
-                "cache server sent a malformed shard map")
-        return tuple(raw)
 
     def _ensure_sock(self) -> socket.socket:
         """Under ``self._lock``: a usable socket owned by this process."""
@@ -500,10 +385,8 @@ class CacheClient:
             try:
                 if timeout is not None:
                     sock.settimeout(timeout)
-                _send_frame(sock, message, self.max_frame_bytes,
-                            self.encoding)
-                reply = _recv_frame(sock, self.max_frame_bytes,
-                                    self.encoding)
+                _send_frame(sock, message, self.max_frame_bytes)
+                reply = _recv_frame(sock, self.max_frame_bytes)
             except CacheError:
                 self._drop()
                 raise
@@ -639,11 +522,9 @@ class CacheClient:
             sock = self._ensure_sock()
             try:
                 sock.settimeout(self.job_timeout)
-                _send_frame(sock, message, self.max_frame_bytes,
-                            self.encoding)
+                _send_frame(sock, message, self.max_frame_bytes)
                 while True:
-                    reply = _recv_frame(sock, self.max_frame_bytes,
-                                        self.encoding)
+                    reply = _recv_frame(sock, self.max_frame_bytes)
                     if reply is None:
                         raise CacheError(
                             "cache server closed the connection "
@@ -711,8 +592,6 @@ class ServerStats:
     flushes: int = 0         # write-behind snapshots written
     flush_errors: int = 0    # failed flush attempts (kept serving)
     bad_frames: int = 0      # malformed/oversized frames rejected
-    handshakes: int = 0      # hello exchanges accepted
-    auth_failures: int = 0   # handshakes rejected (token/version/codec)
     jobs: int = 0            # synthesize/evaluate_batch jobs accepted
     job_errors: int = 0      # ... that ended in an error reply
     designs_streamed: int = 0  # improving designs pushed to clients
@@ -746,19 +625,11 @@ class ServerStats:
 class _Connection:
     """Per-connection state owned by the server's event loop."""
 
-    __slots__ = ("sock", "transport", "codec", "handshaken", "version",
-                 "inbuf", "outbuf", "frame_len", "last_active",
+    __slots__ = ("sock", "inbuf", "outbuf", "frame_len", "last_active",
                  "close_after_send", "busy", "closed")
 
-    def __init__(self, sock: socket.socket, transport: str, now: float):
+    def __init__(self, sock: socket.socket, now: float):
         self.sock = sock
-        self.transport = transport
-        self.codec: Optional[str] = None   # sniffed or negotiated
-        self.handshaken = False
-        #: Negotiated protocol version; replies (pongs) echo it so a
-        #: version-3 peer never sees a version-4 number.  Legacy
-        #: no-handshake pickle peers run at the current version.
-        self.version = PROTOCOL_VERSION
         self.inbuf = bytearray()
         self.outbuf = bytearray()
         self.frame_len: Optional[int] = None
@@ -766,13 +637,6 @@ class _Connection:
         self.close_after_send = False
         self.busy = False        # a job owns the request stream
         self.closed = False
-
-    @property
-    def reply_codec(self) -> str:
-        """Codec for replies, incl. before the first frame decoded."""
-        if self.codec is not None:
-            return self.codec
-        return "pickle" if self.transport == "unix" else "json"
 
 
 class _LoopbackClient:
@@ -824,7 +688,7 @@ class CacheServer:
 
     Owns one content-addressed LRU per engine cache layer and serves
     the frame protocol above on a unix-domain socket (a filesystem
-    path) or TCP (``tcp://host:port``, requires *auth_token*).
+    path, created owner-only).
     ``start()`` binds and returns immediately (the event loop runs on
     a background thread); ``serve_forever`` blocks until :meth:`stop`
     or a remote ``shutdown`` request.
@@ -832,13 +696,7 @@ class CacheServer:
     Parameters
     ----------
     address:
-        Socket path or ``tcp://host:port`` (port 0 picks a free port;
-        :attr:`address` is rewritten to the bound one).  Default
-        :func:`default_address`.
-    auth_token:
-        Shared secret TCP clients must present in their handshake.
-        Required for TCP; optional (and unused by legacy pickle
-        clients) on unix sockets.
+        Socket path.  Default :func:`default_address`.
     max_entries / layer_capacities:
         Server-side LRU budget, split across layers exactly like an
         engine's (:attr:`EvaluationEngine.LAYER_SHARES`).
@@ -875,7 +733,6 @@ class CacheServer:
     """
 
     def __init__(self, address: Optional[str] = None, *,
-                 auth_token: Optional[str] = None,
                  max_entries: int = SERVER_MAX_ENTRIES,
                  layer_capacities: Optional[Mapping[str, int]] = None,
                  snapshot_path: Optional[str] = None,
@@ -899,13 +756,8 @@ class CacheServer:
         # with no address the server owns a private temp dir, removed
         # again on stop(); a caller-provided path is never cleaned up
         self._owns_directory = address is None
-        self.address = address if address is not None else default_address()
-        self.transport = parse_address(self.address)[0]
-        if self.transport == "tcp" and not auth_token:
-            raise ReproError(
-                "a tcp cache server requires auth_token= (TCP peers "
-                "authenticate with a shared secret)")
-        self.auth_token = auth_token
+        self.address = parse_address(
+            address if address is not None else default_address())
         self.snapshot_path = snapshot_path
         self.flush_interval = flush_interval
         self.max_snapshot_bytes = max_snapshot_bytes
@@ -967,6 +819,10 @@ class CacheServer:
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             listener.bind(path)
+            # peers send pickles: only the owner may connect, whatever
+            # the umask.  A connect before listen() is refused, so the
+            # socket is never reachable with a wider mode.
+            os.chmod(path, 0o600)
         except OSError as exc:
             listener.close()
             raise CacheError(
@@ -1012,48 +868,9 @@ class CacheServer:
         finally:
             probe.close()
 
-    def _bind_abstract(self) -> socket.socket:
-        """Bind an abstract-namespace AF_UNIX listener.
-
-        The kernel owns the name: nothing to ``makedirs``, no stale
-        socket file to probe-and-reclaim, nothing to unlink on stop —
-        the name vanishes with the last descriptor, so a SIGKILLed
-        server never wedges its address.
-        """
-        _, name = parse_address(self.address)
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            listener.bind(name)
-        except OSError as exc:
-            listener.close()
-            raise CacheError(
-                f"cannot bind cache server socket {self.address!r}: "
-                f"{exc}") from exc
-        return listener
-
-    def _bind_tcp(self) -> socket.socket:
-        _, host, port = parse_address(self.address)
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            listener.bind((host, port))
-        except OSError as exc:
-            listener.close()
-            raise CacheError(
-                f"cannot bind cache server socket {self.address!r}: "
-                f"{exc}") from exc
-        bound_host, bound_port = listener.getsockname()[:2]
-        self.address = f"tcp://{host or bound_host}:{bound_port}"
-        return listener
-
     def start(self) -> "CacheServer":
         """Bind the socket and start the event loop in the background."""
-        if self.transport == "tcp":
-            listener = self._bind_tcp()
-        elif self.transport == "abstract":
-            listener = self._bind_abstract()
-        else:
-            listener = self._bind_unix()
+        listener = self._bind_unix()
         listener.listen(128)
         listener.setblocking(False)
         self._listener = listener
@@ -1109,17 +926,15 @@ class CacheServer:
             self.flush()
         except ReproError:
             self.stats.flush_errors += 1
-        if self.transport == "unix":
+        try:
+            os.unlink(self.address)
+        except OSError:
+            pass
+        if self._owns_directory:
             try:
-                os.unlink(self.address)
+                os.rmdir(os.path.dirname(os.path.abspath(self.address)))
             except OSError:
-                pass
-            if self._owns_directory:
-                try:
-                    os.rmdir(os.path.dirname(
-                        os.path.abspath(self.address)))
-                except OSError:
-                    pass  # someone else put files there; leave it
+                pass  # someone else put files there; leave it
 
     def __enter__(self) -> "CacheServer":
         return self.start()
@@ -1275,7 +1090,7 @@ class CacheServer:
                 self._pause_accept(now)
                 return
             sock.setblocking(False)
-            conn = _Connection(sock, self.transport, now)
+            conn = _Connection(sock, now)
             self._conns.add(conn)
             with self._lock:
                 self.stats.connections += 1
@@ -1395,76 +1210,12 @@ class CacheServer:
         self._queue_send(conn, ("error", message), close_after=True)
 
     def _handle_payload(self, conn: _Connection, payload: bytes) -> None:
-        if conn.codec is None:
-            if conn.transport != "unix":
-                # TCP and abstract-namespace peers are outside the
-                # filesystem trust boundary: never negotiate down to
-                # pickle, never unpickle their bytes — json or reject
-                conn.codec = "json"
-            else:
-                conn.codec = wire.sniff_encoding(payload)
-                if conn.codec == "pickle":
-                    # a legacy client; no handshake is coming
-                    conn.handshaken = True
         try:
-            message = wire.decode(payload, conn.codec)
-            if not isinstance(message, tuple) or not message \
-                    or not isinstance(message[0], str):
-                raise CacheError("malformed cache frame "
-                                 "(expected an operation tuple)")
+            message = _decode(payload)
         except CacheError as exc:
             self._bad_frame(conn, str(exc))
             return
-        if not conn.handshaken:
-            self._handle_handshake(conn, message)
-            return
         self._serve_message(conn, message)
-
-    def _handle_handshake(self, conn: _Connection, message: tuple) -> None:
-        def reject(reason: str) -> None:
-            with self._lock:
-                self.stats.auth_failures += 1
-            self._queue_send(conn, ("error", reason), close_after=True)
-
-        if message[0] != "hello":
-            reject("handshake required: open the connection with a "
-                   "('hello', version, encoding, token) frame")
-            return
-        if len(message) != 4:
-            reject("malformed hello frame")
-            return
-        _, version, encoding, token = message
-        if version not in SUPPORTED_VERSIONS:
-            reject(f"cache server speaks protocol {PROTOCOL_VERSION}, "
-                   f"peer speaks {version!r}")
-            return
-        if encoding not in wire.ENCODINGS:
-            reject(f"unknown wire encoding {encoding!r}")
-            return
-        if conn.transport != "unix" and encoding != "json":
-            reject(f"the pickle encoding is not allowed on "
-                   f"{conn.transport} transports")
-            return
-        if conn.transport == "tcp" or (conn.transport == "abstract"
-                                       and self.auth_token):
-            if not isinstance(token, str) or not hmac.compare_digest(
-                    token, self.auth_token):
-                reject("authentication failed")
-                return
-        # reply in the handshake codec, then switch to the negotiated
-        # one for everything that follows; the ack advertises no shard
-        # map.  A version-3 peer gets the version-3 4-tuple ack (no
-        # epoch field) and is served at its own version from here on.
-        conn.version = version
-        if version >= 4:
-            ack = ("hello", version, encoding, None, 0)
-        else:
-            ack = ("hello", version, encoding, None)
-        self._queue_send(conn, ("ok", ack))
-        conn.codec = encoding
-        conn.handshaken = True
-        with self._lock:
-            self.stats.handshakes += 1
 
     def _serve_message(self, conn: _Connection, message: tuple) -> None:
         op = message[0]
@@ -1481,7 +1232,7 @@ class CacheServer:
             self._executor.submit(self._run_job, conn, message)
             return
         try:
-            reply = ("ok", self._dispatch(message, conn))
+            reply = ("ok", self._dispatch(message))
         except CacheError as exc:
             reply = ("error", str(exc))
         except Exception as exc:  # never let a client kill the loop
@@ -1508,27 +1259,22 @@ class CacheServer:
         if conn.closed or conn.close_after_send:
             return
         try:
-            payload = wire.encode(message, conn.reply_codec)
+            payload = _encode(message)
         except CacheError as exc:
-            payload = wire.encode(
-                ("error", f"reply is not encodable on the "
-                          f"{conn.reply_codec} wire: {exc}"),
-                conn.reply_codec)
+            payload = _encode(("error", f"reply is not encodable: {exc}"))
         if len(payload) > self.max_frame_bytes:
-            payload = wire.encode(
+            payload = _encode(
                 ("error", f"cache frame of {len(payload)} bytes exceeds "
-                          f"the {self.max_frame_bytes}-byte limit"),
-                conn.reply_codec)
+                          f"the {self.max_frame_bytes}-byte limit"))
         if len(conn.outbuf) + _LEN.size + len(payload) \
                 > self.max_outbuf_bytes:
             with self._lock:
                 self.stats.backpressure_disconnects += 1
-            notice = wire.encode(
+            notice = _encode(
                 ("error", f"disconnected: {len(conn.outbuf)} reply "
                           f"bytes buffered past the "
                           f"{self.max_outbuf_bytes}-byte backpressure "
-                          f"limit (client not draining)"),
-                conn.reply_codec)
+                          f"limit (client not draining)"))
             conn.outbuf += _LEN.pack(len(notice)) + notice
             conn.close_after_send = True
             self._writable(conn)
@@ -1881,17 +1627,13 @@ class CacheServer:
         self._negative[(layer, key)] = now + self.negative_window
         return self.negative_window
 
-    def _dispatch(self, message: tuple,
-                  conn: Optional[_Connection] = None):
+    def _dispatch(self, message: tuple):
         with self._lock:
             self.stats.requests += 1
         op = message[0]
         try:
             if op == "ping":
-                # echo the *negotiated* version: a version-3 peer that
-                # handshook at 3 must never see a pong carrying 4
-                return ("pong", conn.version if conn is not None
-                        else PROTOCOL_VERSION)
+                return ("pong", PROTOCOL_VERSION)
             if op == "get":
                 _, layer, key = message
                 return self._get(layer, key)
@@ -1942,19 +1684,16 @@ class CacheServer:
 # ----------------------------------------------------------------------
 def attach_engine(engine: EvaluationEngine, address: str, *,
                   timeout: float = CLIENT_TIMEOUT,
-                  batch_size: int = RemoteCacheBackend.PUT_BATCH,
-                  auth_token: Optional[str] = None,
-                  encoding: Optional[str] = None) -> bool:
+                  batch_size: int = RemoteCacheBackend.PUT_BATCH) -> bool:
     """Attach *engine* to the cache server at *address* (best-effort).
 
-    Returns ``True`` on success; ``False`` when the server is
-    unreachable, rejects the handshake, or speaks a different protocol
-    version — the engine is left untouched and computes locally, which
-    is always behaviourally identical.
+    Returns ``True`` on success; ``False`` when the address is not a
+    unix socket path, the server is unreachable, or it speaks a
+    different protocol version — the engine is left untouched and
+    computes locally, which is always behaviourally identical.
     """
     try:
-        client = CacheClient(address, timeout=timeout,
-                             auth_token=auth_token, encoding=encoding)
+        client = CacheClient(address, timeout=timeout)
     except ReproError:
         return False
     try:
@@ -1976,8 +1715,6 @@ def detach_engine(engine: EvaluationEngine) -> None:
 def synthesize_remote(graph: DataFlowGraph, library: ResourceLibrary,
                       latency_bound: int, area_bound: int, *,
                       address: str,
-                      auth_token: Optional[str] = None,
-                      encoding: Optional[str] = None,
                       timeout: float = CLIENT_TIMEOUT,
                       job_timeout: float = JOB_TIMEOUT,
                       on_design=None,
@@ -1986,8 +1723,8 @@ def synthesize_remote(graph: DataFlowGraph, library: ResourceLibrary,
     """:func:`find_design` through a server's ``synthesize`` RPC,
     fail-open.
 
-    Any transport problem — unreachable server, auth rejection, the
-    server dying mid-job — falls back to computing locally (streaming
+    Any transport problem — an unsupported address, an unreachable
+    server, the server dying mid-job — falls back to computing locally (streaming
     restarts from scratch), with results identical to the remote path:
     both sides run the same deterministic search.
     :class:`NoSolutionError` is a *search* outcome, not a transport
@@ -1997,7 +1734,6 @@ def synthesize_remote(graph: DataFlowGraph, library: ResourceLibrary,
 
     try:
         client = CacheClient(address, timeout=timeout,
-                             auth_token=auth_token, encoding=encoding,
                              job_timeout=job_timeout)
     except CacheError:
         client = None
@@ -2017,8 +1753,6 @@ def synthesize_remote(graph: DataFlowGraph, library: ResourceLibrary,
 def evaluate_batch_remote(graph: DataFlowGraph, allocations,
                           latency_bound: int, *,
                           address: str,
-                          auth_token: Optional[str] = None,
-                          encoding: Optional[str] = None,
                           timeout: float = CLIENT_TIMEOUT,
                           job_timeout: float = JOB_TIMEOUT,
                           engine: Optional[EvaluationEngine] = None,
@@ -2030,7 +1764,6 @@ def evaluate_batch_remote(graph: DataFlowGraph, allocations,
     allocations = list(allocations)
     try:
         client = CacheClient(address, timeout=timeout,
-                             auth_token=auth_token, encoding=encoding,
                              job_timeout=job_timeout)
     except CacheError:
         client = None

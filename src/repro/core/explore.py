@@ -94,7 +94,6 @@ def sweep_bounds(graph: DataFlowGraph,
                  engine: Optional[EvaluationEngine] = None,
                  share_caches=True,
                  cache_server: Optional[str] = None,
-                 cache_token: Optional[str] = None,
                  **kwargs) -> List[SweepPoint]:
     """Synthesize at every (Ld, Ad) pair; infeasible points yield None.
 
@@ -126,13 +125,9 @@ def sweep_bounds(graph: DataFlowGraph,
         ``False`` runs workers fully cold and discards their caches.
         Results are identical in every mode — only wall clock differs.
     cache_server:
-        Address of an already-running cache server to share through
-        (implies ``"live"``): an AF_UNIX socket path or a
-        ``tcp://host:port`` URL.  Without it, live mode spawns an
+        Unix socket path of an already-running cache server to share
+        through (implies ``"live"``).  Without it, live mode spawns an
         ephemeral server for the duration of the sweep.
-    cache_token:
-        Shared secret for a TCP *cache_server*; ignored for AF_UNIX
-        sockets.
     """
     pairs = [(latency_bound, area_bound)
              for latency_bound in latency_bounds
@@ -156,8 +151,7 @@ def sweep_bounds(graph: DataFlowGraph,
                     area_model, kwargs),), {})
                  for latency_bound, area_bound in pairs]
         results = run_tasks(tasks, workers=workers, share_engine=share,
-                            share_mode=mode, server_address=cache_server,
-                            server_token=cache_token)
+                            share_mode=mode, server_address=cache_server)
         return [SweepPoint(latency_bound, area_bound, result)
                 for (latency_bound, area_bound), result in zip(pairs, results)]
 

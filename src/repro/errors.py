@@ -70,10 +70,9 @@ class CacheTimeoutError(CacheError):
 class ProtocolError(CacheError):
     """A cache-service peer violated the wire protocol.
 
-    Raised by :mod:`repro.core.cache_server` for handshake failures:
-    a mismatched ``PROTOCOL_VERSION``, an unsupported or forbidden
-    wire encoding (pickle on TCP), or a rejected auth token.  A
-    subclass of :class:`CacheError`, so every fail-open call site
+    Raised by :class:`repro.core.cache_server.CacheClient` when a
+    server's ``ping`` reply reports a different ``PROTOCOL_VERSION``.
+    A subclass of :class:`CacheError`, so every fail-open call site
     treats it as "compute locally", never as a crash.
     """
 

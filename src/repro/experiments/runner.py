@@ -31,7 +31,6 @@ def run_suites(suites: Mapping[str, Sequence[ExperimentTask]],
                share_engine=None,
                share_mode: str = "snapshot",
                server_address: Optional[str] = None,
-               server_token: Optional[str] = None,
                checkpoint: Optional[Callable[[str], None]] = None,
                ) -> Iterator[Tuple[str, List[object]]]:
     """Run named groups of experiment tasks, yielding each on completion.
@@ -47,8 +46,7 @@ def run_suites(suites: Mapping[str, Sequence[ExperimentTask]],
         results = run_tasks(suites[name], workers=workers,
                             share_engine=share_engine,
                             share_mode=share_mode,
-                            server_address=server_address,
-                            server_token=server_token)
+                            server_address=server_address)
         yield name, results
         if checkpoint is not None:
             checkpoint(name)

@@ -22,8 +22,9 @@ sharing modes (``share_mode=``):
     Workers attach their default engines to a shared cache server
     (:mod:`repro.core.cache_server`) — an ephemeral one seeded from
     ``share_engine`` and merged back on join, or an external one when
-    ``server_address=`` is given — so a result computed by one worker
-    is served to every other worker *mid-run*, not at the join.
+    ``server_address=`` (a unix socket path) is given — so a result
+    computed by one worker is served to every other worker *mid-run*,
+    not at the join.
 
 Sharing is strictly best-effort in both modes — the engine is
 behaviourally transparent, so a worker that fails to pre-warm, attach,
@@ -62,8 +63,7 @@ def _worker_init(snapshot_bytes: Optional[bytes]) -> None:
         pass  # a stale snapshot must not kill the worker; it starts cold
 
 
-def _worker_init_live(address: Optional[str],
-                      auth_token: Optional[str] = None) -> None:
+def _worker_init_live(address: Optional[str]) -> None:
     """Pool initializer: attach this worker's default engine to the
     cache server at *address* (best-effort: an unreachable server
     leaves the worker computing locally with identical results)."""
@@ -72,8 +72,7 @@ def _worker_init_live(address: Optional[str],
     from repro.core import cache_server, default_engine
 
     try:
-        cache_server.attach_engine(default_engine(), address,
-                                   auth_token=auth_token)
+        cache_server.attach_engine(default_engine(), address)
     except ReproError:
         pass
 
@@ -98,8 +97,7 @@ def run_tasks(tasks: Sequence[Task],
               workers: Optional[int] = None,
               share_engine=None,
               share_mode: str = "snapshot",
-              server_address: Optional[str] = None,
-              server_token: Optional[str] = None) -> List[object]:
+              server_address: Optional[str] = None) -> List[object]:
     """Run *tasks*, optionally fanned out across *workers* processes.
 
     Parameters
@@ -115,14 +113,10 @@ def run_tasks(tasks: Sequence[Task],
         while running.
     server_address:
         Live mode only: attach workers to the already-running cache
-        server at this address (an AF_UNIX socket path or a
-        ``tcp://host:port`` URL) instead of spawning an ephemeral
-        server.  The external server owns the shared state, so no
+        server at this unix socket path instead of spawning an
+        ephemeral server.  The external server owns the shared state, so no
         merge-back into *share_engine* happens (an attached parent
         engine reads through it anyway).
-    server_token:
-        Shared secret handed to workers attaching to a TCP
-        *server_address*; ignored for AF_UNIX sockets.
     """
     if share_mode not in SHARE_MODES:
         raise ReproError(
@@ -132,7 +126,7 @@ def run_tasks(tasks: Sequence[Task],
         return [_run_task(task) for task in tasks]
     if share_mode == "live":
         return _run_tasks_live(tasks, workers, share_engine,
-                               server_address, server_token)
+                               server_address)
     return _run_tasks_snapshot(tasks, workers, share_engine)
 
 
@@ -156,8 +150,7 @@ def _run_tasks_snapshot(tasks: List[Task], workers: int,
 
 
 def _run_tasks_live(tasks: List[Task], workers: int, share_engine,
-                    server_address: Optional[str],
-                    server_token: Optional[str] = None) -> List[object]:
+                    server_address: Optional[str]) -> List[object]:
     """Fan out with workers attached to a live cache server.
 
     With no *server_address*, an ephemeral server is spawned in this
@@ -182,7 +175,7 @@ def _run_tasks_live(tasks: List[Task], workers: int, share_engine,
     try:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_worker_init_live,
-                                 initargs=(address, server_token)) as pool:
+                                 initargs=(address,)) as pool:
             results = list(pool.map(_run_task, tasks))
             # ship every worker's buffered write-behind puts; like the
             # snapshot-mode merge-back this is best-effort per worker

@@ -20,6 +20,7 @@ import multiprocessing
 import os
 import pickle
 import socket
+import stat
 import struct
 import threading
 import time
@@ -44,7 +45,6 @@ from repro.core.cache_server import (
     _recv_frame,
     _send_frame,
 )
-from repro.core import wire
 from repro.errors import CacheError, NoSolutionError, ProtocolError
 from repro.library import paper_library
 
@@ -757,6 +757,25 @@ class TestStaleSockets:
         with open(address) as handle:
             assert handle.read() == "precious"
 
+    def test_socket_is_owner_only_whatever_the_umask(self, tmp_path):
+        """Peers send pickles, so the socket file's mode is the only
+        gate against other local users: a group-writable umask must
+        not leave the socket open to the group."""
+        address = str(tmp_path / "private.sock")
+        previous = os.umask(0o002)
+        try:
+            srv = CacheServer(address).start()
+        finally:
+            os.umask(previous)
+        try:
+            mode = os.stat(address).st_mode
+            assert stat.S_ISSOCK(mode)
+            assert mode & 0o077 == 0, oct(mode)
+            with CacheClient(address) as client:
+                client.ping()  # the owner still connects
+        finally:
+            srv.stop()
+
 
 # ----------------------------------------------------------------------
 # client fork safety
@@ -861,144 +880,57 @@ class TestPingHygiene:
 
 
 # ----------------------------------------------------------------------
-# TCP transport: handshake, auth, and the synthesize RPC
+# the synthesize RPC
 # ----------------------------------------------------------------------
-TOKEN = "sesame-open"
-
-
-@pytest.fixture()
-def tcp_server():
-    with CacheServer("tcp://127.0.0.1:0", auth_token=TOKEN) as srv:
-        yield srv
-
-
-class TestTCPTransport:
-    """Hardening corner cases only: the happy-path op set over every
-    (transport, encoding, auth) combination — round-trips, version
-    skew, remote-vs-local job parity — now lives in the parametrized
-    matrix in ``test_protocol_conformance.py``."""
-
-    def test_tcp_requires_a_token_server_side(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="auth"):
-            CacheServer("tcp://127.0.0.1:0")
-
-    def test_wrong_token_is_clean_rejection(self, tcp_server):
-        started = time.monotonic()
-        with CacheClient(tcp_server.address, auth_token="wrong",
-                         timeout=2.0) as client:
-            with pytest.raises(ProtocolError, match="handshake"):
-                client.ping()
-        assert time.monotonic() - started < 5.0  # bounded, no hang
-        assert tcp_server.stats.auth_failures == 1
-        # no partial state: the failed peer stored nothing
-        assert tcp_server.entry_count() == 0
-        with CacheClient(tcp_server.address, auth_token=TOKEN) as client:
-            client.ping()  # still serving
-
-    def test_missing_token_is_clean_rejection(self, tcp_server):
-        with CacheClient(tcp_server.address, timeout=2.0) as client:
-            with pytest.raises(ProtocolError, match="handshake"):
-                client.ping()
-        assert tcp_server.stats.auth_failures == 1
-
-    def test_pickle_frames_on_tcp_are_rejected(self, tcp_server):
-        """No pickle ever crosses TCP: a raw pickle frame is refused
-        before the handshake, and asking for the pickle encoding in
-        the handshake is refused too."""
-        _scheme, host, port = \
-            cache_server.parse_address(tcp_server.address)
-        raw = socket.create_connection((host, port), timeout=2.0)
-        raw.settimeout(2.0)
-        raw.sendall(struct.pack("!I", 10) + pickle.dumps(("ping",))[:10])
-        reply = _recv_frame(raw, encoding="json")
-        assert reply[0] == "error"
-        raw.close()
-        raw = socket.create_connection((host, port), timeout=2.0)
-        raw.settimeout(2.0)
-        _send_frame(raw, ("hello", PROTOCOL_VERSION, "pickle", TOKEN),
-                    encoding="json")
-        reply = _recv_frame(raw, encoding="json")
-        assert reply[0] == "error" and "pickle" in reply[1]
-        raw.close()
-        with CacheClient(tcp_server.address, auth_token=TOKEN) as client:
-            client.ping()  # still serving
-
-    def test_client_refuses_pickle_encoding_on_tcp(self, tcp_server):
-        with pytest.raises(ProtocolError, match="pickle"):
-            CacheClient(tcp_server.address, encoding="pickle",
-                        auth_token=TOKEN)
-
-    def test_no_pickle_bytes_cross_a_tcp_session(self, tcp_server, lib,
-                                                 monkeypatch):
-        """Structural proof: disable the pickle codec process-wide and
-        run a full TCP session — handshake, puts, gets, a synthesize
-        job — nothing may reach for pickle on either side."""
-        def poisoned(*_args, **_kwargs):
-            raise AssertionError("pickle bytes on a TCP session")
-
-        monkeypatch.setattr(wire, "_encode_pickle", poisoned)
-        monkeypatch.setattr(wire, "_decode_pickle", poisoned)
-        with CacheClient(tcp_server.address, auth_token=TOKEN) as client:
-            client.ping()
-            client.put("density", (("g",), "s", 1), ("v",))
-            assert client.get("density", (("g",), "s", 1)) \
-                == (True, ("v",), 0.0)
-            result = client.synthesize(diffeq(), lib, 8, 20)
-            assert result.area <= 20
-
-
 class TestSynthesizeRPC:
     """Remote-vs-local parity for jobs (results, streaming,
-    NoSolutionError) is pinned per transport/encoding/auth combo by
-    ``test_protocol_conformance.py``; only server-internal behaviours
-    stay here."""
+    NoSolutionError) is pinned by ``test_protocol_conformance.py``;
+    only server-internal behaviours stay here."""
 
-    def test_jobs_warm_the_server_cache(self, tcp_server, lib):
+    def test_jobs_warm_the_server_cache(self, server, lib):
         """A synthesize job executes on the server's shared layers, so
         an engine attached afterwards reuses the job's entries."""
-        with CacheClient(tcp_server.address, auth_token=TOKEN) as client:
+        with CacheClient(server.address) as client:
             client.synthesize(diffeq(), lib, 8, 20)
-        assert tcp_server.entry_count() > 0
+        assert server.entry_count() > 0
         engine = EvaluationEngine()
-        assert attach_engine(engine, tcp_server.address, auth_token=TOKEN)
+        assert attach_engine(engine, server.address)
         find_design(diffeq(), lib, 8, 20, engine=engine)
         detach_engine(engine)
         assert engine.stats.remote_hits > 0, \
             "the attached engine never used the job's entries"
 
-    def test_bad_job_shapes_are_clean_errors(self, tcp_server, lib):
-        with CacheClient(tcp_server.address, auth_token=TOKEN) as client:
+    def test_bad_job_shapes_are_clean_errors(self, server, lib):
+        with CacheClient(server.address) as client:
             with pytest.raises(CacheError, match="synthesize"):
                 client._request(("synthesize", "not-a-graph"))
             client.ping()  # the connection survives
 
-    def test_fail_open_to_local_compute(self, lib):
+    def test_fail_open_to_local_compute(self, lib, tmp_path):
         """Acceptance: a dead server address means local compute with
         identical results — for jobs as well as cache lookups."""
         local = find_design(diffeq(), lib, 8, 20,
                             engine=EvaluationEngine(cache=False))
         result = synthesize_remote(
-            diffeq(), lib, 8, 20, address="tcp://127.0.0.1:9",
-            auth_token=TOKEN, timeout=0.5,
+            diffeq(), lib, 8, 20, address=str(tmp_path / "gone.sock"),
+            timeout=0.5,
             engine=EvaluationEngine(cache=False))
         assert design_fingerprint(result) == design_fingerprint(local)
         graph = diffeq()
         allocations = [{op.op_id: lib.fastest(op.rtype) for op in graph}]
         evals = evaluate_batch_remote(
-            graph, allocations, 8, address="tcp://127.0.0.1:9",
-            auth_token=TOKEN, timeout=0.5)
+            graph, allocations, 8, address=str(tmp_path / "gone.sock"),
+            timeout=0.5)
         reference = EvaluationEngine(cache=False).evaluate_batch(
             graph, allocations, 8)
         assert [(e.latency, e.area) if e else None for e in evals] \
             == [(e.latency, e.area) if e else None for e in reference]
 
-    def test_fail_open_preserves_no_solution(self, lib):
+    def test_fail_open_preserves_no_solution(self, lib, tmp_path):
         with pytest.raises(NoSolutionError):
             synthesize_remote(diffeq(), lib, 1, 1,
-                              address="tcp://127.0.0.1:9",
-                              auth_token=TOKEN, timeout=0.5,
+                              address=str(tmp_path / "gone.sock"),
+                              timeout=0.5,
                               engine=EvaluationEngine(cache=False))
 
 
@@ -1087,7 +1019,7 @@ class TestBackpressure:
             sock.connect(address)
             sock.settimeout(30.0)
             try:
-                request = wire.encode(("get", "density", key), "pickle")
+                request = pickle.dumps(("get", "density", key))
                 framed = struct.pack("!I", len(request)) + request
                 sock.sendall(framed * 400)  # ~6.5 MB of replies due
                 # stay stalled until the server condemns the connection:
@@ -1124,10 +1056,7 @@ class TestBackpressure:
             str(tmp_path / "unused.sock"), stream_outbuf_bytes=1024)
         left, right = socket.socketpair()
         try:
-            conn = cache_server._Connection(
-                left, "unix", time.monotonic())
-            conn.handshaken = True
-            conn.codec = "pickle"
+            conn = cache_server._Connection(left, time.monotonic())
             conn.busy = True
             backlog = b"\0" * 4096  # a stalled reader's buffered bytes
             conn.outbuf += backlog
@@ -1150,7 +1079,7 @@ class TestBackpressure:
             while len(received) < struct.calcsize("!I") + length:
                 received += right.recv(1 << 16)
             payload = bytes(received[struct.calcsize("!I"):])
-            assert wire.decode(payload, "pickle") == ("ok", "final")
+            assert pickle.loads(payload) == ("ok", "final")
             # nothing else was queued: the design frame is gone
             assert not conn.outbuf
         finally:

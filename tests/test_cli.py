@@ -296,6 +296,12 @@ class TestCacheServer:
         captured = capsys.readouterr()
         assert captured.out == reference
         assert "unreachable" in captured.err
+        # a URL is not a unix socket path: same warning, same result
+        assert main(["synth", "diffeq", "-l", "6", "-a", "11",
+                     "--cache-server", "tcp://127.0.0.1:7321"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == reference
+        assert "unreachable" in captured.err
 
     def test_explore_auto_server_matches_serial(self, capsys):
         assert main(["explore", "diffeq", "--latencies", "5", "6",
@@ -358,6 +364,19 @@ class TestCacheServer:
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert exit_codes == [0]
+
+    def test_cache_serve_rejects_url_addresses(self, tmp_path, capsys,
+                                               monkeypatch):
+        import os
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["cache-serve", "--address",
+                     "tcp://127.0.0.1:7321"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "tcp:")
 
 
 class TestCacheStats:
