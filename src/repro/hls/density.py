@@ -13,10 +13,15 @@ distribution-graph idea, which the paper adopts in simplified form.
 Operations are placed most-constrained-first (smallest mobility) and
 all time frames are recomputed after every placement, so dependencies
 are honoured exactly rather than probabilistically.
+
+Densities and costs are exact rationals (:class:`fractions.Fraction`),
+so the least dense start is the earliest strict minimum — no float
+tolerance decides a tie.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
 from repro.dfg.graph import DataFlowGraph
@@ -26,22 +31,21 @@ from repro.hls.timing import asap_latency, time_frames
 
 
 def _occupancy_probability(frames, delays, graph, rtype: str,
-                           fixed: Mapping[str, int]) -> Dict[int, float]:
+                           fixed: Mapping[str, int]) -> Dict[int, Fraction]:
     """Distribution graph: step → expected number of busy *rtype* ops."""
-    density: Dict[int, float] = {}
+    density: Dict[int, Fraction] = {}
     for op in graph:
         if op.rtype != rtype:
             continue
         delay = delays[op.op_id]
         if op.op_id in fixed:
             start_lo = start_hi = fixed[op.op_id]
-            weight = 1.0
         else:
             start_lo, start_hi = frames[op.op_id]
-            weight = 1.0 / (start_hi - start_lo + 1)
+        weight = Fraction(1, start_hi - start_lo + 1)
         for start in range(start_lo, start_hi + 1):
             for step in range(start, start + delay):
-                density[step] = density.get(step, 0.0) + weight
+                density[step] = density.get(step, 0) + weight
     return density
 
 
@@ -93,17 +97,17 @@ def density_schedule(graph: DataFlowGraph,
         density = _occupancy_probability(frames, delays, graph, op.rtype, fixed)
         delay = delays[op_id]
         start_lo, start_hi = frames[op_id]
-        own_weight = 1.0 / (start_hi - start_lo + 1)
+        own_weight = Fraction(1, start_hi - start_lo + 1)
 
         best_start = start_lo
         best_cost = None
         for start in range(start_lo, start_hi + 1):
-            cost = 0.0
+            cost = Fraction(0)
             for step in range(start, start + delay):
                 # Exclude this op's own probability mass: we are asking
                 # how crowded the partition is with *other* work.
-                cost += density.get(step, 0.0) - own_weight
-            if best_cost is None or cost < best_cost - 1e-12:
+                cost += density.get(step, 0) - own_weight
+            if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_start = start
         fixed[op_id] = best_start

@@ -24,9 +24,9 @@ speedups:
 ``incremental density``
     After each placement the scheduler updates only the affected
     descendants' ASAP values and ancestors' ALAP values (a rank-ordered
-    worklist over the compiled adjacency), and patches the per-(rtype,
-    step) occupancy distribution in place for exactly the operations
-    whose frames changed, instead of rebuilding it from scratch.
+    worklist over the compiled adjacency), and patches the per-rtype
+    occupancy distribution in O(1) for exactly the operations whose
+    frames changed, instead of rebuilding it from scratch.
 ``event-driven list scheduling``
     Ready sets are maintained with predecessor counters and per-version
     free-lane heaps; empty steps are skipped entirely.
@@ -35,20 +35,15 @@ Equivalence with the reference schedulers is *exact*, not approximate:
 
 * Time frames are integer fixpoints — the incremental updates compute
   the same numbers as a full recompute, provably.
-* The occupancy distribution is kept in **exact integer arithmetic**:
-  an operation with window size ``w`` contributes probability ``1/w``
-  per feasible start, so the per-step density is a sum of unit
-  fractions.  We store integer *coverage counts* per (rtype, window
-  size, step) — patching counts in place is lossless, unlike the
-  float adds/subtracts an incremental float distribution would need —
-  and compare candidate costs as exact rationals over the lcm of the
-  active window sizes (Python integers, no overflow).  The reference's
-  float comparison (``cost < best - 1e-12``) agrees with the exact one
-  whenever the smallest representable cost gap ``1/lcm`` exceeds the
-  tolerance plus the reference's own float accumulation noise; the
-  guards below (:data:`MAX_EXACT_LCM`, :data:`MAX_EXACT_WORK`) bound
-  both quantities with orders-of-magnitude margin and fall back to the
-  reference implementation — identical by construction — outside them.
+* Density costs are exact rationals in both kernels.  An operation
+  with window size ``w`` contributes probability ``1/w`` per feasible
+  start, so every per-step density is a sum of unit fractions.  Windows
+  only tighten, so every ``w`` the solve meets divides
+  ``scale = lcm(1..w0max)`` (``w0max`` the widest initial window), and
+  ``scale`` times any density or cost is an integer.  The solver keeps
+  those integers (Python ints, which never overflow) and patches them
+  in place losslessly; scaling by a positive constant preserves every
+  comparison, so its earliest strict minimum is the reference's.
 * Tie-breaks are replicated literally: most-constrained-first with
   topological-order ties for placement, earliest-start on cost ties,
   ``(-priority, op id)`` ready order for list scheduling.
@@ -62,6 +57,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import accumulate, islice
+from operator import sub
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -70,16 +67,6 @@ from repro.dfg.compiled import CompiledGraph, compile_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import SchedulingError
 from repro.hls.schedule import Schedule, schedule_from_starts
-
-#: Fall back to the reference density scheduler when the lcm of the
-#: active window sizes exceeds this — beyond it, exact cost gaps could
-#: in principle dip below the reference's 1e-12 float tolerance.
-MAX_EXACT_LCM = 10 ** 10
-
-#: Fall back when ``n_ops * max_delay`` exceeds this — a (very
-#: conservative) bound keeping the reference's float accumulation noise
-#: far below the tolerance, so its decisions match exact arithmetic.
-MAX_EXACT_WORK = 10_000
 
 #: Entries kept in each compiled graph's delays-keyed base-timing memo.
 TIMING_MEMO_ENTRIES = 128
@@ -90,12 +77,9 @@ TIMING_MEMO_ENTRIES = 128
 #: enough placement work (results are identical either way).
 LOCKSTEP_MIN_WORK = 32
 
-#: The reference scheduler's cost tolerance, as an exact rational.
-_TOL_P, _TOL_Q = (1e-12).as_integer_ratio()
-
-
-class _PrecisionFallback(Exception):
-    """Internal: exact-arithmetic guard tripped; use the reference."""
+#: The lockstep solver's int64 padding sentinel; a column joins it only
+#: when every scaled occupancy sum stays below this.
+_LOCKSTEP_BIG = 2 ** 62
 
 
 class _BaseTiming:
@@ -329,12 +313,7 @@ def fast_density_schedule(graph: DataFlowGraph,
         raise SchedulingError(
             f"latency {latency} is below the critical path length {minimum}")
     d = [delays[op_id] for op_id in cg.op_ids]
-    if cg.n_ops * (max(d) if d else 0) > MAX_EXACT_WORK:
-        return _reference_density(graph, delays, latency)
-    try:
-        fixed = _solve_density(cg, d, timing, latency)
-    except _PrecisionFallback:
-        return _reference_density(graph, delays, latency)
+    fixed = _solve_density(cg, d, timing, latency)
     return schedule_from_starts(graph, fixed, delays)
 
 
@@ -348,10 +327,12 @@ def density_schedule_range(graph: DataFlowGraph,
             for latency in latencies}
 
 
-def _reference_density(graph, delays, latency) -> Schedule:
-    from repro.hls.density import density_schedule
-
-    return density_schedule(graph, delays, latency)
+def _window_scale(lo: List[int], hi: List[int]) -> int:
+    """``lcm(1..w0max)`` over the initial windows: windows only tighten,
+    so every weight ``1/w`` the solve meets is a whole multiple of
+    ``1/scale``."""
+    w0max = max(h - l for l, h in zip(lo, hi)) + 1
+    return math.lcm(*range(1, w0max + 1))
 
 
 def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
@@ -364,60 +345,57 @@ def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
     lo = list(timing.asap)
     hi = [latency - t for t in timing.tail]
     pinned = [False] * n
+    scale = _window_scale(lo, hi)
 
-    # occupancy coverage counts: rows[rtype][window][step] is the
-    # number of (operation, feasible start) pairs of that window size
-    # covering the step; density[step] = sum_w rows[w][step] / w.
-    # Each row keeps a cached prefix-sum (csums) so the candidate scan
-    # reads window sums in O(1) per start; a patch invalidates only the
-    # touched row's prefix sums.
-    n_rtypes = len(cg.rtype_names)
-    rows: List[Dict[int, np.ndarray]] = [{} for _ in range(n_rtypes)]
-    csums: List[Dict[int, np.ndarray]] = [{} for _ in range(n_rtypes)]
-    wcount: List[Dict[int, int]] = [{} for _ in range(n_rtypes)]
+    # scaled occupancy, one row per rtype, stored as second differences:
+    # an operation spreading over [lo, hi] with delay d covers step t
+    # min(hi, t) - max(lo, t - d + 1) + 1 times, a trapezoid whose second
+    # difference is +1 at lo and hi + d + 1 and -1 at lo + d and hi + 1.
+    # Weighted by scale // w it adds scale times its density, so every
+    # patch is four exact integer adds (zero-delay ops cancel to none).
+    rows = [[0] * (latency + 2) for _ in cg.rtype_names]
 
-    def patch(r: int, w: int, lo_: int, hi_: int, d_: int,
-              sign: int) -> None:
-        if d_ == 0:
-            return
-        row = rows[r].get(w)
-        if row is None:
-            row = rows[r][w] = np.zeros(latency, dtype=np.int64)
-        t = np.arange(lo_, hi_ + d_)
-        row[lo_:hi_ + d_] += sign * (np.minimum(hi_, t)
-                                     - np.maximum(lo_, t - d_ + 1) + 1)
-        csums[r].pop(w, None)
+    def patch(r: int, lo_: int, hi_: int, d_: int, sign: int) -> None:
+        weight = sign * (scale // (hi_ - lo_ + 1))
+        row = rows[r]
+        row[lo_] += weight
+        row[lo_ + d_] -= weight
+        row[hi_ + 1] -= weight
+        row[hi_ + d_ + 1] += weight
 
     for i in range(n):
-        w = hi[i] - lo[i] + 1
-        patch(rcode[i], w, lo[i], hi[i], d[i], +1)
-        wcount[rcode[i]][w] = wcount[rcode[i]].get(w, 0) + 1
+        patch(rcode[i], lo[i], hi[i], d[i], +1)
 
-    remaining = list(range(n))
+    # most-constrained first, topological order breaking ties: a heap
+    # of (width, rank, op) entries.  Widths only shrink, so an op whose
+    # frame moved gets a fresh entry and its older, wider ones are
+    # skipped when they surface.
+    queue = [(hi[i] - lo[i], rank[i], i) for i in range(n)]
+    heapq.heapify(queue)
     fixed: Dict[str, int] = {}
-    while remaining:
-        # most-constrained first, topological order breaking ties
-        best_pos = 0
-        best_key = None
-        for pos, i in enumerate(remaining):
-            key = (hi[i] - lo[i], rank[i])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pos = pos
-        i = remaining[best_pos]
-        remaining[best_pos] = remaining[-1]
-        remaining.pop()
+    while queue:
+        width, _, i = heapq.heappop(queue)
+        if pinned[i] or width != hi[i] - lo[i]:
+            continue
 
         lo_i, hi_i, d_i, r_i = lo[i], hi[i], d[i], rcode[i]
-        start = _least_dense_start(rows[r_i], csums[r_i], wcount[r_i],
-                                   lo_i, hi_i, d_i)
+        if hi_i == lo_i:
+            start = lo_i
+        else:
+            # the cost of a start is the scaled occupancy summed over the
+            # busy steps (the reference's cost less its constant
+            # own-weight term, times scale): second differences ->
+            # density -> prefix sums, then the earliest strict minimum
+            # (a zero-delay op costs 0 everywhere and keeps lo)
+            csum = list(accumulate(accumulate(accumulate(
+                islice(rows[r_i], hi_i + d_i))), initial=0))
+            costs = list(map(sub, csum[lo_i + d_i:hi_i + d_i + 1],
+                             csum[lo_i:hi_i + 1]))
+            start = lo_i + costs.index(min(costs))
         fixed[cg.op_ids[i]] = start
 
-        w_old = hi_i - lo_i + 1
-        wcount[r_i][w_old] -= 1
-        patch(r_i, w_old, lo_i, hi_i, d_i, -1)
-        wcount[r_i][1] = wcount[r_i].get(1, 0) + 1
-        patch(r_i, 1, start, start, d_i, +1)
+        patch(r_i, lo_i, hi_i, d_i, -1)
+        patch(r_i, start, start, d_i, +1)
         lo[i] = hi[i] = start
         pinned[i] = True
 
@@ -463,56 +441,10 @@ def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
                     heapq.heappush(heap, (-rank[p], p))
 
         for j, (old_lo, old_hi) in changed.items():
-            r_j = rcode[j]
-            w_was = old_hi - old_lo + 1
-            w_now = hi[j] - lo[j] + 1
-            wcount[r_j][w_was] -= 1
-            patch(r_j, w_was, old_lo, old_hi, d[j], -1)
-            wcount[r_j][w_now] = wcount[r_j].get(w_now, 0) + 1
-            patch(r_j, w_now, lo[j], hi[j], d[j], +1)
+            patch(rcode[j], old_lo, old_hi, d[j], -1)
+            patch(rcode[j], lo[j], hi[j], d[j], +1)
+            heapq.heappush(queue, (hi[j] - lo[j], rank[j], j))
     return fixed
-
-
-def _least_dense_start(rtype_rows: Dict[int, np.ndarray],
-                       rtype_csums: Dict[int, np.ndarray],
-                       rtype_wcount: Dict[int, int],
-                       lo: int, hi: int, d: int) -> int:
-    """Earliest start minimizing the exact occupancy sum over the
-    operation's busy window (the reference's cost less its constant
-    own-weight term, which cancels in every comparison).
-
-    Window sums are read off cached per-(rtype, window) prefix sums, so
-    one candidate scan costs O(windows + candidates) instead of
-    O(windows * (candidates + delay)).
-    """
-    if hi == lo or d == 0:
-        # a single candidate, or zero-delay costs are all zero: the
-        # reference keeps the earliest start either way
-        return lo
-    # zero-delay operations register a window class but never write a
-    # row (they occupy no steps); their contribution is identically
-    # zero, so dropping them rescales every cost and the tolerance
-    # threshold by the same factor and no comparison changes
-    active = [w for w, count in rtype_wcount.items()
-              if count > 0 and w in rtype_rows]
-    scale = math.lcm(*active)
-    if scale > MAX_EXACT_LCM:
-        raise _PrecisionFallback
-    k_count = hi - lo + 1
-    nums = np.zeros(k_count, dtype=np.int64)
-    for w in active:
-        cs = rtype_csums.get(w)
-        if cs is None:
-            cs = rtype_csums[w] = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(rtype_rows[w])))
-        nums += (scale // w) * (cs[lo + d:lo + d + k_count]
-                                - cs[lo:lo + k_count])
-    # Costs are integer multiples of 1/scale, and scale <= MAX_EXACT_LCM
-    # keeps the reference tolerance (1e-12 * scale < 1) strictly below
-    # the minimal integer cost gap — so "improves by more than the
-    # tolerance" is exactly "strictly smaller", and the earliest strict
-    # minimum is NumPy's first-occurrence argmin.
-    return lo + int(np.argmin(nums))
 
 
 # ----------------------------------------------------------------------
@@ -728,14 +660,12 @@ def batched_density_schedules(graph: DataFlowGraph,
     the placement loops of all requests advanced in lockstep.
 
     Requests are deduplicated on (delays, latency); every distinct
-    column whose exact-arithmetic guards hold joins one vectorized
-    solver (:func:`_solve_density_lockstep`) where each of the ``n``
-    placement rounds runs selection, candidate scan, re-patching and
-    the frame recompute across all columns at once.  Columns outside
-    the guards — and hence possibly subject to the per-item path's own
-    reference fallback — are routed through
-    :func:`fast_density_schedule` unchanged, so results and raised
-    errors (first failing request wins) are identical to the
+    column whose scaled costs fit in int64 joins one vectorized solver
+    (:func:`_solve_density_lockstep`) where each of the ``n`` placement
+    rounds runs selection, candidate scan, re-patching and the frame
+    recompute across all columns at once.  Columns past that bound run
+    the exact per-item solver (:func:`_solve_density`), so results and
+    raised errors (first failing request wins) are identical to the
     sequential loop by construction.
     """
     requests = list(requests)
@@ -768,19 +698,15 @@ def batched_density_schedules(graph: DataFlowGraph,
             order.append((delays, latency, timing))
         assign.append(col)
 
-    # a column joins the lockstep solver only when the per-item path is
-    # guaranteed to stay on its exact integer arithmetic for the whole
-    # solve: windows can only tighten, so every window ever active is
-    # <= the largest initial window and lcm(1..w0max) bounds every
-    # active-window lcm the per-item scan could form
+    # a column joins the lockstep solver only when its int64 arithmetic
+    # cannot overflow: every scaled occupancy (column) sum is at most
+    # scale * sum(d), which must stay below the padding sentinel
     lockstep: List[int] = []
     solo: List[int] = []
     for col, (delays, latency, timing) in enumerate(order):
-        d = [delays[op_id] for op_id in cg.op_ids]
-        w0max = max(latency - t - a for t, a in zip(timing.tail,
-                                                    timing.asap)) + 1
-        if (cg.n_ops * (max(d) if d else 0) <= MAX_EXACT_WORK
-                and math.lcm(*range(1, w0max + 1)) <= MAX_EXACT_LCM):
+        hi = [latency - t for t in timing.tail]
+        work = max(1, sum(delays[op_id] for op_id in cg.op_ids))
+        if _window_scale(timing.asap, hi) * work < _LOCKSTEP_BIG:
             lockstep.append(col)
         else:
             solo.append(col)
@@ -797,8 +723,10 @@ def batched_density_schedules(graph: DataFlowGraph,
             delays = order[col][0]
             schedules[col] = schedule_from_starts(graph, fixed, delays)
     for col in solo:
-        delays, latency, _ = order[col]
-        schedules[col] = fast_density_schedule(graph, delays, latency)
+        delays, latency, timing = order[col]
+        d = [delays[op_id] for op_id in cg.op_ids]
+        schedules[col] = schedule_from_starts(
+            graph, _solve_density(cg, d, timing, latency), delays)
     return [schedules[col] for col in assign]
 
 
@@ -813,15 +741,13 @@ def _solve_density_lockstep(cg: CompiledGraph,
     * **Selection.**  The per-item most-constrained-first choice
       ``min((hi - lo, rank))`` equals ``argmin((hi - lo) * n + rank)``
       because ranks are the integers ``0..n-1`` (injective encoding).
-    * **Cost scale.**  Each column uses the fixed scale
-      ``lcm(1..w0max)``, a positive multiple of every active-window
-      lcm the per-item scan could use (windows only tighten), so every
-      candidate cost here is the per-item exact cost times a positive
-      constant — the argmin and all comparisons are unchanged.  The
-      caller admits a column only when that scale is ``<=``
-      :data:`MAX_EXACT_LCM` ``< 1/tolerance``, where the reference's
-      tolerance comparison degenerates to strict integer ``<`` and the
-      earliest strict minimum is NumPy's first-occurrence argmin.
+    * **Cost scale.**  Each column uses the per-item solver's scale
+      ``lcm(1..w0max)``, so every candidate cost here is the per-item
+      exact integer cost, and the earliest strict minimum is NumPy's
+      first-occurrence argmin.  The caller admits a column only when
+      ``scale * max(1, sum(d))`` — a bound on every occupancy prefix
+      sum — stays below the ``2**62`` padding sentinel, so no int64
+      operation overflows.
     * **Frames.**  After each pin, every column's time frames tighten
       by the *same* rank-ordered worklist recursion the per-item solver
       runs (the code is a per-column copy of it), so the frames — and
@@ -843,9 +769,9 @@ def _solve_density_lockstep(cg: CompiledGraph,
     rank = cg.topo_rank.astype(np.int64)
     rcode = cg.rtype_codes.astype(np.int64)
     lat_max = int(lat.max())
-    scale = np.array(
-        [math.lcm(*range(1, int((hi[c] - lo[c]).max()) + 2))
-         for c in range(n_batch)], dtype=np.int64)
+    scale = np.array([_window_scale(t.asap, hi_c)
+                      for (_, _, t), hi_c in zip(cols, hi.tolist())],
+                     dtype=np.int64)
 
     # merged scaled occupancy: scaled[c, r, t] = scale[c] * density of
     # rtype r at step t (an exact integer by choice of scale)
@@ -878,7 +804,7 @@ def _solve_density_lockstep(cg: CompiledGraph,
     pin_py = [[False] * n for _ in range(n_batch)]
 
     placements: List[List[Tuple[int, int]]] = [[] for _ in range(n_batch)]
-    big = np.int64(2) ** 62
+    big = np.int64(_LOCKSTEP_BIG)
 
     # drain forced placements eagerly: a width-1 window pins at its
     # only feasible start, which moves no frame (the worklist recursion

@@ -30,6 +30,7 @@ from repro.hls import (
     left_edge_bind,
     total_area,
 )
+from repro.hls import fastsched
 from repro.hls.fastsched import base_timing
 from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS
 from repro.core import EvaluationEngine, evaluate_allocations, find_design
@@ -185,6 +186,34 @@ class TestBatchedDensitySchedules:
         with pytest.raises(SchedulingError, match="empty graph"):
             batched_density_schedules(
                 DataFlowGraph("empty"), [({}, 0)])
+
+    def test_columns_past_the_int64_bound_run_per_item(self, monkeypatch):
+        graph = random_dag(12, seed=3)
+        narrow = [(random_delays(graph, k), k % 3) for k in range(4)]
+        wide = [(random_delays(graph, 10 + k), 45 + k) for k in range(2)]
+        requests = [(delays, base_timing(graph, delays).critical + slack)
+                    for delays, slack in narrow[:2] + wide + narrow[2:]]
+        for delays, latency in requests:
+            timing = base_timing(graph, delays)
+            hi = [latency - t for t in timing.tail]
+            work = sum(delays.values())
+            scaled = fastsched._window_scale(timing.asap, hi) * work
+            assert (scaled >= 2 ** 62) == (latency - timing.critical >= 45)
+        lockstep_widths = []
+        solve_lockstep = fastsched._solve_density_lockstep
+
+        def spy(cg, cols):
+            lockstep_widths.append(len(cols))
+            return solve_lockstep(cg, cols)
+
+        monkeypatch.setattr(fastsched, "_solve_density_lockstep", spy)
+        batched = batched_density_schedules(graph, requests)
+        assert lockstep_widths == [len(narrow)]
+        for (delays, latency), got in zip(requests, batched):
+            assert got.starts == fast_density_schedule(
+                graph, delays, latency).starts
+            assert got.starts == density_schedule(
+                graph, delays, latency).starts
 
     def test_duplicate_requests_collapse(self):
         graph = ewf()

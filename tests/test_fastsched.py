@@ -175,17 +175,37 @@ class TestDensityEquivalence:
         assert fast_density_schedule(graph, delays, latency).starts == \
             density_schedule(graph, delays, latency).starts
 
-    def test_precision_guard_falls_back_to_reference(self, monkeypatch):
-        graph = random_dag(20, seed=9)
-        delays = random_delays(graph, 9)
-        latency = asap_latency(graph, delays) + 3
-        expected = density_schedule(graph, delays, latency)
-        monkeypatch.setattr(fastsched, "MAX_EXACT_LCM", 1)
+    def test_wide_windows_never_call_the_reference(self, monkeypatch):
+        graph = random_dag(96, seed=1)
+        library = paper_library()
+        delays = {op.op_id: library.fastest(op.rtype).delay
+                  for op in graph}
+        # 60 steps of slack: windows of 61-66 steps, so exact costs
+        # need a scale far beyond 1e10
+        latency = asap_latency(graph, delays) + 60
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fast core called the reference")
+
+        monkeypatch.setattr("repro.hls.density.density_schedule", forbidden)
+        schedule = fast_density_schedule(graph, delays, latency)
+        assert set(schedule.starts) == set(graph.op_ids())
+        assert schedule.latency <= latency
+
+    @given(st.tuples(st.integers(1, 20), st.integers(0, 5_000)),
+           st.integers(24, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_slack_matches_exact_reference(self, params, slack):
+        # slack >= 24 puts some window at >= 25 steps, so the exact
+        # cost scale lcm(1..w0max) exceeds 1e10
+        graph = build(params)
+        delays = random_delays(graph, params[1])
+        latency = asap_latency(graph, delays) + slack
+        timing = fastsched.base_timing(graph, delays)
+        hi = [latency - t for t in timing.tail]
+        assert fastsched._window_scale(timing.asap, hi) > 10 ** 10
         assert fast_density_schedule(graph, delays, latency).starts == \
-            expected.starts
-        monkeypatch.setattr(fastsched, "MAX_EXACT_WORK", 1)
-        assert fast_density_schedule(graph, delays, latency).starts == \
-            expected.starts
+            density_schedule(graph, delays, latency).starts
 
     def test_schedule_range_shares_base_timing(self):
         graph = random_dag(18, seed=4)
