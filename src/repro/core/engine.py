@@ -47,10 +47,30 @@ Cache layers, from coarse to fine:
 
 Graphs are identified by *content* (name, operations, edges in
 insertion order), not object identity, so rebuilding a benchmark graph
-— as every experiment driver does — still hits the cache.  Allocation
-signatures embed the full :class:`~repro.library.version.ResourceVersion`
-(not just its name), so same-named versions from different libraries
-never collide.
+— as every experiment driver does — still hits the cache.  Allocations
+and delay vectors are keyed by one compact ``bytes`` vector each, in
+compiled op order (:attr:`~repro.dfg.compiled.CompiledGraph.op_ids`,
+insertion order); ``bytes`` caches its hash, so a key is hashed once
+however many layers and lookups it passes through.  A delays key is
+:meth:`~repro.dfg.compiled.CompiledGraph.delays_key` (shared with the
+compiled core's base-timing memo).  An allocation key
+(:meth:`EvaluationEngine.allocation_key`) holds one code per
+operation from the engine's *version code table*: codes are assigned
+by value, so equal :class:`~repro.library.version.ResourceVersion`
+objects — a second ``paper_library()``, a pickle round trip — share a
+code while same-named versions that differ in area, delay or
+reliability never collide; a code is never reassigned for the
+engine's lifetime, so keys held by callers stay valid across
+:meth:`~EvaluationEngine.clear`.
+
+Codes are process-local, so keys cross processes in *content* form
+only, translated at one boundary
+(:meth:`~EvaluationEngine._content_key` / ``_local_key``): the graph
+id becomes the graph's content tuple, an allocation key its
+:func:`allocation_signature`, a delays key
+``tuple(sorted(delays.items()))`` and a list probe's count vector
+``tuple(sorted(counts.items()))``.  Snapshots, merges and the remote
+layer all go through it, so snapshot files keep their format.
 
 Every layer is an independent :class:`LRUCache`: filling one layer
 evicts only that layer's least-recently-used entries, so a probe-heavy
@@ -83,13 +103,15 @@ from __future__ import annotations
 
 import heapq
 import os
+import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from repro.dfg.compiled import MergedBatch, compile_graph
+from repro.dfg.compiled import DELAYS_TYPECODE, MergedBatch, compile_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import BindingError, ReproError, SchedulingError
 from repro.hls import fastsched
@@ -110,15 +132,33 @@ from repro.core.evaluate import (
 
 AllocationSignature = Tuple[Tuple[str, ResourceVersion], ...]
 
+#: Format character of allocation keys (``struct`` and ``memoryview``
+#: agree on it): one native unsigned int code per op.
+_CODE_TYPECODE = "I"
+
+#: Layers whose key (second element) is a delays vector; the other
+#: layers key an allocation there.
+_DELAYS_LAYERS = frozenset(("schedules", "timing"))
+
 
 def allocation_signature(allocation: Mapping[str, ResourceVersion]
                          ) -> AllocationSignature:
-    """Canonical, hashable identity of an allocation.
+    """Content form of an allocation: its sorted ``(op_id, version)``
+    pairs.
 
     Includes the full version objects (area, delay, reliability), so
     two libraries that reuse a version name cannot alias each other.
+    This is the form memo keys take in snapshots and on the cache
+    server; inside one engine allocations are keyed by the compact
+    :meth:`EvaluationEngine.allocation_key` instead.
     """
     return tuple(sorted(allocation.items()))
+
+
+def _pool_order(versions) -> Tuple[str, ...]:
+    """Version names in first-use order over *versions* (op order): the
+    key order of the count vectors a list realization probes."""
+    return tuple(dict.fromkeys(version.name for version in versions))
 
 
 def _scan_area(schedule: Schedule,
@@ -344,32 +384,11 @@ class _SchedulePoint:
     __slots__ = ("schedule", "signature", "binding")
 
     def __init__(self, schedule: Optional[Schedule],
-                 signature: Optional[AllocationSignature] = None,
+                 signature: Optional[bytes] = None,
                  binding: Optional[Binding] = None):
         self.schedule = schedule
         self.signature = signature
         self.binding = binding
-
-
-def _signature_delta(old: AllocationSignature, new: AllocationSignature
-                     ) -> Optional[Tuple[int, set]]:
-    """Difference between two allocation signatures over one op set.
-
-    Returns ``(changed op count, version names involved)``, or ``None``
-    when the signatures cover different operations entirely.
-    """
-    if len(old) != len(new):
-        return None
-    changed = 0
-    names: set = set()
-    for (op_a, version_a), (op_b, version_b) in zip(old, new):
-        if op_a != op_b:
-            return None
-        if version_a != version_b:
-            changed += 1
-            names.add(version_a.name)
-            names.add(version_b.name)
-    return changed, names
 
 
 class _GraphRecord:
@@ -380,7 +399,8 @@ class _GraphRecord:
     share one flattening (topological order, adjacency) per graph.
     """
 
-    __slots__ = ("graph", "compiled", "n_ops", "n_edges", "key")
+    __slots__ = ("graph", "compiled", "n_ops", "n_edges", "key",
+                 "pack_codes")
 
     def __init__(self, graph: DataFlowGraph, key: int):
         self.graph = graph
@@ -389,6 +409,9 @@ class _GraphRecord:
         self.n_ops = compiled.n_ops
         self.n_edges = compiled.n_edges
         self.key = key
+        #: packs one version code per op into an allocation key
+        self.pack_codes = partial(struct.pack,
+                                  f"{compiled.n_ops}{_CODE_TYPECODE}")
 
 
 class RemoteCacheBackend:
@@ -636,7 +659,8 @@ class _RemoteLayer:
     oblivious to whether a layer is local or server-backed.  Lookups
     read through: L1 first, then one remote fetch whose result is
     adopted into L1.  Inserts write to L1 and buffer a write-behind
-    store.  Keys are translated local→content at the boundary; the
+    store.  Keys are translated local→content at the engine's one
+    boundary (:meth:`EvaluationEngine._content_key`); the
     ``schedules`` layer's :class:`_SchedulePoint` values travel as
     plain tuples, exactly as in snapshot files.
     """
@@ -653,36 +677,37 @@ class _RemoteLayer:
     def __len__(self) -> int:
         return len(self.local)
 
-    def _encode(self, value):
+    def _encode(self, key, value):
         if self.name == "schedules":
-            return (value.schedule, value.signature, value.binding)
+            return self.engine._content_value(key[0], value)
         return value
 
-    def _decode(self, value):
+    def _decode(self, key, value):
         if self.name == "schedules":
-            return _SchedulePoint(*value)
+            return self.engine._local_value(key[0], value)
         return value
 
     def get(self, key, default=None):
         value = self.local.get(key, _MISSING)
         if value is not _MISSING:
             return value
-        content = self.engine._content_key(key)
+        content = self.engine._content_key(self.name, key)
         if content is None:
             return default
         found, value = self.backend.fetch(self.name, content)
         if not found:
             return default
-        value = self._decode(value)
+        value = self._decode(key, value)
         self.local.put(key, value)
         self.engine.stats.remote_hits += 1
         return value
 
     def put(self, key, value) -> None:
         self.local.put(key, value)
-        content = self.engine._content_key(key)
+        content = self.engine._content_key(self.name, key)
         if content is not None:
-            self.backend.store(self.name, content, self._encode(value))
+            self.backend.store(self.name, content,
+                               self._encode(key, value))
 
     def get_local(self, key, default=None):
         """L1-only lookup — never consults the server."""
@@ -695,14 +720,15 @@ class _RemoteLayer:
         wanted = {}
         for key in keys:
             if self.local.get(key, _MISSING) is _MISSING:
-                content = self.engine._content_key(key)
+                content = self.engine._content_key(self.name, key)
                 if content is not None:
                     wanted[content] = key
         if not wanted:
             return
         for content, value in self.backend.fetch_many(
                 self.name, list(wanted)).items():
-            self.local.put(wanted[content], self._decode(value))
+            key = wanted[content]
+            self.local.put(key, self._decode(key, value))
             self.engine.stats.remote_hits += 1
 
     def items(self):
@@ -804,7 +830,15 @@ class EvaluationEngine:
         self._timing_order = LRUCache(self.layer_capacities["timing"])
         self._graphs: Dict[int, _GraphRecord] = {}
         self._graph_keys: Dict[tuple, int] = {}
-        self._graph_contents: Dict[int, tuple] = {}  # inverse of the above
+        # inverse of the above, with each graph's op ids in compiled order
+        self._graph_contents: Dict[int, Tuple[tuple, Tuple[str, ...]]] = {}
+        # the version code table: value -> code and code -> version,
+        # never reassigned; plus an id() fast path whose pins keep every
+        # listed object alive, so no listed id can be reused
+        self._version_codes: Dict[ResourceVersion, int] = {}
+        self._versions: List[ResourceVersion] = []
+        self._id_codes: Dict[int, int] = {}
+        self._id_pins: List[ResourceVersion] = []
         self._backend: Optional[RemoteCacheBackend] = None
         self._layers: Dict[str, LRUCache] = {
             name: LRUCache(capacity, self._note_eviction)
@@ -870,15 +904,6 @@ class EvaluationEngine:
         """The attached remote backend, if any."""
         return self._backend
 
-    def _content_key(self, key: tuple) -> Optional[tuple]:
-        """Translate a process-local layer key to its content-addressed
-        form (the graph id becomes the graph's content tuple), or
-        ``None`` when the graph registry no longer knows the id."""
-        content = self._graph_contents.get(key[0])
-        if content is None:
-            return None
-        return (content,) + tuple(key[1:])
-
     # ------------------------------------------------------------------
     # graph identity
     # ------------------------------------------------------------------
@@ -900,11 +925,203 @@ class EvaluationEngine:
         content = (graph.name,
                    tuple((op.op_id, op.rtype) for op in graph),
                    tuple(graph.edges()))
-        key = self._graph_keys.setdefault(content, len(self._graph_keys))
-        self._graph_contents[key] = content
-        record = _GraphRecord(graph, key)
+        record = _GraphRecord(graph, self._graph_id(content)[0])
         self._graphs[id(graph)] = record
         return record
+
+    def _graph_id(self, content: tuple) -> Tuple[int, Tuple[str, ...]]:
+        """Process-local id of a graph *content* tuple (registering it
+        when new) and the graph's op ids in compiled order."""
+        key = self._graph_keys.setdefault(content, len(self._graph_keys))
+        entry = self._graph_contents.get(key)
+        if entry is None:
+            entry = self._graph_contents[key] = (
+                content, tuple(op_id for op_id, _ in content[1]))
+        return key, entry[1]
+
+    # ------------------------------------------------------------------
+    # allocation keys
+    # ------------------------------------------------------------------
+    #: bound on the id() fast path of the version code table; when it
+    #: fills up it is simply dropped (codes themselves are permanent).
+    MAX_VERSION_IDS = 4096
+
+    def allocation_key(self, graph: DataFlowGraph,
+                       allocation: Mapping[str, ResourceVersion]) -> bytes:
+        """The engine's identity of *allocation* on *graph*.
+
+        One version code per operation in compiled op order, packed as
+        ``bytes`` (hashed once, then cached by CPython).  Equal keys
+        mean equal allocations by value, whatever the dict order or
+        version object identity; a key stays valid for the engine's
+        lifetime, :meth:`clear` included.  Entries for operations
+        outside the graph are ignored.
+        """
+        return self._allocation_key(self._record(graph), allocation)
+
+    def _allocation_key(self, record: _GraphRecord,
+                        allocation: Mapping[str, ResourceVersion]) -> bytes:
+        versions = record.compiled.gather(allocation)
+        try:  # fast path: every version object already listed by id
+            return record.pack_codes(*map(self._id_codes.get,
+                                          map(id, versions)))
+        except struct.error:  # a None code: some object is new
+            return record.pack_codes(*map(self._intern, versions))
+
+    def _intern(self, version: ResourceVersion) -> int:
+        """Code of *version* (by value), assigning the next free code to
+        a new value, and listing the object on the id() fast path."""
+        code = self._id_codes.get(id(version))
+        if code is not None:
+            return code
+        code = self._version_codes.get(version)
+        if code is None:
+            code = self._version_codes[version] = len(self._versions)
+            self._versions.append(version)
+        if len(self._id_codes) >= self.MAX_VERSION_IDS:
+            self._id_codes.clear()
+            self._id_pins.clear()
+        self._id_codes[id(version)] = code
+        self._id_pins.append(version)
+        return code
+
+    def _key_versions(self, key: bytes) -> List[ResourceVersion]:
+        """Per-op versions of an allocation key."""
+        versions = self._versions
+        return [versions[code]
+                for code in memoryview(key).cast(_CODE_TYPECODE)]
+
+    def _single_op_change(self, old: bytes, new: bytes) -> Optional[set]:
+        """Names of the two versions involved when allocation keys *old*
+        and *new* differ at exactly one operation, else ``None``."""
+        if len(old) != len(new):
+            return None
+        changed = None
+        for pair in zip(memoryview(old).cast(_CODE_TYPECODE),
+                        memoryview(new).cast(_CODE_TYPECODE)):
+            if pair[0] != pair[1]:
+                if changed is not None:
+                    return None
+                changed = pair
+        if changed is None:
+            return None
+        versions = self._versions
+        return {versions[changed[0]].name, versions[changed[1]].name}
+
+    def __getstate__(self):
+        # id() values mean nothing in another process: a copy drops the
+        # fast path and re-lists versions by value on first use
+        state = self.__dict__.copy()
+        state["_id_codes"] = {}
+        state["_id_pins"] = []
+        return state
+
+    # ------------------------------------------------------------------
+    # the content boundary: snapshots, merges and the remote layer
+    # ------------------------------------------------------------------
+    def _content_key(self, layer: str, key: tuple,
+                     memo: Optional[dict] = None) -> Optional[tuple]:
+        """Content form of a process-local *layer* key, or ``None`` when
+        the graph registry no longer knows its graph id.
+
+        The graph id becomes the graph's content tuple, an allocation
+        key its :func:`allocation_signature`, a delays key
+        ``tuple(sorted(delays.items()))`` and a probe's count vector
+        ``tuple(sorted(counts.items()))`` — byte for byte what snapshot
+        files have always held.  *memo* (one dict per export) shares
+        the translation of vectors repeated across entries.
+        """
+        entry = self._graph_contents.get(key[0])
+        if entry is None:
+            return None
+        vector = self._content_vector(layer in _DELAYS_LAYERS, key[0],
+                                      key[1], memo)
+        if layer == "probes":
+            names = _pool_order(self._key_versions(key[1]))
+            return (entry[0], vector, tuple(sorted(zip(names, key[2]))))
+        return (entry[0], vector) + key[2:]
+
+    def _content_vector(self, delays: bool, graph_key: int, code: bytes,
+                        memo: Optional[dict]) -> tuple:
+        memo_key = (delays, graph_key, code)
+        if memo is not None and memo_key in memo:
+            return memo[memo_key]
+        values = memoryview(code).cast(DELAYS_TYPECODE) if delays \
+            else self._key_versions(code)
+        vector = tuple(sorted(zip(self._graph_contents[graph_key][1],
+                                  values)))
+        if memo is not None:
+            memo[memo_key] = vector
+        return vector
+
+    def _local_key(self, layer: str, content_key: tuple,
+                   memo: dict) -> Optional[tuple]:
+        """Inverse of :meth:`_content_key`, registering the graph; or
+        ``None`` when the entry does not fit its graph's operations.
+
+        *memo* (one dict per merge) remembers translations by object
+        identity: an export shares one tuple per graph and per vector,
+        and so does its unpickled copy.
+        """
+        graph = content_key[0]
+        hit = memo.get(id(graph))
+        if hit is None or hit[0] is not graph:
+            hit = memo[id(graph)] = (graph,) + self._graph_id(graph)
+        graph_key = hit[1]
+        code = self._local_vector(layer in _DELAYS_LAYERS, graph_key,
+                                  content_key[1], memo)
+        if code is None:
+            return None
+        if layer == "probes":
+            counts = dict(content_key[2])
+            names = _pool_order(self._key_versions(code))
+            if len(counts) != len(names) \
+                    or not all(map(counts.__contains__, names)):
+                return None
+            return (graph_key, code, tuple(counts[name] for name in names))
+        return (graph_key, code) + content_key[2:]
+
+    def _local_vector(self, delays: bool, graph_key: int, vector: tuple,
+                      memo: Optional[dict]) -> Optional[bytes]:
+        memo_key = (id(vector), graph_key)
+        if memo is not None:
+            hit = memo.get(memo_key)
+            if hit is not None and hit[0] is vector:
+                return hit[1]
+        op_ids = self._graph_contents[graph_key][1]
+        mapping = dict(vector)
+        if len(mapping) != len(op_ids) \
+                or not all(map(mapping.__contains__, op_ids)):
+            code = None
+        else:
+            values = map(mapping.__getitem__, op_ids)
+            if delays:
+                code = struct.pack(f"{len(op_ids)}{DELAYS_TYPECODE}",
+                                   *values)
+            else:
+                code = struct.pack(f"{len(op_ids)}{_CODE_TYPECODE}",
+                                   *map(self._intern, values))
+        if memo is not None:
+            memo[memo_key] = (vector, code)
+        return code
+
+    def _content_value(self, graph_key: int, point: "_SchedulePoint",
+                       memo: Optional[dict] = None) -> tuple:
+        """A ``schedules`` value as it crosses the boundary: the plain
+        ``(schedule, allocation signature, binding)`` tuple."""
+        signature = None if point.signature is None else \
+            self._content_vector(False, graph_key, point.signature, memo)
+        return (point.schedule, signature, point.binding)
+
+    def _local_value(self, graph_key: int, value: tuple,
+                     memo: Optional[dict] = None) -> "_SchedulePoint":
+        """Inverse of :meth:`_content_value`."""
+        schedule, signature, binding = value
+        if signature is not None:
+            signature = self._local_vector(False, graph_key, signature, memo)
+        if signature is None:
+            return _SchedulePoint(schedule)
+        return _SchedulePoint(schedule, signature, binding)
 
     # ------------------------------------------------------------------
     # timing
@@ -913,7 +1130,7 @@ class EvaluationEngine:
                 ) -> Tuple[Dict[str, int], int]:
         """Cached ASAP starts and critical-path latency for *delays*."""
         record = self._record(graph)
-        key = (record.key, tuple(sorted(delays.items())))
+        key = (record.key, record.compiled.delays_key(delays))
         return self._timing_for(graph, record, key, delays)
 
     def _timing_for(self, graph, record, key, delays, impl=None
@@ -964,7 +1181,7 @@ class EvaluationEngine:
         ``asap_latency(graph, delays | {op_id: new_delay})``.
         """
         record = self._record(graph)
-        key = (record.key, tuple(sorted(delays.items())))
+        key = (record.key, record.compiled.delays_key(delays))
         starts, base_latency = self._timing_for(graph, record, key, delays)
         if new_delay == delays[op_id]:
             return base_latency
@@ -987,7 +1204,7 @@ class EvaluationEngine:
         (candidates-per-round) bursts.
         """
         record = self._record(graph)
-        key = (record.key, tuple(sorted(delays.items())))
+        key = (record.key, record.compiled.delays_key(delays))
         starts, base_latency = self._timing_for(graph, record, key, delays)
         tables = None
         index = record.compiled.index
@@ -1122,13 +1339,13 @@ class EvaluationEngine:
                   stop_at_area, scheduler, impl):
         delays = {op_id: v.delay for op_id, v in allocation.items()}
         record = self._record(graph)
-        delays_key = tuple(sorted(delays.items()))
+        delays_key = record.compiled.delays_key(delays)
         _, critical = self._timing_for(graph, record,
                                        (record.key, delays_key), delays,
                                        impl)
         if critical > latency_bound:
             return None
-        signature = allocation_signature(allocation)
+        signature = self._allocation_key(record, allocation)
         # the implementation is deliberately absent from the memo key:
         # fast and reference schedules are identical, so either may
         # serve (and populate) the same entries
@@ -1251,10 +1468,11 @@ class EvaluationEngine:
         # engine timing layer, exactly as per-item evaluations would
         timings = fastsched.batched_timing(graph,
                                            [d for _, d in delayed])
-        ids = record.compiled.op_ids
+        compiled = record.compiled
+        ids = compiled.op_ids
         metas = []
         for (idx, delays), timing in zip(delayed, timings):
-            delays_key = tuple(sorted(delays.items()))
+            delays_key = compiled.delays_key(delays)
             self.stats.timing_requests += 1
             timing_key = (record.key, delays_key)
             cached = self._timing_cache.get(timing_key, _MISSING)
@@ -1274,7 +1492,7 @@ class EvaluationEngine:
             if critical > latency_bound:
                 results[idx] = None
                 continue
-            signature = allocation_signature(allocations[idx])
+            signature = self._allocation_key(record, allocations[idx])
             memo_key = (record.key, signature, latency_bound, area_model,
                         scheduler, None)
             memoized = self._evaluations.get(memo_key, _MISSING)
@@ -1426,7 +1644,7 @@ class EvaluationEngine:
         :meth:`evaluate_batch` call, with identical allocations
         deduplicated across requests first
         (:class:`~repro.dfg.compiled.MergedBatch` keyed on the
-        allocation signature), so a duplicate submitted by several
+        allocation key), so a duplicate submitted by several
         fleet clients in one window is computed once.  If a merged
         call raises, the group falls back to evaluating each request
         separately, which restores the exact per-request error the
@@ -1465,7 +1683,9 @@ class EvaluationEngine:
                     requests[index]
                 allocations = list(allocations)
                 try:
-                    keys = [allocation_signature(a) for a in allocations]
+                    record = self._record(graph)
+                    keys = [self._allocation_key(record, a)
+                            for a in allocations]
                 except Exception:
                     # a malformed allocation fails its own request with
                     # the exact per-item exception, nobody else's
@@ -1583,7 +1803,7 @@ class EvaluationEngine:
         return point
 
     def _bind_point(self, point: _SchedulePoint, allocation,
-                    signature: AllocationSignature) -> Binding:
+                    signature: bytes) -> Binding:
         """Bind *allocation* onto the point's schedule.
 
         When the point's previous binding covers an allocation that
@@ -1597,11 +1817,11 @@ class EvaluationEngine:
             return point.binding
         binding: Optional[Binding] = None
         if point.binding is not None and point.signature is not None:
-            delta = _signature_delta(point.signature, signature)
-            if delta is not None and delta[0] == 1:
+            names = self._single_op_change(point.signature, signature)
+            if names is not None:
                 self.stats.incremental_rebinds += 1
                 binding = rebind_versions(point.schedule, allocation,
-                                          point.binding, delta[1])
+                                          point.binding, names)
         if binding is None:
             self.stats.bindings += 1
             binding = left_edge_bind(point.schedule, allocation)
@@ -1662,7 +1882,9 @@ class EvaluationEngine:
 
     def _list_probe(self, graph, record, signature, allocation,
                     counts, impl) -> Schedule:
-        key = (record.key, signature, tuple(sorted(counts.items())))
+        # counts keep _count_lower_bounds' key order (first use in op
+        # order), which the allocation key already determines
+        key = (record.key, signature, tuple(counts.values()))
         if self.cache_enabled:
             cached = self._list_probes.get(key, _MISSING)
             if cached is not _MISSING:
@@ -1708,51 +1930,54 @@ class EvaluationEngine:
     def export_cache_state(self) -> Dict[str, list]:
         """Content-addressed snapshot of every cache layer.
 
-        Each entry's graph key (a process-local integer) is replaced by
-        the graph's *content* tuple, so a snapshot merged into another
-        engine — a worker process, or a later CLI invocation — lands on
-        the same logical entries.  Entries are listed from least- to
-        most-recently used, preserving recency across a merge.
+        Every process-local part of an entry — the graph id, allocation
+        and delays keys, a probe's count vector, a schedule point's
+        signature — is translated to content form (:meth:`_content_key`),
+        so a snapshot merged into another engine — a worker process, or
+        a later CLI invocation — lands on the same logical entries.
+        Entries are listed from least- to most-recently used, preserving
+        recency across a merge.
         """
-        inverse = self._graph_contents
+        memo: dict = {}
         layers: Dict[str, list] = {}
         for name, cache in self._layers.items():
             entries = []
             for key, value in cache.items():
-                content = inverse.get(key[0])
+                content = self._content_key(name, key, memo)
                 if content is None:
                     continue  # the graph registry was cleared under it
                 if name == "schedules":
-                    value = (value.schedule, value.signature, value.binding)
-                entries.append(((content,) + tuple(key[1:]), value))
+                    value = self._content_value(key[0], value, memo)
+                entries.append((content, value))
             layers[name] = entries
         return layers
 
     def merge_cache_state(self, layers: Mapping[str, list]) -> int:
         """Merge an :meth:`export_cache_state` snapshot into this engine.
 
-        Entries already present locally win (their schedules reference
-        live graph objects); unknown layer names are skipped, so
-        snapshots remain forward-compatible within a format version.
-        Returns the number of entries adopted.  No-op when caching is
-        disabled.
+        Keys are translated into this engine's own version codes
+        (:meth:`_local_key`); an entry that does not fit its graph's
+        operations is skipped.  Entries already present locally win
+        (their schedules reference live graph objects); unknown layer
+        names are skipped, so snapshots remain forward-compatible
+        within a format version.  Returns the number of entries
+        adopted.  No-op when caching is disabled.
         """
         if not self.cache_enabled:
             return 0
         merged = 0
+        memo: dict = {}
         for name, entries in layers.items():
             cache = self._layers.get(name)
             if cache is None:
                 continue
             for key, value in entries:
-                content = key[0]
-                local = self._graph_keys.setdefault(content,
-                                                    len(self._graph_keys))
-                self._graph_contents[local] = content
-                local_key = (local,) + tuple(key[1:])
+                local_key = self._local_key(name, key, memo)
+                if local_key is None:
+                    continue  # does not fit its graph's operations
                 if cache.get(local_key, _MISSING) is _MISSING:
                     if name == "schedules":
-                        value = _SchedulePoint(*value)
+                        value = self._local_value(local_key[0], value, memo)
                     cache.put(local_key, value)
                     merged += 1
         return merged

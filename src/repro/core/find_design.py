@@ -50,11 +50,7 @@ from repro.hls.metrics import AREA_INSTANCES
 from repro.library.library import ResourceLibrary
 from repro.library.version import ResourceVersion
 from repro.core.design import DesignResult, check_area_model
-from repro.core.engine import (
-    EvaluationEngine,
-    allocation_signature,
-    default_engine,
-)
+from repro.core.engine import EvaluationEngine, default_engine
 from repro.core.victims import group_swaps, select_latency_victim
 
 REPAIR_POLICIES = ("generalized", "paper")
@@ -85,11 +81,17 @@ class _Search:
         self.on_improvement = on_improvement
         self.best: Optional[DesignResult] = None
         #: realized area per allocation already considered this search
-        #: (None = latency-infeasible) — the dominance-pruning record.
-        self.realized: Dict[tuple, Optional[int]] = {}
+        #: (None = latency-infeasible) — the dominance-pruning record,
+        #: keyed by the engine's allocation key.
+        self.realized: Dict[bytes, Optional[int]] = {}
 
-    def known_area(self, allocation: Mapping[str, ResourceVersion]):
-        """Cached realized area of *allocation*, or ``_UNSEEN``.
+    def key(self, allocation: Mapping[str, ResourceVersion]) -> bytes:
+        """The engine's allocation key of *allocation* on this graph."""
+        return self.engine.allocation_key(self.graph, allocation)
+
+    def known_area(self, key: bytes):
+        """Cached realized area of the allocation keyed *key*, or
+        ``_UNSEEN``.
 
         Safe pruning oracle: the engine is deterministic, so an
         allocation this search has already considered would realize to
@@ -97,17 +99,18 @@ class _Search:
         re-considering it can neither change the outcome nor the
         bookkeeping.
         """
-        return self.realized.get(allocation_signature(allocation), _UNSEEN)
+        return self.realized.get(key, _UNSEEN)
 
-    def consider(self, allocation: Dict[str, ResourceVersion]
+    def consider(self, allocation: Dict[str, ResourceVersion], key: bytes
                  ) -> Optional[DesignResult]:
-        """Realize *allocation*; record it if feasible; return result."""
+        """Realize *allocation* (keyed *key*); record it if feasible;
+        return the result."""
         evaluation = self.engine.evaluate(
             self.graph, allocation, self.latency_bound,
             area_model=self.area_model)
-        return self._absorb(allocation, evaluation)
+        return self._absorb(allocation, key, evaluation)
 
-    def consider_batch(self, allocations) -> list:
+    def consider_batch(self, allocations, keys) -> list:
         """:meth:`consider` for many candidates in one engine batch.
 
         Equivalent to considering them in order (the engine's batched
@@ -121,17 +124,17 @@ class _Search:
         evaluations = self.engine.evaluate_batch(
             self.graph, allocations, self.latency_bound,
             area_model=self.area_model)
-        return [self._absorb(allocation, evaluation)
-                for allocation, evaluation in zip(allocations, evaluations)]
+        return [self._absorb(allocation, key, evaluation)
+                for allocation, key, evaluation
+                in zip(allocations, keys, evaluations)]
 
-    def _absorb(self, allocation: Dict[str, ResourceVersion], evaluation
-                ) -> Optional[DesignResult]:
+    def _absorb(self, allocation: Dict[str, ResourceVersion], key: bytes,
+                evaluation) -> Optional[DesignResult]:
         """Record one engine evaluation into the search state."""
-        signature = allocation_signature(allocation)
         if evaluation is None:
-            self.realized[signature] = None
+            self.realized[key] = None
             return None
-        self.realized[signature] = evaluation.area
+        self.realized[key] = evaluation.area
         result = DesignResult(
             graph=self.graph,
             allocation=dict(allocation),
@@ -247,10 +250,11 @@ def find_design(graph: DataFlowGraph,
         for combo in uniform_allocations(graph, library):
             pending.append(combo)
             if len(pending) >= 64:
-                search.consider_batch(pending)
+                search.consider_batch(pending,
+                                      [search.key(a) for a in pending])
                 pending = []
         if pending:
-            search.consider_batch(pending)
+            search.consider_batch(pending, [search.key(a) for a in pending])
 
     if search.best is None:
         achieved = search_achievements(graph, library, latency_bound,
@@ -284,13 +288,13 @@ def _trajectory(search: _Search, horizon: int, repair: str,
             return
         allocation[victim.op_id] = victim.new_version
 
+    start_key = search.key(allocation)
     if seen_allocations is not None:
-        signature = allocation_signature(allocation)
-        if signature in seen_allocations:
+        if start_key in seen_allocations:
             return  # same start as a previous horizon's trajectory
-        seen_allocations.add(signature)
+        seen_allocations.add(start_key)
 
-    current = search.consider(allocation)
+    current = search.consider(allocation, start_key)
 
     # 3/4. Area repair loop (lines 15-28; slack exploitation happens
     # inside evaluate_allocation's latency scan).
@@ -307,18 +311,20 @@ def _trajectory(search: _Search, horizon: int, repair: str,
             for swap in group_swaps(library, allocation,
                                     smaller_only=(repair == "paper")):
                 trial_alloc = swap.apply(allocation)
-                known = search.known_area(trial_alloc)
+                trial_key = search.key(trial_alloc)
+                known = search.known_area(trial_key)
                 if known is not _UNSEEN and (known is None
                                              or known >= current.area):
                     # dominance prune: already realized this search and
                     # cannot beat the current area — skip re-evaluation
                     continue
-                candidates.append((swap, trial_alloc))
+                candidates.append((swap, trial_alloc, trial_key))
             trials = search.consider_batch(
-                [trial_alloc for _, trial_alloc in candidates])
+                [trial_alloc for _, trial_alloc, _ in candidates],
+                [trial_key for _, _, trial_key in candidates])
             chosen = None
             chosen_key = None
-            for (swap, trial_alloc), trial in zip(candidates, trials):
+            for (swap, trial_alloc, _), trial in zip(candidates, trials):
                 if trial is None:     # violates the latency bound
                     continue
                 if trial.area >= current.area:
@@ -351,16 +357,18 @@ def _trajectory(search: _Search, horizon: int, repair: str,
                 if gain <= 1e-12:
                     continue
                 trial_alloc = swap.apply(allocation)
-                known = search.known_area(trial_alloc)
+                trial_key = search.key(trial_alloc)
+                known = search.known_area(trial_key)
                 if known is not _UNSEEN and (known is None
                                              or known > area_bound):
                     continue  # dominance prune: known infeasible
-                candidates.append((swap, gain, trial_alloc))
+                candidates.append((swap, gain, trial_alloc, trial_key))
             trials = search.consider_batch(
-                [trial_alloc for _, _, trial_alloc in candidates])
+                [trial_alloc for _, _, trial_alloc, _ in candidates],
+                [trial_key for _, _, _, trial_key in candidates])
             chosen = None
             chosen_gain = 0.0
-            for (swap, gain, _), trial in zip(candidates, trials):
+            for (swap, gain, _, _), trial in zip(candidates, trials):
                 if trial is None or trial.area > area_bound:
                     continue
                 if gain > chosen_gain:
@@ -399,11 +407,12 @@ def _refine_per_op(search: _Search,
                     continue
                 trial_alloc = dict(allocation)
                 trial_alloc[op.op_id] = candidate
-                known = search.known_area(trial_alloc)
+                trial_key = search.key(trial_alloc)
+                known = search.known_area(trial_key)
                 if known is not _UNSEEN and (known is None
                                              or known > search.area_bound):
                     continue  # dominance prune: known infeasible
-                trial = search.consider(trial_alloc)
+                trial = search.consider(trial_alloc, trial_key)
                 if trial is None or trial.area > search.area_bound:
                     continue
                 chosen_gain = gain

@@ -26,13 +26,22 @@ traverse nodes in the same sequence.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from operator import itemgetter
+from struct import pack
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.node import Operation
 from repro.errors import DFGError
+
+#: Format character of :meth:`CompiledGraph.delays_key` vectors
+#: (``struct`` and ``memoryview`` agree on it): native int64,
+#: so a key is byte-identical to the same delays as an ``np.int64``
+#: vector and decodes with ``np.frombuffer(key, dtype=np.int64)``.
+DELAYS_TYPECODE = "q"
 
 #: Attribute used to cache the compiled form on the graph object.
 _CACHE_ATTR = "_compiled_graph_cache"
@@ -59,7 +68,7 @@ class CompiledGraph:
         "preds", "succs",
         "topo", "topo_rank",
         "fwd_levels", "rev_levels", "source_idx", "sink_idx",
-        "_timing_cache",
+        "gather", "_pack_delays", "_timing_cache",
     )
 
     def __init__(self, graph: DataFlowGraph):
@@ -70,6 +79,10 @@ class CompiledGraph:
         self.op_ids: Tuple[str, ...] = tuple(op_ids)
         self.index: Dict[str, int] = {op_id: i
                                       for i, op_id in enumerate(op_ids)}
+        #: ``gather(mapping)``: the values of an op-id keyed mapping as
+        #: a tuple in compiled op order (KeyError for a missing op)
+        self.gather: Callable[[Mapping], tuple] = _gatherer(self.op_ids)
+        self._pack_delays = partial(pack, f"{n}{DELAYS_TYPECODE}")
         ops = graph.operations()
         self.kinds: Tuple[str, ...] = tuple(op.kind for op in ops)
         self.rtypes_per_op: Tuple[str, ...] = tuple(op.rtype for op in ops)
@@ -131,6 +144,18 @@ class CompiledGraph:
         return np.fromiter((delays[op_id] for op_id in self.op_ids),
                            dtype=np.int64, count=self.n_ops)
 
+    def delays_key(self, delays: Mapping[str, int]) -> bytes:
+        """The one hashable identity of a delays vector on this graph.
+
+        Per-index delays in compiled op order (insertion order) packed as
+        native int64 bytes.  ``bytes`` caches its hash, so every memo
+        layer keyed by it hashes the vector once; the engine's timing,
+        schedule and probe-table layers and :func:`repro.hls.fastsched.
+        base_timing` all share this key.  Entries of *delays* for
+        operations outside the graph are ignored.
+        """
+        return self._pack_delays(*self.gather(delays))
+
     def rtype_of(self, i: int) -> str:
         """Resource-type name of operation index *i*."""
         return self.rtype_names[self.rtype_codes[i]]
@@ -157,6 +182,19 @@ class CompiledGraph:
     def __repr__(self) -> str:
         return (f"CompiledGraph(name={self.name!r}, ops={self.n_ops}, "
                 f"edges={self.n_edges}, rtypes={self.rtype_names})")
+
+
+def _gatherer(op_ids: Tuple[str, ...]) -> Callable[[Mapping], tuple]:
+    """A picklable ``mapping -> tuple of per-op values`` for *op_ids*
+    (C-level ``itemgetter`` whenever it returns a tuple)."""
+    if len(op_ids) > 1:
+        return itemgetter(*op_ids)
+    # itemgetter returns a bare value for one key and needs at least one
+    return partial(_gather_few, op_ids)
+
+
+def _gather_few(op_ids: Tuple[str, ...], mapping: Mapping) -> tuple:
+    return tuple(mapping[op_id] for op_id in op_ids)
 
 
 def _to_csr(adjacency: List[List[int]]

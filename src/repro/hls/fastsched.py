@@ -116,18 +116,19 @@ def base_timing(graph: DataFlowGraph,
 
     The memo lives on the compiled graph (one per graph object), so a
     latency-range scan — and every other evaluation sharing the delay
-    vector — pays the propagation exactly once.
+    vector — pays the propagation exactly once.  The memo is keyed by
+    :meth:`~repro.dfg.compiled.CompiledGraph.delays_key`: a hit calls no
+    NumPy, and a miss decodes the key itself as the delays array.
     """
     cg = compile_graph(graph)
-    arr = cg.delays_array(delays)
-    key = arr.tobytes()
+    key = cg.delays_key(delays)
     memo = cg._timing_cache
     cached = memo.get(key)
     if cached is not None:
         return cached
     if len(memo) >= TIMING_MEMO_ENTRIES:
         memo.clear()
-    timing = _compute_base_timing(cg, arr)
+    timing = _compute_base_timing(cg, np.frombuffer(key, dtype=np.int64))
     memo[key] = timing
     return timing
 
@@ -583,10 +584,9 @@ def batched_timing(graph: DataFlowGraph,
     # this call (or from a concurrent caller sharing the compiled
     # graph) must not lose rows this call already resolved
     resolved: Dict[bytes, _BaseTiming] = {}
-    missing: Dict[bytes, np.ndarray] = {}
+    missing: Dict[bytes, None] = {}  # an ordered set
     for delays in delays_list:
-        arr = cg.delays_array(delays)
-        key = arr.tobytes()
+        key = cg.delays_key(delays)
         keyed.append(key)
         if key in resolved or key in missing:
             continue
@@ -594,9 +594,10 @@ def batched_timing(graph: DataFlowGraph,
         if cached is not None:
             resolved[key] = cached
         else:
-            missing[key] = arr
+            missing[key] = None
     if missing:
-        matrix = np.stack(list(missing.values()))
+        matrix = np.frombuffer(b"".join(missing), dtype=np.int64).reshape(
+            len(missing), cg.n_ops)
         asap, tail, critical = _batched_base_timing(cg, matrix)
         for b, key in enumerate(missing):
             timing = _BaseTiming(asap[b].tolist(), tail[b].tolist(),
@@ -691,7 +692,7 @@ def batched_density_schedules(graph: DataFlowGraph,
     order: List[Tuple[Mapping[str, int], int, _BaseTiming]] = []
     assign: List[int] = []
     for delays, latency, timing in resolved:
-        dedup_key = (cg.delays_array(delays).tobytes(), latency)
+        dedup_key = (cg.delays_key(delays), latency)
         col = columns.get(dedup_key)
         if col is None:
             col = columns[dedup_key] = len(order)

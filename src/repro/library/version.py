@@ -59,28 +59,6 @@ class ResourceVersion:
                 f"version {self.name!r}: reliability must be in (0, 1], "
                 f"got {self.reliability}")
 
-    def __hash__(self):
-        # same value the generated dataclass hash would produce, but
-        # memoized: version objects are embedded in every engine memo
-        # key, so their hash runs millions of times per sweep
-        cached = self.__dict__.get("_cached_hash")
-        if cached is None:
-            cached = hash((self.rtype, self.name, self.area, self.delay,
-                           self.reliability, self.description))
-            object.__setattr__(self, "_cached_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        # string hashes are salted per process: a memoized hash must
-        # never travel in a pickle (cache snapshots, worker hand-offs)
-        # or equal versions would hash differently after a reload
-        state = dict(self.__dict__)
-        state.pop("_cached_hash", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     @property
     def failure_rate(self) -> float:
         """Failure rate λ implied by R = exp(−λ) per reference interval."""

@@ -320,6 +320,33 @@ class TestEngineAttachment:
         assert second.stats.remote_hits > 0, \
             "the second engine never used the first engine's results"
 
+    def test_engines_with_different_code_orders_share_live(self, server,
+                                                            lib):
+        # version codes are per engine: keys must cross the server in
+        # content form, or the second engine would read garbage
+        def interning(reverse):
+            engine = EvaluationEngine()
+            graph = diffeq()
+            for version in sorted(lib, reverse=reverse):
+                engine.allocation_key(graph, {op.op_id: version
+                                              for op in graph})
+            return engine
+
+        off = EvaluationEngine(cache=False)
+        reference = design_fingerprint(find_design(diffeq(), lib, 6, 11,
+                                                   engine=off))
+        first, second = interning(False), interning(True)
+        allocation = {op.op_id: lib.fastest(op.rtype) for op in diffeq()}
+        assert first.allocation_key(diffeq(), allocation) != \
+            second.allocation_key(diffeq(), allocation)
+        for engine in (first, second):
+            assert attach_engine(engine, server.address)
+            result = find_design(diffeq(), lib, 6, 11, engine=engine)
+            detach_engine(engine)
+            assert design_fingerprint(result) == reference
+        assert second.stats.remote_hits > 0
+        assert second.stats.schedules_run < first.stats.schedules_run
+
     def test_attach_to_dead_address_is_false(self, tmp_path):
         engine = EvaluationEngine()
         assert not attach_engine(engine, str(tmp_path / "gone.sock"))

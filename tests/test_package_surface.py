@@ -59,6 +59,20 @@ class TestTopLevel:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_import_and_library_load_no_numpy(self):
+        # numpy is most of a cold `import repro`; only the compiled
+        # graph core needs it, and that loads on first use
+        import subprocess
+        import sys
+
+        code = ("import sys; import repro; "
+                "from repro.library import paper_library; paper_library(); "
+                "print('numpy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_subpackages_import(self):
         import repro.bench
         import repro.charlib
