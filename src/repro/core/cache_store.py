@@ -51,7 +51,9 @@ from repro.errors import CacheError
 from repro.core.engine import EvaluationEngine
 
 #: Bumped whenever the layer contents or key shapes change shape.
-SNAPSHOT_VERSION = 1
+#: Version 2: ``probes`` values are list-schedule latencies (ints), not
+#: schedules.
+SNAPSHOT_VERSION = 2
 
 MAGIC = b"REPROCACHE"
 

@@ -34,9 +34,11 @@ Cache layers, from coarse to fine:
     re-packed (:func:`repro.hls.binding.rebind_versions`).
 ``list realization / probe``
     ``(graph, allocation, bound)`` → the count-driven list realization,
-    and ``(graph, allocation, counts)`` → one list-schedule probe.  The
+    and ``(graph, allocation, counts)`` → one list-schedule probe's
+    latency (an int: the search reads nothing else from a probe, and
+    builds the schedule once, for the winning count vector).  The
     count-increment loop re-probes overlapping count vectors constantly
-    (the winning probe of one round *is* the schedule of the next); the
+    (the winning probe of one round *is* the first probe of the next); the
     probe cache makes both the intra- and inter-call repeats free.
 ``timing``
     ``(graph, delays)`` → ASAP starts and the critical-path latency,
@@ -221,7 +223,7 @@ class EngineStats:
     schedule_reuses: int = 0      # density schedules shared via delays key
     list_realizations: int = 0    # list realizations requested
     list_hits: int = 0            # ... served from the realization cache
-    list_schedules: int = 0       # list_schedule executions
+    list_schedules: int = 0       # list-schedule probes run
     list_probe_hits: int = 0      # probes served from the probe cache
     bindings: int = 0             # left_edge_bind executions
     incremental_rebinds: int = 0  # single-pool partial re-bindings
@@ -828,6 +830,9 @@ class EvaluationEngine:
         # derived probe tables (rebuildable from the timing cache):
         # bounded like a layer but invisible to snapshots and stats
         self._timing_order = LRUCache(self.layer_capacities["timing"])
+        # the prepared list-scheduling state of the last probed
+        # (graph, allocation): ((graph id, allocation key), state)
+        self._list_slot: Optional[tuple] = None
         self._graphs: Dict[int, _GraphRecord] = {}
         self._graph_keys: Dict[tuple, int] = {}
         # inverse of the above, with each graph's op ids in compiled order
@@ -1014,6 +1019,7 @@ class EvaluationEngine:
         state = self.__dict__.copy()
         state["_id_codes"] = {}
         state["_id_pins"] = []
+        state["_list_slot"] = None  # derived, rebuilt on the next probe
         return state
 
     # ------------------------------------------------------------------
@@ -1246,7 +1252,7 @@ class EvaluationEngine:
         d = [delays[op] for op in ids]
         s = [starts[op] for op in ids]
         rank = compiled.topo_rank.tolist()
-        topo = compiled.topo.tolist()
+        topo = compiled.topo_order
         if self.cache_enabled and self.scheduler_impl == "fast":
             # base_timing already computed (and memoized) the tails
             tail = fastsched.base_timing(record.graph, delays).tail
@@ -1854,15 +1860,21 @@ class EvaluationEngine:
     def _run_list_realization(self, graph, record, signature, allocation,
                               latency_bound, impl):
         """Count-driven list realization (see evaluate.py's docstring),
-        with every list-schedule probe served through the probe cache."""
+        with every list-schedule probe served through the probe cache.
+        Probes yield latencies only; the schedule and binding are built
+        once, for the count vector that meets the bound."""
         unit_area = {allocation[op.op_id].name: allocation[op.op_id].area
                      for op in graph}
         counts = _count_lower_bounds(graph, allocation, latency_bound)
         max_rounds = sum(counts.values()) + len(graph)
         for _ in range(max_rounds):
-            schedule = self._list_probe(graph, record, signature, allocation,
-                                        counts, impl)
-            if schedule.latency <= latency_bound:
+            if self._list_probe(graph, record, signature, allocation,
+                                counts, impl) <= latency_bound:
+                if impl == "fast":
+                    schedule = fastsched.fast_list_schedule(
+                        graph, allocation, counts)
+                else:
+                    schedule = list_schedule(graph, allocation, counts)
                 self.stats.bindings += 1
                 binding = left_edge_bind(schedule, allocation)
                 return (schedule, binding)
@@ -1872,7 +1884,7 @@ class EvaluationEngine:
                 trial = dict(counts)
                 trial[name] += 1
                 latency = self._list_probe(graph, record, signature,
-                                           allocation, trial, impl).latency
+                                           allocation, trial, impl)
                 key = (latency, unit_area[name], name)
                 if best_key is None or key < best_key:
                     best_key = key
@@ -1881,7 +1893,8 @@ class EvaluationEngine:
         return None
 
     def _list_probe(self, graph, record, signature, allocation,
-                    counts, impl) -> Schedule:
+                    counts, impl) -> int:
+        """Latency of the list schedule under *counts*."""
         # counts keep _count_lower_bounds' key order (first use in op
         # order), which the allocation key already determines
         key = (record.key, signature, tuple(counts.values()))
@@ -1892,13 +1905,19 @@ class EvaluationEngine:
                 return cached
         self.stats.list_schedules += 1
         if impl == "fast":
-            schedule = fastsched.fast_list_schedule(graph, allocation,
-                                                    counts)
+            # the prepared state depends on the allocation only, so one
+            # slot serves every probe of a realization
+            slot_key = key[:2]
+            if self._list_slot is None or self._list_slot[0] != slot_key:
+                self._list_slot = (slot_key, fastsched.prepare_list_state(
+                    graph, allocation))
+            latency = fastsched.list_probe_latency(self._list_slot[1],
+                                                   key[2])
         else:
-            schedule = list_schedule(graph, allocation, counts)
+            latency = list_schedule(graph, allocation, counts).latency
         if self.cache_enabled:
-            self._list_probes.put(key, schedule)
-        return schedule
+            self._list_probes.put(key, latency)
+        return latency
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -1920,6 +1939,7 @@ class EvaluationEngine:
         for layer in self._layers.values():
             layer.clear()
         self._timing_order.clear()
+        self._list_slot = None
         self._graphs.clear()
         self._graph_keys.clear()
         self._graph_contents.clear()

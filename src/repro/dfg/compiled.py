@@ -7,11 +7,12 @@ scheduler pass walked string-keyed adjacency dicts.  A
 :class:`CompiledGraph` pays those costs exactly once per graph: the
 node set is flattened into dense integer indices (insertion order),
 adjacency into CSR arrays, the deterministic topological order into a
-permutation array, and resource types into small integer codes.  Structural *levels* (longest-path
-depth in edge count, forward and reverse) are precomputed so timing
-passes can propagate level-by-level with NumPy gather/``reduceat``
-kernels instead of per-node Python (:mod:`repro.hls.fastsched` builds
-on exactly these arrays).
+permutation array (also kept as a tuple of Python ints for per-node
+loops), and resource types into small integer codes.  Structural
+*levels* (longest-path depth in edge count, forward and reverse) are
+precomputed so batched timing passes can propagate many delay vectors
+level-by-level with NumPy gather/``reduceat`` kernels
+(:mod:`repro.hls.fastsched` builds on exactly these arrays).
 
 Compilation is cached on the graph object itself (invalidated when the
 operation or edge count changes), so every evaluation of a graph —
@@ -66,7 +67,7 @@ class CompiledGraph:
         "edge_list",
         "pred_ptr", "pred_idx", "succ_ptr", "succ_idx",
         "preds", "succs",
-        "topo", "topo_rank",
+        "topo", "topo_order", "topo_rank",
         "fwd_levels", "rev_levels", "source_idx", "sink_idx",
         "gather", "_pack_delays", "_timing_cache",
     )
@@ -116,12 +117,13 @@ class CompiledGraph:
         self.topo = np.fromiter(
             (index[op_id] for op_id in graph.topological_order()),
             dtype=np.int32, count=n)
+        #: the same order as a tuple of Python ints, for per-node loops
+        self.topo_order: Tuple[int, ...] = tuple(self.topo.tolist())
         self.topo_rank = np.empty(n, dtype=np.int32)
         self.topo_rank[self.topo] = np.arange(n, dtype=np.int32)
 
-        topo_list = self.topo.tolist()
-        self.fwd_levels = _levels(n, self.preds, topo_list)
-        self.rev_levels = _levels(n, self.succs, topo_list[::-1])
+        self.fwd_levels = _levels(n, self.preds, self.topo_order)
+        self.rev_levels = _levels(n, self.succs, self.topo_order[::-1])
         self.source_idx = np.fromiter(
             (i for i in range(n) if not preds[i]), dtype=np.int32)
         self.sink_idx = np.fromiter(
@@ -137,7 +139,7 @@ class CompiledGraph:
 
     def topo_ids(self) -> List[str]:
         """Operation ids in topological order (== the graph's)."""
-        return [self.op_ids[i] for i in self.topo]
+        return [self.op_ids[i] for i in self.topo_order]
 
     def delays_array(self, delays) -> np.ndarray:
         """Per-index delay vector from an op-id keyed mapping."""

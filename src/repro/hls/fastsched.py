@@ -14,13 +14,17 @@ speedups:
 
 ``base timing``
     ASAP starts and *tails* (longest path from an operation through
-    its own delay to the end) propagate level-by-level with NumPy
-    gather/``reduceat`` over the CSR arrays, and are memoized per
-    (graph, delays).  Because ``alap(L) = L - tail``, the time frames
-    at *any* latency bound follow in O(1) from one base pass — this is
-    what lets :meth:`EvaluationEngine._density_best`'s latency-range
-    scan warm-start bound ``L+1`` from bound ``L`` instead of paying a
-    fresh ASAP/ALAP per bound.
+    its own delay to the end), memoized per (graph, delays).  A single
+    delays vector is timed in pure Python (two loops along the cached
+    topological order: on the 25–35-op paper graphs that is several
+    times faster than NumPy's per-call overhead); only batches
+    (:func:`batched_timing`) propagate level-by-level with NumPy
+    gather/``reduceat`` over the CSR arrays.  Because
+    ``alap(L) = L - tail``, the time frames at *any* latency bound
+    follow in O(1) from one base pass — this is what lets
+    :meth:`EvaluationEngine._density_best`'s latency-range scan
+    warm-start bound ``L+1`` from bound ``L`` instead of paying a fresh
+    ASAP/ALAP per bound.
 ``incremental density``
     After each placement the scheduler updates only the affected
     descendants' ASAP values and ancestors' ALAP values (a rank-ordered
@@ -29,7 +33,12 @@ speedups:
     frames changed, instead of rebuilding it from scratch.
 ``event-driven list scheduling``
     Ready sets are maintained with predecessor counters and per-version
-    free-lane heaps; empty steps are skipped entirely.
+    free-lane heaps; empty steps are skipped entirely.  Everything but
+    the instance budgets — delays, priorities, the ready order as
+    integer ranks — is prepared once per (graph, allocation)
+    (:func:`prepare_list_state`), so a count-increment search probes
+    budget after budget with :func:`list_probe_latency`, which returns
+    the latency alone and builds no schedule.
 
 Equivalence with the reference schedulers is *exact*, not approximate:
 
@@ -63,7 +72,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.dfg.compiled import CompiledGraph, compile_graph
+from repro.dfg.compiled import DELAYS_TYPECODE, CompiledGraph, compile_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import SchedulingError
 from repro.hls.schedule import Schedule, schedule_from_starts
@@ -93,21 +102,29 @@ class _BaseTiming:
         self.critical = critical
 
 
-def _compute_base_timing(cg: CompiledGraph,
-                         delays: np.ndarray) -> _BaseTiming:
-    """Level-parallel ASAP and tail propagation over the CSR arrays."""
-    n = cg.n_ops
-    asap = np.zeros(n, dtype=np.int64)
-    finish = delays.copy()  # asap + delay, maintained alongside
-    for nodes, gather, seg_ptr in cg.fwd_levels:
-        earliest = np.maximum.reduceat(finish[gather], seg_ptr)
-        asap[nodes] = earliest
-        finish[nodes] = earliest + delays[nodes]
-    tail = delays.copy()  # delay + longest successor tail
-    for nodes, gather, seg_ptr in cg.rev_levels:
-        tail[nodes] += np.maximum.reduceat(tail[gather], seg_ptr)
-    critical = int(finish.max()) if n else 0
-    return _BaseTiming(asap.tolist(), tail.tolist(), critical)
+def _compute_base_timing(cg: CompiledGraph, d: List[int]) -> _BaseTiming:
+    """ASAP and tail propagation for one delays vector *d* (compiled
+    op order): two per-node loops along the topological order."""
+    preds, succs = cg.preds, cg.succs
+    asap = [0] * cg.n_ops
+    critical = 0
+    for i in cg.topo_order:
+        start = 0
+        for p in preds[i]:
+            finish = asap[p] + d[p]
+            if finish > start:
+                start = finish
+        asap[i] = start
+        if start + d[i] > critical:
+            critical = start + d[i]
+    tail = d[:]  # delay + longest successor tail
+    for i in reversed(cg.topo_order):
+        best = 0
+        for s in succs[i]:
+            if tail[s] > best:
+                best = tail[s]
+        tail[i] += best
+    return _BaseTiming(asap, tail, critical)
 
 
 def base_timing(graph: DataFlowGraph,
@@ -117,19 +134,23 @@ def base_timing(graph: DataFlowGraph,
     The memo lives on the compiled graph (one per graph object), so a
     latency-range scan — and every other evaluation sharing the delay
     vector — pays the propagation exactly once.  The memo is keyed by
-    :meth:`~repro.dfg.compiled.CompiledGraph.delays_key`: a hit calls no
-    NumPy, and a miss decodes the key itself as the delays array.
+    :meth:`~repro.dfg.compiled.CompiledGraph.delays_key`, and a miss
+    decodes the key itself as the delays vector; neither calls NumPy.
     """
     cg = compile_graph(graph)
-    key = cg.delays_key(delays)
+    return _keyed_timing(cg, cg.delays_key(delays))
+
+
+def _keyed_timing(cg: CompiledGraph, key: bytes) -> _BaseTiming:
+    """:func:`base_timing` for a ready-made delays key."""
     memo = cg._timing_cache
     cached = memo.get(key)
     if cached is not None:
         return cached
     if len(memo) >= TIMING_MEMO_ENTRIES:
         memo.clear()
-    timing = _compute_base_timing(cg, np.frombuffer(key, dtype=np.int64))
-    memo[key] = timing
+    timing = memo[key] = _compute_base_timing(
+        cg, memoryview(key).cast(DELAYS_TYPECODE).tolist())
     return timing
 
 
@@ -148,7 +169,7 @@ def fast_asap_starts(graph: DataFlowGraph,
         starts = _asap_with_fixed(cg, cg.delays_array(delays), fixed)
     # key order matches the reference (built along the topo walk)
     ids = cg.op_ids
-    return {ids[i]: int(starts[i]) for i in cg.topo.tolist()}
+    return {ids[i]: int(starts[i]) for i in cg.topo_order}
 
 
 def fast_asap_latency(graph: DataFlowGraph,
@@ -176,7 +197,7 @@ def fast_alap_starts(graph: DataFlowGraph,
                                   fixed)
     # key order matches the reference (built along the reversed walk)
     ids = cg.op_ids
-    return {ids[i]: int(starts[i]) for i in reversed(cg.topo.tolist())}
+    return {ids[i]: int(starts[i]) for i in reversed(cg.topo_order)}
 
 
 def fast_time_frames(graph: DataFlowGraph,
@@ -197,7 +218,7 @@ def fast_time_frames(graph: DataFlowGraph,
         alap = _alap_with_fixed(cg, arr, latency, fixed)
     frames: Dict[str, Tuple[int, int]] = {}
     ids = cg.op_ids
-    for i in cg.topo.tolist():  # first empty frame in topo order wins
+    for i in cg.topo_order:  # first empty frame in topo order wins
         if asap[i] > alap[i]:
             raise SchedulingError(
                 f"operation {ids[i]!r} has an empty time frame "
@@ -217,7 +238,7 @@ def _asap_with_fixed(cg: CompiledGraph, delays: np.ndarray,
                                  if op in cg.index}
     violator = None
     rank = cg.topo_rank
-    for i in cg.topo.tolist():
+    for i in cg.topo_order:
         earliest = 0
         for p in preds[i]:
             finish = starts[p] + d[p]
@@ -252,7 +273,7 @@ def _alap_with_fixed(cg: CompiledGraph, delays: np.ndarray, latency: int,
     # violation it meets — i.e. the violator with the highest rank
     violator = None
     rank = cg.topo_rank
-    for i in reversed(cg.topo.tolist()):
+    for i in reversed(cg.topo_order):
         latest = latency
         for s in succs[i]:
             if starts[s] < latest:
@@ -451,92 +472,168 @@ def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
 # ----------------------------------------------------------------------
 # event-driven list scheduling
 # ----------------------------------------------------------------------
+class ListState:
+    """Everything a list schedule of one (graph, allocation) pair needs
+    besides the instance budgets, prepared once by
+    :func:`prepare_list_state`.
+
+    Operations are relabelled by their *ready rank*: their position in
+    the ``(-priority, op id)`` order, so a ready set is a sorted list of
+    ints.  All per-op vectors below are indexed by rank.
+    """
+
+    __slots__ = ("pools", "pool", "d", "succs", "roots", "n_preds", "order")
+
+    def __init__(self, pools, pool, d, succs, roots, n_preds, order):
+        #: version names in first-use op order: the key order of the
+        #: count vectors :func:`list_probe_latency` takes
+        self.pools: Tuple[str, ...] = pools
+        #: index into :attr:`pools` of each op's version
+        self.pool: List[int] = pool
+        self.d: List[int] = d
+        self.succs: List[Tuple[int, ...]] = succs
+        self.roots: List[int] = roots
+        self.n_preds: List[int] = n_preds
+        #: compiled op index of each rank
+        self.order: List[int] = order
+
+
+def prepare_list_state(graph: DataFlowGraph, allocation) -> ListState:
+    """The budget-independent part of a list schedule of *graph* under
+    *allocation*: delays, the priority order and the ready bookkeeping.
+    """
+    cg = compile_graph(graph)
+    try:
+        versions = cg.gather(allocation)
+    except KeyError:
+        missing = next(op for op in cg.op_ids if op not in allocation)
+        raise SchedulingError(
+            f"operation {missing!r} has no allocation") from None
+    d = [version.delay for version in versions]
+    # the list-scheduling priority — delay plus longest downstream
+    # path — is exactly the base-timing tail
+    priority = _keyed_timing(cg, cg._pack_delays(*d)).tail
+    ids = cg.op_ids
+    order = sorted(range(cg.n_ops), key=lambda i: (-priority[i], ids[i]))
+    rank = [0] * cg.n_ops
+    for r, i in enumerate(order):
+        rank[i] = r
+    pool_of: Dict[str, int] = {}
+    pool = [pool_of.setdefault(version.name, len(pool_of))
+            for version in versions]
+    preds, succs = cg.preds, cg.succs
+    n_preds = [len(preds[i]) for i in order]
+    return ListState(
+        pools=tuple(pool_of),
+        pool=[pool[i] for i in order],
+        d=[d[i] for i in order],
+        succs=[tuple(rank[j] for j in succs[i]) for i in order],
+        roots=[r for r, count in enumerate(n_preds) if not count],
+        n_preds=n_preds,
+        order=order)
+
+
+def list_probe_latency(state: ListState, counts,
+                       max_steps: int = 100_000) -> int:
+    """Latency of the list schedule of a prepared *state* under the
+    instance *counts*, one per :attr:`ListState.pools` entry, in that
+    order.  Builds no schedule: the count-increment search only reads
+    this number from every probe but the last."""
+    for name, count in zip(state.pools, counts):
+        if count < 1:
+            raise SchedulingError(
+                f"no instances budgeted for version {name!r}")
+    return _run_list(state, counts, max_steps, None)
+
+
+def _run_list(state: ListState, counts, max_steps: int,
+              placed: Optional[List[Tuple[int, int]]]) -> int:
+    """The event loop: returns the latency, and appends ``(rank,
+    start)`` to *placed* (when given) in placement order.
+
+    Same greedy, same ``(-priority, op id)`` ready order and lane
+    budgets as the reference, but readiness is event-driven
+    (predecessor counters plus per-version free-lane heaps) and idle
+    steps are skipped, so the cost scales with placements rather than
+    with the latency horizon.  Every budget must be positive.
+    """
+    pool, d, succs = state.pool, state.d, state.succs
+    free = [[0] * count for count in counts]
+    pending = state.n_preds[:]
+    ready_at = [0] * len(d)
+    arrivals: Dict[int, List[int]] = {}
+    ready = state.roots  # never mutated: replaced before any append
+    remaining = len(d)
+    latency = 0
+    step = 0
+    while True:
+        if step > max_steps:
+            raise SchedulingError(
+                f"list scheduler exceeded {max_steps} steps; "
+                "instance budget is likely malformed")
+        deferred = []
+        for r in ready:
+            lanes = free[pool[r]]
+            if lanes[0] > step:
+                deferred.append(r)
+                continue
+            finish = step + d[r]
+            heapq.heapreplace(lanes, finish)
+            if placed is not None:
+                placed.append((r, step))
+            if finish > latency:
+                latency = finish
+            remaining -= 1
+            # a successor is observably ready once every producer has
+            # finished *and* the current step has passed (the reference
+            # recomputes readiness at the top of each step, so a
+            # zero-delay producer placed this step unblocks its
+            # consumers next step at the earliest)
+            ripe = finish if finish > step else step + 1
+            for j in succs[r]:
+                if ripe > ready_at[j]:
+                    ready_at[j] = ripe
+                pending[j] -= 1
+                if not pending[j]:
+                    arrivals.setdefault(ready_at[j], []).append(j)
+        if not remaining:
+            return latency
+        horizon = [free[pool[r]][0] for r in deferred]
+        if arrivals:
+            horizon.append(min(arrivals))
+        if not horizon:  # unreachable with validated budgets
+            raise SchedulingError(
+                "list scheduler stalled with work outstanding")
+        step = max(step + 1, min(horizon))
+        ready = deferred
+        arrived = arrivals.pop(step, None)
+        if arrived:
+            ready += arrived
+            ready.sort()
+
+
 def fast_list_schedule(graph: DataFlowGraph, allocation,
                        instance_counts: Mapping[str, int],
                        max_steps: int = 100_000) -> Schedule:
     """Drop-in, schedule-identical :func:`repro.hls.listsched.
-    list_schedule` over the compiled arrays.
-
-    Same greedy, same ``(-priority, op id)`` ready order, same lane
-    budgets — but readiness is event-driven (predecessor counters plus
-    per-version free-lane heaps) and idle steps are skipped, so the
-    cost scales with placements rather than with the latency horizon.
-    """
+    list_schedule` over the compiled arrays: :func:`prepare_list_state`,
+    then the event loop, recording starts in placement order (the order
+    the reference builds them in)."""
     delays: Dict[str, int] = {}
     for op in graph:
         version = allocation.get(op.op_id)
         if version is None:
             raise SchedulingError(f"operation {op.op_id!r} has no allocation")
-        count = instance_counts.get(version.name, 0)
-        if count < 1:
+        if instance_counts.get(version.name, 0) < 1:
             raise SchedulingError(
                 f"no instances budgeted for version {version.name!r}")
         delays[op.op_id] = version.delay
-
-    cg = compile_graph(graph)
-    n = cg.n_ops
-    d = [delays[op_id] for op_id in cg.op_ids]
-    # the list-scheduling priority — delay plus longest downstream
-    # path — is exactly the base-timing tail
-    priority = base_timing(graph, delays).tail
-    vname = [allocation[op_id].name for op_id in cg.op_ids]
-
-    free: Dict[str, List[int]] = {name: [0] * count
-                                  for name, count in instance_counts.items()}
-    pending = [len(cg.preds[i]) for i in range(n)]
-    ready_at = [0] * n
-    arrivals: Dict[int, List[int]] = {0: [i for i in range(n)
-                                          if pending[i] == 0]}
-    ready: List[Tuple[int, str, int]] = []
-    placed: List[Tuple[str, int]] = []
-    succs = cg.succs
-    op_ids = cg.op_ids
-
-    step = 0
-    while len(placed) < n:
-        if step > max_steps:
-            raise SchedulingError(
-                f"list scheduler exceeded {max_steps} steps; "
-                "instance budget is likely malformed")
-        for i in arrivals.pop(step, ()):
-            heapq.heappush(ready, (-priority[i], op_ids[i], i))
-        deferred = []
-        while ready:
-            item = heapq.heappop(ready)
-            i = item[2]
-            lanes = free[vname[i]]
-            if lanes[0] <= step:
-                heapq.heapreplace(lanes, step + d[i])
-                placed.append((op_ids[i], step))
-                # a successor is observably ready once every producer
-                # has finished *and* the current step has passed (the
-                # reference recomputes readiness at the top of each
-                # step, so a zero-delay producer placed this step
-                # unblocks its consumers next step at the earliest)
-                ripe = step + (d[i] if d[i] > 0 else 1)
-                for j in succs[i]:
-                    if ripe > ready_at[j]:
-                        ready_at[j] = ripe
-                    pending[j] -= 1
-                    if pending[j] == 0:
-                        arrivals.setdefault(ready_at[j], []).append(j)
-            else:
-                deferred.append(item)
-        for item in deferred:
-            heapq.heappush(ready, item)
-        if len(placed) == n:
-            break
-        horizon = []
-        if arrivals:
-            horizon.append(min(arrivals))
-        for item in deferred:
-            horizon.append(free[vname[item[2]]][0])
-        if not horizon:  # unreachable with validated budgets
-            raise SchedulingError(
-                "list scheduler stalled with work outstanding")
-        step = max(step + 1, min(horizon))
-
-    starts = dict(placed)  # placement order, as the reference builds it
+    state = prepare_list_state(graph, allocation)
+    placed: List[Tuple[int, int]] = []
+    _run_list(state, [instance_counts[name] for name in state.pools],
+              max_steps, placed)
+    ids, order = compile_graph(graph).op_ids, state.order
+    starts = {ids[order[r]]: step for r, step in placed}
     return schedule_from_starts(graph, starts, delays)
 
 
@@ -630,7 +727,7 @@ def batched_time_frames(graph: DataFlowGraph,
     cg = compile_graph(graph)
     timings = batched_timing(graph, delays_list)
     ids = cg.op_ids
-    topo = cg.topo.tolist()
+    topo = cg.topo_order
     results = []
     for delays, latency, fixed, timing in zip(delays_list, latencies,
                                               fixed_list, timings):

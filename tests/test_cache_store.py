@@ -45,6 +45,11 @@ class TestRoundTrip:
         assert restored.entry_count == snapshot.entry_count
         assert sorted(restored.layers) == sorted(snapshot.layers)
 
+    def test_probe_values_are_latencies(self, warm_engine):
+        probes = snapshot_engine(warm_engine).layers["probes"]
+        assert probes
+        assert all(type(value) is int for _, value in probes)
+
     def test_file_round_trip(self, warm_engine, tmp_path):
         path = cache_store.snapshot_path(str(tmp_path))
         cache_store.save(snapshot_engine(warm_engine), path)

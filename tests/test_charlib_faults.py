@@ -8,6 +8,7 @@ from repro.charlib import (
     Netlist,
     average_masking,
     brent_kung_adder,
+    carry_save_multiplier,
     characterize_component,
     characterize_library,
     inject,
@@ -20,6 +21,8 @@ from repro.charlib import (
     ripple_carry_adder,
     simulate,
 )
+from repro.charlib import faults
+from repro.charlib.simulate import all_ones
 from repro.errors import CharacterizationError
 from repro.library import PAPER_QCRITICAL
 
@@ -100,6 +103,55 @@ class TestInjection:
         rca = average_masking(masking_campaign(ripple_carry_adder(8), 128, 5))
         ks = average_masking(masking_campaign(kogge_stone_adder(8), 128, 5))
         assert ks > rca
+
+
+def rescan_cone(netlist, node):
+    """The fan-out cone by its definition: one pass over every
+    levelized gate, growing the set of affected nets."""
+    affected = {node}
+    cone = []
+    for gate in netlist.levelize():
+        if any(net in affected for net in gate.inputs):
+            affected.add(gate.output)
+            cone.append(gate)
+    return cone
+
+
+CONE_NETLISTS = [ripple_carry_adder(8), kogge_stone_adder(8),
+                 carry_save_multiplier(4)]
+
+
+class TestFanoutCones:
+    @pytest.mark.parametrize("netlist", CONE_NETLISTS,
+                             ids=lambda n: n.name)
+    def test_every_cone_matches_the_rescan(self, netlist):
+        index = faults._fanout_index(netlist)
+        nodes = netlist.inputs + [gate.output for gate in netlist.gates()]
+        for node in nodes:
+            assert faults._downstream_order(*index, node) == \
+                rescan_cone(netlist, node), node
+
+    @pytest.mark.parametrize("netlist", CONE_NETLISTS,
+                             ids=lambda n: n.name)
+    def test_campaign_matches_rescan_injection(self, netlist):
+        vectors = 64
+        baseline = simulate(netlist, random_stimulus(netlist, vectors, 2),
+                            vectors)
+        mask = all_ones(vectors)
+        campaign = masking_campaign(netlist, vectors, seed=2)
+        for gate in netlist.gates():
+            values = dict(baseline)
+            values[gate.output] = ~values[gate.output] & mask
+            for member in rescan_cone(netlist, gate.output):
+                values[member.output] = member.gtype.evaluate(
+                    tuple(values[net] for net in member.inputs), mask)
+            flipped = 0
+            for net in netlist.outputs:
+                flipped |= values[net] ^ baseline[net]
+            assert campaign[gate.output].propagated == \
+                bin(flipped).count("1")
+            assert inject(netlist, gate.output, baseline, vectors) == \
+                campaign[gate.output]
 
 
 class TestMaskingModel:

@@ -209,6 +209,32 @@ class TestCacheDir:
         assert "ignoring engine cache" in captured.err
         assert "999" in captured.err
 
+    def test_v1_snapshot_is_ignored_and_rewritten(self, tmp_path, capsys):
+        """A snapshot from before probes held latencies (format v1) is
+        a version mismatch: the run goes cold and saves a current file."""
+        import hashlib
+        import pickle
+
+        from repro.core import cache_store
+
+        args = ["synth", "fir", "-l", "11", "-a", "8"]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        payload = pickle.dumps({"version": 1, "layers": {"probes": []}})
+        path = self._snapshot_file(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(cache_store.MAGIC + b" v1\n"
+                     + hashlib.sha256(payload).hexdigest().encode("ascii")
+                     + b"\n" + payload)
+        assert main(args + ["--cache-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold
+        assert "ignoring engine cache" in captured.err
+        assert "format version 1" in captured.err
+        with open(path, "rb") as fh:
+            assert fh.read().startswith(cache_store.MAGIC + b" v2\n")
+        assert cache_store.load(path).layers["probes"]
+
     def test_explore_cache_dir_output_is_stable(self, tmp_path, capsys):
         args = ["explore", "diffeq", "--latencies", "5", "6",
                 "--areas", "11", "--cache-dir", str(tmp_path)]

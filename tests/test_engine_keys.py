@@ -221,13 +221,18 @@ class TestDelaysKey:
             compiled.delays_key(delays)
 
     def test_base_timing_hit_calls_no_numpy(self, monkeypatch):
+        """Neither the miss (decoding the key) nor the hit uses NumPy."""
         graph = diffeq()
         delays = {op.op_id: 2 for op in graph}
-        cold = fastsched.base_timing(graph, delays)
+        expected = fastsched.batched_timing(graph, [delays])[0]
+        compile_graph(graph)._timing_cache.clear()
 
         class NoNumpy:
             def __getattr__(self, name):
-                raise AssertionError(f"numpy.{name} used on a memo hit")
+                raise AssertionError(f"numpy.{name} used by base_timing")
 
         monkeypatch.setattr(fastsched, "np", NoNumpy())
+        cold = fastsched.base_timing(graph, delays)
+        assert (cold.asap, cold.tail, cold.critical) == \
+            (expected.asap, expected.tail, expected.critical)
         assert fastsched.base_timing(graph, dict(delays)) is cold

@@ -9,6 +9,7 @@ layer, snapshot and golden value between the two cores.
 """
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +257,123 @@ class TestListEquivalence:
             fast_list_schedule(graph, allocation, counts, max_steps=0)
 
 
+@dataclass(frozen=True)
+class Version:
+    """The two fields a list scheduler reads, without
+    :class:`~repro.library.version.ResourceVersion`'s positive-delay
+    check, so zero-delay operations can be scheduled."""
+
+    name: str
+    delay: int
+
+
+def pooled_allocation(graph, seed, zero_delays):
+    """Ops spread over three version pools with fixed delays."""
+    rng = random.Random(seed)
+    low = 0 if zero_delays else 1
+    pools = [Version(f"v{k}", rng.randint(low, 3)) for k in range(3)]
+    return {op.op_id: rng.choice(pools) for op in graph}
+
+
+def probe(graph, allocation, counts, max_steps=100_000):
+    state = fastsched.prepare_list_state(graph, allocation)
+    return fastsched.list_probe_latency(
+        state, [counts[name] for name in state.pools], max_steps)
+
+
+class TestListProbeKernel:
+    """The latency-only probe ≡ both full list schedulers."""
+
+    @given(graph_params, st.booleans(),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3),
+                              st.integers(1, 3)), min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_latency_matches_both_schedulers(self, params, zero_delays,
+                                             budgets):
+        graph = build(params)
+        allocation = pooled_allocation(graph, params[1], zero_delays)
+        # one prepared state serves every budget, as in the engine
+        state = fastsched.prepare_list_state(graph, allocation)
+        for budget in budgets:
+            counts = {f"v{k}": budget[k] for k in range(3)}
+            latency = fastsched.list_probe_latency(
+                state, [counts[name] for name in state.pools])
+            assert latency == list_schedule(graph, allocation,
+                                            counts).latency
+            assert latency == fast_list_schedule(graph, allocation,
+                                                 counts).latency
+
+    def test_zero_delay_ops_and_budgets_of_one(self):
+        from repro.dfg import DataFlowGraph
+
+        g = DataFlowGraph("zd")
+        g.add("a", "add")
+        g.add("b", "add", deps=["a"])
+        g.add("c", "add", deps=["a"])
+        g.add("d", "add", deps=["b", "c"])
+        zero, one = Version("z", 0), Version("u", 1)
+        allocation = {"a": one, "b": zero, "c": one, "d": zero}
+        counts = {"z": 1, "u": 1}
+        expected = list_schedule(g, allocation, counts)
+        assert probe(g, allocation, counts) == expected.latency == 2
+        assert fast_list_schedule(g, allocation, counts).starts == \
+            expected.starts
+
+    def test_max_steps_message_matches_the_reference(self):
+        graph = random_dag(8, seed=3)
+        allocation = random_allocation(graph, 3)
+        counts = {version.name: 1 for version in allocation.values()}
+        with pytest.raises(SchedulingError) as reference:
+            list_schedule(graph, allocation, counts, max_steps=0)
+        with pytest.raises(SchedulingError) as probed:
+            probe(graph, allocation, counts, max_steps=0)
+        assert str(probed.value) == str(reference.value) == \
+            "list scheduler exceeded 0 steps; instance budget is " \
+            "likely malformed"
+
+    def test_zero_budget_message_matches_the_reference(self):
+        graph = random_dag(8, seed=3)
+        allocation = random_allocation(graph, 3)
+        counts = {version.name: 1 for version in allocation.values()}
+        counts[allocation[graph.op_ids()[-1]].name] = 0
+        with pytest.raises(SchedulingError) as reference:
+            list_schedule(graph, allocation, counts)
+        with pytest.raises(SchedulingError) as probed:
+            probe(graph, allocation, counts)
+        assert str(probed.value) == str(reference.value)
+
+    def test_missing_allocation_raises(self):
+        graph = random_dag(5, seed=1)
+        allocation = random_allocation(graph, 1)
+        del allocation[graph.op_ids()[2]]
+        with pytest.raises(SchedulingError, match="has no allocation"):
+            fastsched.prepare_list_state(graph, allocation)
+
+    def test_full_schedule_keeps_placement_order(self):
+        graph = random_dag(24, seed=4)
+        allocation = random_allocation(graph, 4)
+        counts = {version.name: 1 for version in allocation.values()}
+        starts = fast_list_schedule(graph, allocation, counts).starts
+        steps = list(starts.values())
+        assert steps == sorted(steps)
+        assert list(starts) == \
+            list(list_schedule(graph, allocation, counts).starts)
+
+    def test_probe_kernel_calls_no_numpy(self, monkeypatch):
+        graph = random_dag(20, seed=12)
+        allocation = random_allocation(graph, 12)
+        counts = {version.name: 1 for version in allocation.values()}
+        expected = list_schedule(graph, allocation, counts).latency
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used by a probe")
+
+        monkeypatch.setattr(fastsched, "np", NoNumpy())
+        # a fresh graph: preparing the state misses the timing memo
+        assert probe(graph, allocation, counts) == expected
+
+
 class TestEngineImplEquivalence:
     """One engine per implementation, identical evaluations."""
 
@@ -316,6 +434,8 @@ class TestEngineImplEquivalence:
         monkeypatch.setattr(fastsched, "base_timing", forbidden)
         monkeypatch.setattr(fastsched, "fast_density_schedule", forbidden)
         monkeypatch.setattr(fastsched, "fast_list_schedule", forbidden)
+        monkeypatch.setattr(fastsched, "prepare_list_state", forbidden)
+        monkeypatch.setattr(fastsched, "list_probe_latency", forbidden)
         result = engine.evaluate(graph, allocation, 40,
                                  scheduler_impl="reference")
         assert result is not None
