@@ -52,8 +52,8 @@ from repro.core.engine import EvaluationEngine
 
 #: Bumped whenever the layer contents or key shapes change shape.
 #: Version 2: ``probes`` values are list-schedule latencies (ints), not
-#: schedules.
-SNAPSHOT_VERSION = 2
+#: schedules.  Version 3: the ``paths`` layer (latency-loop paths).
+SNAPSHOT_VERSION = 3
 
 MAGIC = b"REPROCACHE"
 

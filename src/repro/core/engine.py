@@ -46,6 +46,16 @@ Cache layers, from coarse to fine:
     single-op re-timing that only relaxes the changed operation's
     descendants instead of re-running a full ASAP pass (victim
     selection probes every critical operation this way).
+``paths``
+    ``(graph, version pools)`` → the latency path of Figure 6's
+    latency loop (lines 7–12): the critical path of the most reliable
+    allocation, then one ``(op id, new version, critical path after)``
+    step per victim, walked lazily only as far as the tightest horizon
+    asked so far (:meth:`EvaluationEngine.latency_start`).  The pools
+    are the graph's resource types with every library version of each,
+    the only part of a library the walk reads, so every search on one
+    graph and library — horizons, bound grids, sweeps — shares one
+    walk.  Keys and values are already in content form.
 
 Graphs are identified by *content* (name, operations, edges in
 insertion order), not object identity, so rebuilding a benchmark graph
@@ -123,6 +133,7 @@ from repro.hls.listsched import list_schedule
 from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS, total_area
 from repro.hls.schedule import Schedule
 from repro.hls.timing import asap_starts
+from repro.library.library import ResourceLibrary
 from repro.library.version import ResourceVersion
 from repro.core.design import check_area_model
 from repro.core.evaluate import (
@@ -131,6 +142,7 @@ from repro.core.evaluate import (
     Evaluation,
     _count_lower_bounds,
 )
+from repro.core.victims import select_latency_victim
 
 AllocationSignature = Tuple[Tuple[str, ResourceVersion], ...]
 
@@ -236,6 +248,9 @@ class EngineStats:
     remote_fallbacks: int = 0     # times the remote backend was abandoned
     batch_items: int = 0          # items submitted to evaluate_batch()
     batched_evals: int = 0        # ... actually solved by the batched path
+    path_requests: int = 0        # latency_start() calls
+    path_hits: int = 0            # ... answered by a stored latency path
+    path_steps: int = 0           # latency-victim selections run
     wall_time: float = 0.0        # seconds spent inside evaluate()
 
     @property
@@ -298,6 +313,8 @@ class EngineStats:
             f"  batched evaluations   : {self.batched_evals}"
             f" (of {self.batch_items} batch items,"
             f" fill {self.batch_fill:.1%})",
+            f"  latency paths         : {self.path_requests}"
+            f" (hits {self.path_hits}, victim steps {self.path_steps})",
             f"  lru evictions         : {self.evictions}",
             f"  remote cache          : {self.remote_hits} hits"
             f" (negative hits {self.remote_negative_hits},"
@@ -786,8 +803,9 @@ class EvaluationEngine:
         "density": 0.25,       # per-(allocation, latency) density points
         "schedules": 0.10,     # delays-keyed density schedules
         "list": 0.10,          # count-driven list realizations
-        "probes": 0.30,        # list-schedule probes
+        "probes": 0.29,        # list-schedule probes
         "timing": 0.10,        # ASAP starts / critical-path latencies
+        "paths": 0.01,         # latency-loop paths per (graph, pools)
     }
 
     def __init__(self, *, area_model: str = AREA_INSTANCES,
@@ -860,6 +878,7 @@ class EvaluationEngine:
         "_list_results": "list",
         "_list_probes": "probes",
         "_timing_cache": "timing",
+        "_paths": "paths",
     }
 
     def _bind_layers(self, views: Mapping[str, object]) -> None:
@@ -1034,12 +1053,15 @@ class EvaluationEngine:
         key its :func:`allocation_signature`, a delays key
         ``tuple(sorted(delays.items()))`` and a probe's count vector
         ``tuple(sorted(counts.items()))`` — byte for byte what snapshot
-        files have always held.  *memo* (one dict per export) shares
+        files have always held.  A path's version pools are content
+        already and pass through.  *memo* (one dict per export) shares
         the translation of vectors repeated across entries.
         """
         entry = self._graph_contents.get(key[0])
         if entry is None:
             return None
+        if layer == "paths":
+            return (entry[0], key[1])
         vector = self._content_vector(layer in _DELAYS_LAYERS, key[0],
                                       key[1], memo)
         if layer == "probes":
@@ -1074,6 +1096,8 @@ class EvaluationEngine:
         if hit is None or hit[0] is not graph:
             hit = memo[id(graph)] = (graph,) + self._graph_id(graph)
         graph_key = hit[1]
+        if layer == "paths":
+            return (graph_key, content_key[1])
         code = self._local_vector(layer in _DELAYS_LAYERS, graph_key,
                                   content_key[1], memo)
         if code is None:
@@ -1304,6 +1328,66 @@ class EvaluationEngine:
         if self.cache_enabled:
             self._timing_order.put(key, tables)
         return tables
+
+    # ------------------------------------------------------------------
+    # latency paths
+    # ------------------------------------------------------------------
+    def latency_start(self, graph: DataFlowGraph, library: ResourceLibrary,
+                      horizon: int
+                      ) -> Optional[Dict[str, ResourceVersion]]:
+        """The allocation Figure 6's latency loop (lines 7–12) reaches
+        for *horizon*, or ``None`` when it cannot get there.
+
+        The loop starts from the most reliable version everywhere and,
+        while the critical path exceeds *horizon*, gives the
+        :func:`~repro.core.victims.select_latency_victim` victim its
+        faster version; ``None`` means no critical operation had one
+        left.  The walk never reads the horizon except to stop, so one
+        stored path per graph and version pools serves every horizon:
+        the answer is the path's shortest prefix whose critical path is
+        at most *horizon*.  A path is extended lazily, only as far as a
+        request needs, and marked complete once no victim remains; the
+        extended path replaces the stored one.  A cache-disabled engine
+        walks from scratch on every call and stores nothing.
+        """
+        record = self._record(graph)
+        rtypes = graph.rtypes()
+        pools = tuple((rtype, tuple(library.versions_of(rtype)))
+                      for rtype in rtypes)
+        reliable = {rtype: library.most_reliable(rtype) for rtype in rtypes}
+        allocation = {op.op_id: reliable[op.rtype] for op in graph}
+        self.stats.path_requests += 1
+        key = (record.key, pools)
+        path = self._paths.get(key) if self.cache_enabled else None
+        if path is None:
+            start = critical = self.min_latency(graph, allocation)
+            steps: tuple = ()
+        else:
+            start, steps, complete = path
+            critical = start
+            for op_id, version, after in steps:
+                if critical <= horizon:
+                    break
+                allocation[op_id] = version
+                critical = after
+            if critical <= horizon or complete:
+                self.stats.path_hits += 1
+                return allocation if critical <= horizon else None
+        walked = []
+        complete = False
+        while critical > horizon:
+            self.stats.path_steps += 1
+            victim = select_latency_victim(graph, library, allocation,
+                                           timing=self)
+            if victim is None:
+                complete = True
+                break
+            allocation[victim.op_id] = victim.new_version
+            critical = self.min_latency(graph, allocation)
+            walked.append((victim.op_id, victim.new_version, critical))
+        if self.cache_enabled:
+            self._paths.put(key, (start, steps + tuple(walked), complete))
+        return None if complete else allocation
 
     # ------------------------------------------------------------------
     # evaluation

@@ -8,7 +8,11 @@ bounds:
    violating both bounds).
 2. **Latency loop** (Figure 6, lines 7–12) — while the critical path
    exceeds the bound, pick a critical-path victim and give it a
-   faster (usually less reliable) version.
+   faster (usually less reliable) version.  The loop never reads the
+   bound except to stop, so the engine walks it once per graph and
+   library and holds the path
+   (:meth:`~repro.core.engine.EvaluationEngine.latency_start`): every
+   horizon of every search starts from a prefix of the same walk.
 3. **Slack exploitation** (lines 15–21) — realize the allocation at
    the latency, up to the bound, that minimizes area; stretching the
    schedule lets more operations share an instance.
@@ -51,7 +55,7 @@ from repro.library.library import ResourceLibrary
 from repro.library.version import ResourceVersion
 from repro.core.design import DesignResult, check_area_model
 from repro.core.engine import EvaluationEngine, default_engine
-from repro.core.victims import group_swaps, select_latency_victim
+from repro.core.victims import group_swaps
 
 REPAIR_POLICIES = ("generalized", "paper")
 
@@ -217,7 +221,10 @@ def find_design(graph: DataFlowGraph,
     Raises
     ------
     NoSolutionError
-        When no explored allocation meets both bounds.
+        When no explored allocation meets both bounds; at once, before
+        any search, when *area_bound* is below the area floor (the sum
+        over the graph's resource types of the smallest version's
+        area).
     """
     graph.validate()
     check_area_model(area_model)
@@ -228,6 +235,14 @@ def find_design(graph: DataFlowGraph,
         raise ReproError("latency and area bounds must be positive")
 
     engine = engine if engine is not None else default_engine()
+    # every used resource type needs at least one instance of some
+    # version, under either area model: no design fits below this sum
+    area_floor = sum(library.smallest(rtype).area
+                     for rtype in graph.rtypes())
+    if area_bound < area_floor:
+        raise _no_solution(graph, library, latency_bound, area_bound,
+                           area_model, engine,
+                           f" (area floor {area_floor})")
     search = _Search(graph, library, latency_bound, area_bound, area_model,
                      method="find_design", engine=engine,
                      on_improvement=on_improvement)
@@ -257,15 +272,25 @@ def find_design(graph: DataFlowGraph,
             search.consider_batch(pending, [search.key(a) for a in pending])
 
     if search.best is None:
-        achieved = search_achievements(graph, library, latency_bound,
-                                       area_model, engine=engine)
-        raise NoSolutionError(
-            f"no design of {graph.name!r} meets latency <= {latency_bound} "
-            f"and area <= {area_bound}",
-            latency=achieved.get("latency"),
-            area=achieved.get("area"),
-        )
+        raise _no_solution(graph, library, latency_bound, area_bound,
+                           area_model, engine)
     return search.best
+
+
+def _no_solution(graph: DataFlowGraph, library: ResourceLibrary,
+                 latency_bound: int, area_bound: int, area_model: str,
+                 engine: EvaluationEngine, detail: str = ""
+                 ) -> NoSolutionError:
+    """The error of an infeasible search, with the
+    :func:`search_achievements` diagnostics."""
+    achieved = search_achievements(graph, library, latency_bound,
+                                   area_model, engine=engine)
+    return NoSolutionError(
+        f"no design of {graph.name!r} meets latency <= {latency_bound} "
+        f"and area <= {area_bound}{detail}",
+        latency=achieved.get("latency"),
+        area=achieved.get("area"),
+    )
 
 
 def _trajectory(search: _Search, horizon: int, repair: str,
@@ -274,19 +299,12 @@ def _trajectory(search: _Search, horizon: int, repair: str,
     graph, library = search.graph, search.library
     area_bound = search.area_bound
 
-    # 1. Most reliable version everywhere (Figure 6, line 3).
-    allocation: Dict[str, ResourceVersion] = {
-        op.op_id: library.most_reliable(op.rtype) for op in graph
-    }
-
-    # 2. Latency loop (lines 7-12).
-    engine = search.engine
-    while engine.min_latency(graph, allocation) > horizon:
-        victim = select_latency_victim(graph, library, allocation,
-                                       timing=engine)
-        if victim is None:
-            return
-        allocation[victim.op_id] = victim.new_version
+    # 1-2. Most reliable version everywhere (Figure 6, line 3), then
+    # the latency loop (lines 7-12), walked once per graph and library
+    # by the engine.
+    allocation = search.engine.latency_start(graph, library, horizon)
+    if allocation is None:
+        return
 
     start_key = search.key(allocation)
     if seen_allocations is not None:

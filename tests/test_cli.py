@@ -210,8 +210,9 @@ class TestCacheDir:
         assert "999" in captured.err
 
     def test_v1_snapshot_is_ignored_and_rewritten(self, tmp_path, capsys):
-        """A snapshot from before probes held latencies (format v1) is
-        a version mismatch: the run goes cold and saves a current file."""
+        """A snapshot from before probes held latencies (format v1) or
+        before the latency-path layer (format v2) is a version
+        mismatch: the run goes cold and saves a current file."""
         import hashlib
         import pickle
 
@@ -220,20 +221,25 @@ class TestCacheDir:
         args = ["synth", "fir", "-l", "11", "-a", "8"]
         assert main(args) == 0
         cold = capsys.readouterr().out
-        payload = pickle.dumps({"version": 1, "layers": {"probes": []}})
-        path = self._snapshot_file(tmp_path)
-        with open(path, "wb") as fh:
-            fh.write(cache_store.MAGIC + b" v1\n"
-                     + hashlib.sha256(payload).hexdigest().encode("ascii")
-                     + b"\n" + payload)
-        assert main(args + ["--cache-dir", str(tmp_path)]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == cold
-        assert "ignoring engine cache" in captured.err
-        assert "format version 1" in captured.err
-        with open(path, "rb") as fh:
-            assert fh.read().startswith(cache_store.MAGIC + b" v2\n")
-        assert cache_store.load(path).layers["probes"]
+        for version in (1, 2):
+            cache_dir = tmp_path / f"v{version}"
+            cache_dir.mkdir()
+            payload = pickle.dumps({"version": version,
+                                    "layers": {"probes": []}})
+            path = self._snapshot_file(cache_dir)
+            with open(path, "wb") as fh:
+                fh.write(cache_store.MAGIC + b" v%d\n" % version
+                         + hashlib.sha256(payload).hexdigest().encode("ascii")
+                         + b"\n" + payload)
+            assert main(args + ["--cache-dir", str(cache_dir)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == cold
+            assert "ignoring engine cache" in captured.err
+            assert f"format version {version}" in captured.err
+            with open(path, "rb") as fh:
+                assert fh.read().startswith(cache_store.MAGIC + b" v3\n")
+            layers = cache_store.load(path).layers
+            assert layers["probes"] and layers["paths"]
 
     def test_explore_cache_dir_output_is_stable(self, tmp_path, capsys):
         args = ["explore", "diffeq", "--latencies", "5", "6",

@@ -1,12 +1,16 @@
 """Unit and reproduction tests for repro.core.find_design."""
 
+import random
+
 import pytest
 
 from repro.bench import diffeq, ewf, fir16
-from repro.dfg import DFGBuilder
+from repro.dfg import DFGBuilder, layered_dag, random_dag
 from repro.errors import NoSolutionError, ReproError
+from repro.hls.metrics import AREA_MODELS
 from repro.library import paper_library
-from repro.core import find_design
+from repro.core import EvaluationEngine, find_design
+from repro.core.find_design import search_achievements
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +122,49 @@ class TestInfeasibility:
     def test_bad_policy_rejected(self, lib):
         with pytest.raises(ReproError):
             find_design(fir16(), lib, 11, 8, repair="magic")
+
+
+class TestAreaFloor:
+    """Every used resource type costs at least its smallest version's
+    area, so a bound below that sum fails before any search."""
+
+    @pytest.mark.parametrize("area_model", AREA_MODELS)
+    def test_fails_fast_with_the_search_diagnostics(self, lib, area_model):
+        engine = EvaluationEngine()
+        with pytest.raises(NoSolutionError) as exc_info:
+            find_design(fir16(), lib, 100, 2, area_model=area_model,
+                        engine=engine)
+        achieved = search_achievements(fir16(), lib, 100, area_model,
+                                       engine=EvaluationEngine())
+        assert exc_info.value.latency == achieved["latency"]
+        assert exc_info.value.area == achieved["area"]
+        assert str(exc_info.value) == (
+            "no design of 'fir16' meets latency <= 100 and area <= 2"
+            " (area floor 3)")
+        assert engine.stats.path_requests == 0  # no trajectory ran
+
+    def test_bound_at_the_floor_is_searched(self, lib):
+        engine = EvaluationEngine()
+        design = find_design(example_dfg(), lib, 20, 1, engine=engine)
+        assert design.area == 1
+        assert engine.stats.path_requests > 0
+
+    @pytest.mark.parametrize("area_model", AREA_MODELS)
+    def test_floor_bounds_every_realized_area(self, lib, area_model):
+        engine = EvaluationEngine()
+        rng = random.Random(5)
+        for seed in range(20):
+            graph = (random_dag(6 + seed, seed=seed) if seed % 2
+                     else layered_dag(2 + seed % 3, 3, seed=seed))
+            floor = sum(lib.smallest(rtype).area for rtype in graph.rtypes())
+            for _ in range(3):
+                allocation = {op.op_id: rng.choice(lib.versions_of(op.rtype))
+                              for op in graph}
+                bound = engine.min_latency(graph, allocation) \
+                    + rng.randint(0, 4)
+                evaluation = engine.evaluate(graph, allocation, bound,
+                                             area_model=area_model)
+                assert evaluation.area >= floor
 
 
 class TestPolicies:

@@ -20,7 +20,7 @@ from repro.core import EvaluationEngine, cache_store, find_design
 from repro.core.engine import allocation_signature
 from repro.dfg import compile_graph
 from repro.hls import fastsched
-from repro.library import ResourceLibrary, paper_library
+from repro.library import ResourceLibrary, ResourceVersion, paper_library
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +128,11 @@ class TestContentBoundary:
         allocation = uniform(graph, {r: lib.smallest(r) for r in lib.rtypes()})
         bound = engine.min_latency(graph, allocation) + 1
         assert engine.evaluate(graph, allocation, bound) is not None
+        # the smallest versions are the most reliable ones, so the path
+        # starts from the same allocation and needs no step at *bound*
+        assert engine.latency_start(graph, lib, bound) == allocation
+        pools = tuple((rtype, tuple(lib.versions_of(rtype)))
+                      for rtype in graph.rtypes())
         content = (graph.name,
                    tuple((op.op_id, op.rtype) for op in graph),
                    tuple(graph.edges()))
@@ -142,6 +147,15 @@ class TestContentBoundary:
                 assert key[0] == content
                 if name in ("schedules", "timing"):
                     assert key[1] == delays
+                elif name == "paths":
+                    assert key[1] == pools
+                    start, steps, complete = value
+                    assert isinstance(start, int)
+                    assert isinstance(complete, bool)
+                    for op_id, version, critical in steps:
+                        assert isinstance(op_id, str)
+                        assert isinstance(version, ResourceVersion)
+                        assert isinstance(critical, int)
                 else:
                     assert key[1] == allocation_signature(allocation)
                 if name == "probes":
