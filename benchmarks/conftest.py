@@ -16,10 +16,10 @@ def reference_kernels():
     """Pin a benchmark module to the reference scheduling kernels.
 
     The compiled core (``hls/fastsched.py``) made cold scheduling on
-    the small paper grids cheaper than worker pre-warm or a cache
-    server round trip, so with the default kernels the cache-sharing
-    benchmarks have nothing left to amortize.  They target the
-    expensive-compute regime and keep measuring it there
+    the small paper grids cheaper than worker pre-warm, so with the
+    default kernels the cache-sharing benchmark has nothing left to
+    amortize.  It targets the expensive-compute regime and keeps
+    measuring it there
     (``REPRO_SCHEDULER_IMPL`` propagates into worker processes), while
     ``bench_fastsched.py`` covers the cold path.
     """

@@ -7,8 +7,6 @@ Subcommands::
     characterize [--bits N]                           regenerate Table 1
     experiment NAME [--workers N]                     regenerate a table/figure
     explore BENCH --latencies .. --areas ..           Pareto sweep
-    cache-serve [--address PATH] [--cache-dir DIR]    run a live cache server
-    cache-stats [--address PATH | --cache-dir DIR]    query a running server
 
 ``synth`` and ``explore`` accept ``--stats`` to print the evaluation
 engine's cache statistics (evaluations requested, memo hits, schedules
@@ -21,26 +19,6 @@ saves the merged caches back on exit (``experiment all`` flushes after
 *every* table/figure, so a crash keeps the earlier tables' work).  A
 stale, corrupted, or version-mismatched snapshot is reported and
 ignored — the run simply starts cold.
-
-The same three commands accept ``--cache-server auto|ADDR`` to share
-caches *live* across concurrent processes on one host through a cache
-server (:mod:`repro.core.cache_server`): ``ADDR`` attaches to an
-already-running ``cache-serve`` process by its unix socket path,
-while ``auto`` attaches to (or spawns, for the run's duration) a
-server at the default socket path — inside ``--cache-dir`` when
-given, so several simultaneous invocations against one cache dir
-serve each other mid-run.  Sharing is best-effort and behaviourally
-transparent: an unreachable or dying server is reported and the
-run continues on local caches with identical results.
-
-``synth --remote ADDR`` goes one step further and submits the whole
-search to the server's ``synthesize`` RPC, which executes it on the
-server's warm caches and streams improving designs back; if the
-server is unreachable the search runs locally with identical results.
-
-``cache-stats`` queries a running server's telemetry (requests,
-hit rate, entries per layer, flushes) as text or ``--json`` — point
-it at ``--address`` or at the default socket inside a ``--cache-dir``.
 
 The scheduling kernels themselves come in two interchangeable
 implementations (``REPRO_SCHEDULER_IMPL=fast|reference``, default
@@ -89,13 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print evaluation-engine statistics afterwards")
     synth.add_argument("--cache-dir",
                        help="persist/reload engine caches in this directory")
-    synth.add_argument("--cache-server", metavar="auto|ADDR",
-                       help="share engine caches live through a cache "
-                            "server (unix socket path)")
-    synth.add_argument("--remote", metavar="ADDR",
-                       help="submit the search to the synthesize RPC of "
-                            "the cache server at the unix socket ADDR; "
-                            "falls back to local compute if unreachable")
 
     bench = sub.add_parser("bench", help="list or inspect benchmarks")
     bench.add_argument("name", nargs="?", help="benchmark to inspect")
@@ -117,9 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--cache-dir",
                             help="persist/reload engine caches in this "
                                  "directory")
-    experiment.add_argument("--cache-server", metavar="auto|ADDR",
-                            help="share engine caches live through a "
-                                 "cache server (unix socket path)")
 
     explore = sub.add_parser("explore", help="Pareto sweep over bounds")
     explore.add_argument("benchmark")
@@ -133,42 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print evaluation-engine statistics afterwards")
     explore.add_argument("--cache-dir",
                          help="persist/reload engine caches in this directory")
-    explore.add_argument("--cache-server", metavar="auto|ADDR",
-                         help="share engine caches live through a cache "
-                              "server (unix socket path)")
-
-    serve = sub.add_parser("cache-serve",
-                           help="run a live shared-cache server")
-    serve.add_argument("--address",
-                       help="unix socket path to listen on (default: "
-                            "inside --cache-dir, else a fresh temp dir)")
-    serve.add_argument("--cache-dir",
-                       help="seed from and write-behind flush to this "
-                            "directory's snapshot")
-    serve.add_argument("--flush-interval", type=float, default=30.0,
-                       help="seconds between write-behind snapshot "
-                            "flushes (default: 30)")
-    serve.add_argument("--max-snapshot-kib", type=int, default=None,
-                       help="cap the flushed snapshot file size "
-                            "(stalest entries are dropped first)")
-    serve.add_argument("--batch-window", type=float, default=0.0,
-                       metavar="MS",
-                       help="aggregate evaluate_batch RPCs arriving "
-                            "within this many milliseconds into one "
-                            "merged engine call (0 disables windowing; "
-                            "an idle server still dispatches "
-                            "immediately)")
-
-    stats = sub.add_parser("cache-stats",
-                           help="query a running cache server's telemetry")
-    stats.add_argument("--address",
-                       help="unix socket path of the server (default: "
-                            "the socket inside --cache-dir)")
-    stats.add_argument("--cache-dir",
-                       help="cache directory whose default server socket "
-                            "to query")
-    stats.add_argument("--json", action="store_true",
-                       help="emit the telemetry as JSON")
 
     return parser
 
@@ -224,67 +156,6 @@ def _save_engine_cache(cache_dir: Optional[str]) -> None:
               file=sys.stderr)
 
 
-def _attach_cache_server(args):
-    """Resolve ``--cache-server`` and attach the default engine.
-
-    Returns ``(server, address)``: *server* is an ephemeral in-process
-    :class:`~repro.core.cache_server.CacheServer` that ``auto`` mode
-    spawned (``None`` when attaching to an external one), *address* is
-    the attached socket path (``None`` when no sharing is active —
-    unreachable servers are reported and the run continues with local
-    caches only, producing identical results).
-    """
-    spec = getattr(args, "cache_server", None)
-    if not spec:
-        return None, None
-    from repro.core import cache_server, default_engine
-
-    engine = default_engine()
-    if spec != "auto":
-        if cache_server.attach_engine(engine, spec):
-            return None, spec
-        print(f"warning: cache server at {spec!r} is unreachable; "
-              f"running with local caches only", file=sys.stderr)
-        return None, None
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        address = cache_server.default_address(cache_dir)
-        # another invocation may already be serving this cache dir —
-        # share its server instead of spawning one
-        if cache_server.attach_engine(engine, address):
-            return None, address
-    else:
-        address = None  # the server owns (and cleans up) a temp dir
-    try:
-        server = cache_server.CacheServer(address).start()
-        address = server.address
-    except ReproError as exc:
-        print(f"warning: cannot start a cache server: "
-              f"{exc}; running with local caches only", file=sys.stderr)
-        return None, None
-    server.seed(engine.export_cache_state())
-    if not cache_server.attach_engine(engine, address):
-        server.stop()
-        print(f"warning: cannot attach to own cache server at "
-              f"{address!r}; running with local caches only",
-              file=sys.stderr)
-        return None, None
-    return server, address
-
-
-def _release_cache_server(server) -> None:
-    """Detach the default engine; absorb and stop an ephemeral server."""
-    from repro.core import cache_server, default_engine
-
-    engine = default_engine()
-    cache_server.detach_engine(engine)
-    if server is not None:
-        try:
-            engine.merge_cache_state(server.export_layers())
-        finally:
-            server.stop()
-
-
 def _load_graph(spec: str):
     from repro.bench import get_benchmark
     from repro.dfg import textio
@@ -304,33 +175,20 @@ def _load_library(path: Optional[str]):
 
 
 def _cmd_synth(args) -> int:
-    from repro.core import synthesize, synthesize_remote
+    from repro.core import synthesize
 
-    if args.remote and args.method != "ours":
-        print("error: --remote submits the paper's search (method "
-              "'ours'); other methods run locally", file=sys.stderr)
-        return 2
     graph = _load_graph(args.benchmark)
     library = _load_library(args.library)
     _load_engine_cache(args.cache_dir)
-    server, _address = _attach_cache_server(args)
     try:
-        try:
-            if args.remote:
-                result = synthesize_remote(
-                    graph, library, args.latency, args.area,
-                    address=args.remote,
-                    area_model=args.area_model)
-            else:
-                result = synthesize(args.method, graph, library,
-                                    args.latency, args.area,
-                                    area_model=args.area_model)
-        except NoSolutionError as exc:
-            print(f"no solution: {exc}", file=sys.stderr)
-            return 2
+        result = synthesize(args.method, graph, library,
+                            args.latency, args.area,
+                            area_model=args.area_model)
+    except NoSolutionError as exc:
+        print(f"no solution: {exc}", file=sys.stderr)
+        return 2
     finally:
         # the exploration is worth keeping even when the search failed
-        _release_cache_server(server)
         _save_engine_cache(args.cache_dir)
     if args.json:
         print(json.dumps(result.summary(), indent=2))
@@ -378,7 +236,6 @@ def _cmd_experiment(args) -> int:
     from repro.experiments import run_suites
 
     _load_engine_cache(args.cache_dir)
-    server, address = _attach_cache_server(args)
     model = args.area_model
     runs = {
         "table1": [(experiments.run_table1_calibrated, (), {}),
@@ -411,16 +268,12 @@ def _cmd_experiment(args) -> int:
     def _checkpoint(_name: str) -> None:
         # flush the cache dir after every table/figure so a crash mid-
         # `experiment all` keeps everything the earlier tables computed
-        if server is not None and args.cache_dir:
-            default_engine().merge_cache_state(server.export_layers())
         _save_engine_cache(args.cache_dir)
         state["unsaved"] = False
 
     suites = run_suites(
         runs, names, workers=args.workers,
         share_engine=default_engine(),
-        share_mode="live" if address else "snapshot",
-        server_address=address,
         checkpoint=_checkpoint)
     try:
         for index, (_name, tables) in enumerate(suites):
@@ -431,7 +284,6 @@ def _cmd_experiment(args) -> int:
                 print(table.as_text())
                 print()
     finally:
-        _release_cache_server(server)
         if state["unsaved"]:  # a clean run already saved at the last
             _save_engine_cache(args.cache_dir)  # checkpoint
     return 0
@@ -443,13 +295,8 @@ def _cmd_explore(args) -> int:
     graph = _load_graph(args.benchmark)
     library = _load_library(None)
     _load_engine_cache(args.cache_dir)
-    server, address = _attach_cache_server(args)
-    try:
-        points = sweep_bounds(graph, library, args.latencies, args.areas,
-                              args.method, workers=args.workers,
-                              cache_server=address)
-    finally:
-        _release_cache_server(server)
+    points = sweep_bounds(graph, library, args.latencies, args.areas,
+                          args.method, workers=args.workers)
     _save_engine_cache(args.cache_dir)
     print(f"{'Ld':>4} {'Ad':>4} {'latency':>8} {'area':>5} {'reliability':>12}")
     for point in points:
@@ -479,93 +326,6 @@ def _cmd_explore(args) -> int:
     return 0
 
 
-def _cmd_cache_serve(args) -> int:
-    import os
-
-    from repro.core import cache_server, cache_store
-
-    address = args.address
-    snapshot_file = None
-    if args.cache_dir:
-        snapshot_file = cache_store.snapshot_path(args.cache_dir)
-        if address is None:
-            address = cache_server.default_address(args.cache_dir)
-    if address is not None:
-        try:
-            cache_server.parse_address(address)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    max_snapshot_bytes = (args.max_snapshot_kib * 1024
-                          if args.max_snapshot_kib else None)
-    server = cache_server.CacheServer(
-        address,  # None → the server owns (and cleans up) a temp dir
-        snapshot_path=snapshot_file,
-        flush_interval=args.flush_interval,
-        max_snapshot_bytes=max_snapshot_bytes,
-        batch_window=args.batch_window / 1000.0)
-    if snapshot_file and os.path.exists(snapshot_file):
-        try:
-            adopted = server.seed(cache_store.load(snapshot_file).layers)
-            print(f"seeded {adopted} entries from {snapshot_file}",
-                  file=sys.stderr)
-        except ReproError as exc:
-            print(f"warning: ignoring engine cache {snapshot_file}: {exc}",
-                  file=sys.stderr)
-    server.start()
-    print(f"cache server listening on {server.address}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.stop()
-    stats = server.stats
-    print(f"served {stats.requests} requests "
-          f"({stats.hits}/{stats.gets} hits, {stats.adopted} entries "
-          f"adopted, {stats.flushes} flushes)", file=sys.stderr)
-    return 0
-
-
-def _cmd_cache_stats(args) -> int:
-    from repro.core import cache_server
-
-    if args.address:
-        address = args.address
-    elif args.cache_dir:
-        address = cache_server.default_address(args.cache_dir)
-    else:
-        print("error: pass --address or --cache-dir to locate the server",
-              file=sys.stderr)
-        return 2
-    with cache_server.CacheClient(address) as client:
-        client.ping()
-        stats = client.stats()
-    if args.json:
-        print(json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-    layer_sizes = stats.get("layer_sizes", {})
-    print(f"cache server at {address}:")
-    print(f"  requests    : {stats['requests']} over "
-          f"{stats['connections']} connections")
-    print(f"  lookups     : {stats['gets']} "
-          f"(hits {stats['hits']}, hit rate {stats['hit_rate']:.1%})")
-    print(f"  stores      : {stats['puts']} "
-          f"(new entries {stats['adopted']})")
-    print(f"  entries     : {stats['entries']} "
-          f"(evictions {stats['evictions']})")
-    print(f"  flushes     : {stats['flushes']} "
-          f"(errors {stats['flush_errors']}, "
-          f"bad frames {stats['bad_frames']})")
-    print(f"  hardening   : negative hits {stats.get('negative_hits', 0)}, "
-          f"accept errors {stats.get('accept_errors', 0)}, "
-          f"backpressure drops "
-          f"{stats.get('backpressure_disconnects', 0)}")
-    if layer_sizes:
-        rendered = ", ".join(f"{name}={size}"
-                             for name, size in sorted(layer_sizes.items()))
-        print(f"  layer sizes : {rendered}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
@@ -576,8 +336,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "characterize": _cmd_characterize,
         "experiment": _cmd_experiment,
         "explore": _cmd_explore,
-        "cache-serve": _cmd_cache_serve,
-        "cache-stats": _cmd_cache_stats,
     }
     try:
         return handlers[args.command](args)

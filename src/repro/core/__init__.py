@@ -14,19 +14,9 @@ from repro.core.design import DesignResult
 from repro.core.engine import (
     EngineStats,
     EvaluationEngine,
-    RemoteCacheBackend,
     allocation_signature,
     default_engine,
     set_default_engine,
-)
-from repro.core import cache_server
-from repro.core.cache_server import (
-    CacheClient,
-    CacheServer,
-    attach_engine,
-    detach_engine,
-    evaluate_batch_remote,
-    synthesize_remote,
 )
 from repro.core.evaluate import (
     SCHEDULER_IMPLS,
@@ -64,15 +54,7 @@ __all__ = [
     "EngineStats",
     "EngineSnapshot",
     "CompactionStats",
-    "RemoteCacheBackend",
-    "CacheClient",
-    "CacheServer",
     "cache_store",
-    "cache_server",
-    "attach_engine",
-    "detach_engine",
-    "synthesize_remote",
-    "evaluate_batch_remote",
     "snapshot_engine",
     "merge_snapshot",
     "compact_snapshot",

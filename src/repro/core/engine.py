@@ -81,8 +81,8 @@ only, translated at one boundary
 id becomes the graph's content tuple, an allocation key its
 :func:`allocation_signature`, a delays key
 ``tuple(sorted(delays.items()))`` and a list probe's count vector
-``tuple(sorted(counts.items()))``.  Snapshots, merges and the remote
-layer all go through it, so snapshot files keep their format.
+``tuple(sorted(counts.items()))``.  Snapshots and merges go through
+it, so snapshot files keep their format.
 
 Every layer is an independent :class:`LRUCache`: filling one layer
 evicts only that layer's least-recently-used entries, so a probe-heavy
@@ -93,16 +93,6 @@ re-key every entry by graph content, and :mod:`repro.core.cache_store`
 wraps them in a versioned, digest-checked snapshot file — worker
 processes pre-warm from a parent snapshot, and CLI runs persist caches
 across invocations (``--cache-dir``).
-
-Beyond snapshots, the layers can be served *live*: :meth:`~
-EvaluationEngine.attach_backend` puts a :class:`RemoteCacheBackend`
-behind every layer, keeping the local LRUs as read-through L1s while
-L1 misses consult (and fresh results feed, write-behind) a shared
-cache server (:mod:`repro.core.cache_server`) — so concurrent
-processes hit each other's results mid-run instead of at fork/join or
-snapshot boundaries.  The backend is fail-open: any transport error
-detaches it logically and the engine continues local-only with
-identical results.
 
 A module-level default engine backs the
 :func:`repro.core.evaluate.evaluate_allocation` compatibility wrapper;
@@ -162,8 +152,8 @@ def allocation_signature(allocation: Mapping[str, ResourceVersion]
 
     Includes the full version objects (area, delay, reliability), so
     two libraries that reuse a version name cannot alias each other.
-    This is the form memo keys take in snapshots and on the cache
-    server; inside one engine allocations are keyed by the compact
+    This is the form memo keys take in snapshots; inside one engine
+    allocations are keyed by the compact
     :meth:`EvaluationEngine.allocation_key` instead.
     """
     return tuple(sorted(allocation.items()))
@@ -243,9 +233,6 @@ class EngineStats:
     timing_hits: int = 0          # ... served from the timing cache
     incremental_timings: int = 0  # single-op partial re-timings
     evictions: int = 0            # LRU entries dropped across all layers
-    remote_hits: int = 0          # L1 misses answered by a cache server
-    remote_negative_hits: int = 0  # round trips skipped by absent markers
-    remote_fallbacks: int = 0     # times the remote backend was abandoned
     batch_items: int = 0          # items submitted to evaluate_batch()
     batched_evals: int = 0        # ... actually solved by the batched path
     path_requests: int = 0        # latency_start() calls
@@ -316,9 +303,6 @@ class EngineStats:
             f"  latency paths         : {self.path_requests}"
             f" (hits {self.path_hits}, victim steps {self.path_steps})",
             f"  lru evictions         : {self.evictions}",
-            f"  remote cache          : {self.remote_hits} hits"
-            f" (negative hits {self.remote_negative_hits},"
-            f" fallbacks {self.remote_fallbacks})",
             f"  evaluation wall time  : {self.wall_time:.3f}s"
             f" ({self.evaluations_per_second:.0f} evaluations/s)",
         ])
@@ -378,15 +362,6 @@ class LRUCache:
     def clear(self) -> None:
         self._data.clear()
 
-    def prefetch(self, keys) -> None:
-        """No-op; remote layers override to batch upcoming lookups."""
-
-    def get_local(self, key, default=None):
-        """Same as :meth:`get`; remote layers override to skip the
-        server (used right after a :meth:`prefetch` of the same keys,
-        when a second remote miss would be a wasted round trip)."""
-        return self.get(key, default)
-
 
 class _SchedulePoint:
     """One delays-keyed density schedule plus its latest binding.
@@ -433,330 +408,6 @@ class _GraphRecord:
                                   f"{compiled.n_ops}{_CODE_TYPECODE}")
 
 
-class RemoteCacheBackend:
-    """Bridge between engine cache layers and a live cache service.
-
-    The backend sits *behind* the layer interface: an attached engine
-    keeps every layer's :class:`LRUCache` as a read-through L1, and the
-    backend only sees L1 misses (fetches) and fresh results (stores).
-    Keys cross the wire content-addressed — the process-local graph id
-    is replaced by the graph's content tuple, exactly as in snapshot
-    files — so any number of independent processes land on the same
-    server entries.
-
-    Stores are write-behind: they buffer locally and ship in
-    ``put_many`` batches, so the hot path pays at most one round trip
-    per L1 miss.  Every failure mode — connect refused, timeout, a
-    corrupt frame, the server dying mid-run — flips :attr:`alive` off
-    and the backend goes silent: fetches miss, stores drop, and the
-    engine continues on its local caches with identical results (the
-    layers are pure memos; the server is a hit-rate amplifier, never a
-    correctness dependency).
-
-    Remote *misses* are remembered too: a key the server did not have
-    is marked absent, and repeat lookups inside that window answer
-    locally instead of re-asking the server
-    (``EngineStats.remote_negative_hits`` counts the skipped round
-    trips).  The window length is the *server's*: protocol-3 ``get``
-    replies carry an authoritative per-miss negative window
-    (registered server-side once per fleet), which this client simply
-    honours; a client-local :attr:`negative_ttl` remains as the
-    default for duck-typed clients that do not report windows, and
-    ``negative_ttl=0`` disables marking entirely.  Markers are cleared
-    the moment this client stores the key itself, and expire quickly
-    otherwise so results computed by *other* clients are only briefly
-    invisible — a hit-rate trade-off, never a correctness one, since a
-    masked remote hit just means computing locally.
-
-    *client* is duck-typed (see :class:`repro.core.cache_server.
-    CacheClient`): ``get(layer, key) -> (found, value[, window])``,
-    ``get_many(layer, keys) -> {key: value}`` or ``({key: value},
-    {key: window})``, ``put_many(entries)``, and ``close()``, all
-    raising :class:`~repro.errors.CacheError` on any transport
-    problem.
-    """
-
-    #: buffered stores shipped per ``put_many`` round trip.
-    PUT_BATCH = 32
-
-    #: Whether :meth:`EvaluationEngine.evaluate_batch` may stay on its
-    #: vectorized path with this backend attached.  False here: over a
-    #: real socket the per-item path's range prefetch amortizes round
-    #: trips that the batched kernels would pay key-by-key.  In-process
-    #: backends whose "round trip" is a dict lookup (the cache server's
-    #: loopback backend) override this to True.
-    BATCH_SAFE = False
-
-    #: seconds a remote miss is remembered before the key is re-asked.
-    NEGATIVE_TTL = 5.0
-
-    #: absent-marker table bound; expired markers are pruned first.
-    MAX_NEGATIVE = 16_384
-
-    def __init__(self, client, *, batch_size: int = PUT_BATCH,
-                 negative_ttl: float = NEGATIVE_TTL):
-        if batch_size < 1:
-            raise ReproError(
-                f"put batch size must be positive, got {batch_size}")
-        if negative_ttl < 0:
-            raise ReproError(
-                f"negative TTL must be >= 0, got {negative_ttl}")
-        self.client = client
-        self.batch_size = batch_size
-        self.negative_ttl = negative_ttl
-        self.alive = True
-        self.stats: Optional[EngineStats] = None  # set by attach_backend
-        self._pending: List[Tuple[str, tuple, object]] = []
-        self._negative: Dict[Tuple[str, tuple], float] = {}
-        self._owner_pid = os.getpid()
-
-    def _fail(self) -> None:
-        """Abandon the server: drop buffers, go local-only for good."""
-        if self.alive and self.stats is not None:
-            self.stats.remote_fallbacks += 1
-        self.alive = False
-        self._pending.clear()
-        self._negative.clear()
-
-    def _usable(self) -> bool:
-        """Alive, *and* still in the process that opened the socket.
-
-        A forked worker inherits the parent's backend (and its
-        connection file descriptor); writing on it would interleave
-        frames with the parent's own requests.  The child silently
-        goes local-only instead — it re-attaches with a fresh client
-        if live sharing is wanted (``repro.parallel``'s live
-        initializer does exactly that).
-        """
-        if not self.alive:
-            return False
-        if os.getpid() != self._owner_pid:
-            self.alive = False  # inherited via fork: never touch it
-            self._pending.clear()
-            self._negative.clear()
-            return False
-        return True
-
-    def _marked_absent(self, layer: str, key: tuple) -> bool:
-        """True while a recent remote miss for the key is still fresh."""
-        deadline = self._negative.get((layer, key))
-        if deadline is None:
-            return False
-        if time.monotonic() >= deadline:
-            del self._negative[(layer, key)]
-            return False
-        return True
-
-    def _mark_absent(self, layer: str, key: tuple,
-                     window: Optional[float] = None) -> None:
-        """Remember a remote miss for *window* seconds (the server's
-        authoritative negative window when reported, else this
-        client's :attr:`negative_ttl`); ``negative_ttl=0`` disables
-        marking entirely."""
-        if not self.negative_ttl:
-            return
-        if window is None:
-            window = self.negative_ttl
-        else:
-            try:
-                window = float(window)
-            except (TypeError, ValueError):
-                window = self.negative_ttl
-        if window <= 0:
-            return
-        now = time.monotonic()
-        negative = self._negative
-        if len(negative) >= self.MAX_NEGATIVE:
-            fresh = {k: deadline for k, deadline in negative.items()
-                     if deadline > now}
-            if len(fresh) >= self.MAX_NEGATIVE:
-                fresh.clear()  # markers are an optimization; drop them
-            self._negative = negative = fresh
-        negative[(layer, key)] = now + window
-
-    def fetch(self, layer: str, key: tuple) -> Tuple[bool, object]:
-        """One remote lookup; ``(False, None)`` on miss or any failure."""
-        if not self._usable():
-            return False, None
-        if self._marked_absent(layer, key):
-            if self.stats is not None:
-                self.stats.remote_negative_hits += 1
-            return False, None
-        try:
-            reply = self.client.get(layer, key)
-        except ReproError:
-            self._fail()
-            return False, None
-        # protocol 3 replies are (found, value, window); duck-typed
-        # clients may still answer the legacy (found, value)
-        found, value = reply[0], reply[1]
-        if not found:
-            self._mark_absent(layer, key,
-                              reply[2] if len(reply) > 2 else None)
-        return found, value
-
-    def fetch_many(self, layer: str, keys: Sequence[tuple]
-                   ) -> Dict[tuple, object]:
-        """Batched lookup of *keys*; absent keys are simply missing."""
-        if not keys or not self._usable():
-            return {}
-        wanted = []
-        skipped = 0
-        for key in keys:
-            if self._marked_absent(layer, key):
-                skipped += 1
-            else:
-                wanted.append(key)
-        if skipped and self.stats is not None:
-            self.stats.remote_negative_hits += skipped
-        if not wanted:
-            return {}
-        try:
-            reply = self.client.get_many(layer, wanted)
-        except ReproError:
-            self._fail()
-            return {}
-        # protocol 3 replies are (found, windows); duck-typed clients
-        # may still answer the legacy plain dict
-        if isinstance(reply, tuple) and len(reply) == 2 \
-                and isinstance(reply[0], dict):
-            found, windows = reply
-            if not isinstance(windows, dict):
-                windows = {}
-        else:
-            found, windows = reply, {}
-        for key in wanted:
-            if key not in found:
-                self._mark_absent(layer, key, windows.get(key))
-        return found
-
-    def store(self, layer: str, key: tuple, value: object) -> None:
-        """Buffer one entry for the server (write-behind)."""
-        if not self._usable():
-            return
-        self._negative.pop((layer, key), None)
-        self._pending.append((layer, key, value))
-        if len(self._pending) >= self.batch_size:
-            self.flush()
-
-    def flush(self) -> None:
-        """Ship every buffered store to the server."""
-        if not self._pending or not self._usable():
-            return
-        pending, self._pending = self._pending, []
-        try:
-            self.client.put_many(pending)
-        except ReproError:
-            self._fail()
-
-    def close(self) -> None:
-        """Flush buffers and release the transport."""
-        self.flush()
-        try:
-            self.client.close()
-        except ReproError:
-            pass
-
-    def __getstate__(self):
-        """Pickle (e.g. into a forked ``parallel`` worker) without the
-        per-process state: buffered puts belong to the connection that
-        opened them, and ``_negative`` holds ``time.monotonic()``
-        deadlines — meaningless under another process's monotonic
-        epoch, where a stale marker could mask the server for
-        arbitrarily long (or never expire at all)."""
-        state = self.__dict__.copy()
-        state["_pending"] = []
-        state["_negative"] = {}
-        return state
-
-
-class _RemoteLayer:
-    """One engine cache layer backed by a local L1 plus a remote server.
-
-    Duck-type compatible with :class:`LRUCache` (``get``/``put``/
-    ``items``/``clear``/``len``), so the engine's hot paths are
-    oblivious to whether a layer is local or server-backed.  Lookups
-    read through: L1 first, then one remote fetch whose result is
-    adopted into L1.  Inserts write to L1 and buffer a write-behind
-    store.  Keys are translated local→content at the engine's one
-    boundary (:meth:`EvaluationEngine._content_key`); the
-    ``schedules`` layer's :class:`_SchedulePoint` values travel as
-    plain tuples, exactly as in snapshot files.
-    """
-
-    __slots__ = ("name", "local", "backend", "engine")
-
-    def __init__(self, name: str, local: LRUCache,
-                 backend: RemoteCacheBackend, engine: "EvaluationEngine"):
-        self.name = name
-        self.local = local
-        self.backend = backend
-        self.engine = engine
-
-    def __len__(self) -> int:
-        return len(self.local)
-
-    def _encode(self, key, value):
-        if self.name == "schedules":
-            return self.engine._content_value(key[0], value)
-        return value
-
-    def _decode(self, key, value):
-        if self.name == "schedules":
-            return self.engine._local_value(key[0], value)
-        return value
-
-    def get(self, key, default=None):
-        value = self.local.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        content = self.engine._content_key(self.name, key)
-        if content is None:
-            return default
-        found, value = self.backend.fetch(self.name, content)
-        if not found:
-            return default
-        value = self._decode(key, value)
-        self.local.put(key, value)
-        self.engine.stats.remote_hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        self.local.put(key, value)
-        content = self.engine._content_key(self.name, key)
-        if content is not None:
-            self.backend.store(self.name, content,
-                               self._encode(key, value))
-
-    def get_local(self, key, default=None):
-        """L1-only lookup — never consults the server."""
-        return self.local.get(key, default)
-
-    def prefetch(self, keys) -> None:
-        """Adopt a batch of upcoming keys in one round trip (L1 misses
-        only); the density scan uses this to fetch a whole latency
-        range at once instead of paying one round trip per point."""
-        wanted = {}
-        for key in keys:
-            if self.local.get(key, _MISSING) is _MISSING:
-                content = self.engine._content_key(self.name, key)
-                if content is not None:
-                    wanted[content] = key
-        if not wanted:
-            return
-        for content, value in self.backend.fetch_many(
-                self.name, list(wanted)).items():
-            key = wanted[content]
-            self.local.put(key, self._decode(key, value))
-            self.engine.stats.remote_hits += 1
-
-    def items(self):
-        return self.local.items()
-
-    def clear(self) -> None:
-        self.local.clear()
-
-
 class EvaluationEngine:
     """Memoized allocation evaluation shared across searches and sweeps.
 
@@ -775,9 +426,9 @@ class EvaluationEngine:
         :class:`~repro.dfg.compiled.CompiledGraph`), ``"reference"``
         the original dict-based kernels.  The two produce identical
         schedules — asserted property-based in
-        ``tests/test_fastsched.py`` — so every cache layer, snapshot
-        and server entry is shared freely between them, and the memo
-        keys deliberately do *not* include the implementation.  The
+        ``tests/test_fastsched.py`` — so every cache layer and snapshot
+        entry is shared freely between them, and the memo keys
+        deliberately do *not* include the implementation.  The
         ``REPRO_SCHEDULER_IMPL`` environment variable overrides the
         built-in default; overridable per call too.
     cache:
@@ -862,78 +513,27 @@ class EvaluationEngine:
         self._versions: List[ResourceVersion] = []
         self._id_codes: Dict[int, int] = {}
         self._id_pins: List[ResourceVersion] = []
-        self._backend: Optional[RemoteCacheBackend] = None
         self._layers: Dict[str, LRUCache] = {
             name: LRUCache(capacity, self._note_eviction)
             for name, capacity in self.layer_capacities.items()
         }
-        self._bind_layers(self._layers)
-
-    #: hot-path attribute → layer name, used to (re)bind the layer views
-    #: when a remote backend is attached or detached.
-    _LAYER_ATTRS = {
-        "_evaluations": "evaluations",
-        "_density": "density",
-        "_schedules": "schedules",
-        "_list_results": "list",
-        "_list_probes": "probes",
-        "_timing_cache": "timing",
-        "_paths": "paths",
-    }
-
-    def _bind_layers(self, views: Mapping[str, object]) -> None:
-        for attr, name in self._LAYER_ATTRS.items():
-            setattr(self, attr, views[name])
+        self._evaluations = self._layers["evaluations"]
+        self._density = self._layers["density"]
+        self._schedules = self._layers["schedules"]
+        self._list_results = self._layers["list"]
+        self._list_probes = self._layers["probes"]
+        self._timing_cache = self._layers["timing"]
+        self._paths = self._layers["paths"]
 
     def _note_eviction(self) -> None:
         self.stats.evictions += 1
-
-    # ------------------------------------------------------------------
-    # live cache service attachment
-    # ------------------------------------------------------------------
-    def attach_backend(self, backend: RemoteCacheBackend) -> None:
-        """Serve every cache layer read-through from *backend*.
-
-        The local LRUs stay in place as L1s — hot lookups never leave
-        the process — and only L1 misses and fresh results reach the
-        server.  Attaching is behaviourally transparent: results are
-        identical with or without the backend, and the backend going
-        dark mid-run silently reverts the engine to local-only
-        operation.
-        """
-        if not self.cache_enabled:
-            raise ReproError(
-                "cannot attach a cache server to a cache-disabled engine")
-        if self._backend is not None:
-            self.detach_backend()
-        backend.stats = self.stats
-        self._backend = backend
-        self._bind_layers({
-            name: _RemoteLayer(name, self._layers[name], backend, self)
-            for name in self._layers
-        })
-
-    def detach_backend(self) -> Optional[RemoteCacheBackend]:
-        """Restore local-only layers; returns the flushed backend."""
-        backend = self._backend
-        if backend is None:
-            return None
-        self._backend = None
-        self._bind_layers(self._layers)
-        backend.flush()
-        return backend
-
-    @property
-    def backend(self) -> Optional[RemoteCacheBackend]:
-        """The attached remote backend, if any."""
-        return self._backend
 
     # ------------------------------------------------------------------
     # graph identity
     # ------------------------------------------------------------------
     #: soft bound on live graph-object records; records are cheap to
     #: rebuild, so the registry is simply dropped when it fills up
-    #: (e.g. a long-lived service constructing a fresh graph per call).
+    #: (e.g. a long-lived process constructing a fresh graph per call).
     MAX_GRAPH_RECORDS = 4096
 
     def _record(self, graph: DataFlowGraph) -> _GraphRecord:
@@ -1042,7 +642,7 @@ class EvaluationEngine:
         return state
 
     # ------------------------------------------------------------------
-    # the content boundary: snapshots, merges and the remote layer
+    # the content boundary: snapshots and merges
     # ------------------------------------------------------------------
     def _content_key(self, layer: str, key: tuple,
                      memo: Optional[dict] = None) -> Optional[tuple]:
@@ -1500,10 +1100,8 @@ class EvaluationEngine:
         Falls back to the exact sequential loop whenever the batched
         kernels could diverge or cannot help: caching disabled, the
         reference implementation selected, ``stop_at_area`` set (its
-        early break is inherently sequential), a remote cache backend
-        attached that is not batch-safe (over a socket, the per-item
-        prefetch protocol amortizes round trips better), an empty
-        graph, or a pure ``"list"`` scheduler request.
+        early break is inherently sequential), an empty graph, or a pure
+        ``"list"`` scheduler request.
         """
         allocations = list(allocations)
         if not allocations:
@@ -1523,8 +1121,6 @@ class EvaluationEngine:
         self.stats.batch_items += len(allocations)
         if (not self.cache_enabled or impl != "fast"
                 or stop_at_area is not None
-                or (self._backend is not None
-                    and not self._backend.BATCH_SAFE)
                 or scheduler == "list" or len(graph) == 0):
             return [self.evaluate(graph, allocation, latency_bound,
                                   area_model=area_model,
@@ -1620,7 +1216,7 @@ class EvaluationEngine:
                 plan = []
                 for latency in range(critical, latency_bound + 1):
                     self.stats.density_points += 1
-                    pair = self._density.get_local(
+                    pair = self._density.get(
                         (record.key, signature, latency), _MISSING)
                     if pair is not _MISSING:
                         self.stats.density_hits += 1
@@ -1717,7 +1313,7 @@ class EvaluationEngine:
             self, requests: Sequence[tuple]
             ) -> List[Tuple[str, object]]:
         """Evaluate several :meth:`evaluate_batch` requests as merged
-        groups — the engine half of the service's RPC batch window.
+        groups.
 
         *requests* is a sequence of ``(graph, allocations,
         latency_bound, options)`` tuples, *options* a mapping of
@@ -1734,8 +1330,8 @@ class EvaluationEngine:
         :meth:`evaluate_batch` call, with identical allocations
         deduplicated across requests first
         (:class:`~repro.dfg.compiled.MergedBatch` keyed on the
-        allocation key), so a duplicate submitted by several
-        fleet clients in one window is computed once.  If a merged
+        allocation key), so a duplicate submitted by several requests
+        is computed once.  If a merged
         call raises, the group falls back to evaluating each request
         separately, which restores the exact per-request error the
         sequential path would have surfaced.
@@ -1822,12 +1418,6 @@ class EvaluationEngine:
                       delays_key, critical, latency_bound, area_model,
                       stop_at_area, impl):
         best = None
-        if self._backend is not None and self.cache_enabled:
-            # one round trip for the whole latency range instead of one
-            # per point; local-only engines skip even building the keys
-            self._density.prefetch([(record.key, signature, latency)
-                                    for latency in
-                                    range(critical, latency_bound + 1)])
         for latency in range(critical, latency_bound + 1):
             pair = self._density_point(graph, record, signature, allocation,
                                        delays, delays_key, latency, impl)
@@ -1847,8 +1437,7 @@ class EvaluationEngine:
         self.stats.density_points += 1
         key = (record.key, signature, latency)
         if self.cache_enabled:
-            # L1-only: _density_best already prefetched the whole range
-            cached = self._density.get_local(key, _MISSING)
+            cached = self._density.get(key, _MISSING)
             if cached is not _MISSING:
                 self.stats.density_hits += 1
                 return cached

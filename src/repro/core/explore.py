@@ -11,9 +11,7 @@ pair is reused by every other pair that revisits the allocation.  Pass
 processes; workers pre-warm from a snapshot of the shared engine's
 caches and merge their own caches back on join
 (:mod:`repro.core.cache_store`), so parallel sweeps no longer re-warm
-every cache per worker — or pass ``share_caches="live"`` to attach the
-workers to a shared cache server (:mod:`repro.core.cache_server`) so
-overlapping grid points hit each other's results mid-run.
+every cache per worker.
 """
 
 from __future__ import annotations
@@ -92,8 +90,7 @@ def sweep_bounds(graph: DataFlowGraph,
                  area_model: str = AREA_INSTANCES,
                  workers: Optional[int] = None,
                  engine: Optional[EvaluationEngine] = None,
-                 share_caches=True,
-                 cache_server: Optional[str] = None,
+                 share_caches: bool = True,
                  **kwargs) -> List[SweepPoint]:
     """Synthesize at every (Ld, Ad) pair; infeasible points yield None.
 
@@ -117,41 +114,27 @@ def sweep_bounds(graph: DataFlowGraph,
         back in it on join — so a later sweep (or a ``--cache-dir``
         save) starts from everything the grid computed.
     share_caches:
-        How workers exchange cache entries.  ``True``/``"snapshot"``
-        pre-warms workers from a snapshot of *engine* and merges their
-        caches back on join; ``"live"`` attaches the workers to a
-        shared cache server (:mod:`repro.core.cache_server`) so
-        overlapping grid points hit each other's results *mid-run*;
-        ``False`` runs workers fully cold and discards their caches.
-        Results are identical in every mode — only wall clock differs.
-    cache_server:
-        Unix socket path of an already-running cache server to share
-        through (implies ``"live"``).  Without it, live mode spawns an
-        ephemeral server for the duration of the sweep.
+        ``True`` pre-warms workers from a snapshot of *engine* and
+        merges their caches back on join; ``False`` runs workers fully
+        cold and discards their caches.  Results are identical either
+        way — only wall clock differs.  Any other value raises
+        :class:`~repro.errors.ReproError`.
     """
+    if not isinstance(share_caches, bool):
+        raise ReproError(
+            f"unknown share_caches setting {share_caches!r}; "
+            f"use True or False")
     pairs = [(latency_bound, area_bound)
              for latency_bound in latency_bounds
              for area_bound in area_bounds]
     if uses_workers(workers, len(pairs)):
         engine = engine if engine is not None else default_engine()
-        if cache_server is not None and share_caches is True:
-            share_caches = "live"
-        if share_caches is True or share_caches == "snapshot":
-            share, mode = engine, "snapshot"
-        elif share_caches == "live":
-            share, mode = engine, "live"
-        elif share_caches is False or share_caches is None:
-            share, mode = None, "snapshot"
-        else:
-            raise ReproError(
-                f"unknown share_caches setting {share_caches!r}; "
-                f"use True, False, 'snapshot' or 'live'")
         tasks = [(_sweep_point,
                   ((method, graph, library, latency_bound, area_bound,
                     area_model, kwargs),), {})
                  for latency_bound, area_bound in pairs]
-        results = run_tasks(tasks, workers=workers, share_engine=share,
-                            share_mode=mode, server_address=cache_server)
+        results = run_tasks(tasks, workers=workers,
+                            share_engine=engine if share_caches else None)
         return [SweepPoint(latency_bound, area_bound, result)
                 for (latency_bound, area_bound), result in zip(pairs, results)]
 

@@ -73,8 +73,7 @@ class _Search:
 
     def __init__(self, graph: DataFlowGraph, library: ResourceLibrary,
                  latency_bound: int, area_bound: int, area_model: str,
-                 method: str, engine: EvaluationEngine,
-                 on_improvement=None):
+                 method: str, engine: EvaluationEngine):
         self.graph = graph
         self.library = library
         self.latency_bound = latency_bound
@@ -82,7 +81,6 @@ class _Search:
         self.area_model = area_model
         self.method = method
         self.engine = engine
-        self.on_improvement = on_improvement
         self.best: Optional[DesignResult] = None
         #: realized area per allocation already considered this search
         #: (None = latency-infeasible) — the dominance-pruning record,
@@ -152,8 +150,6 @@ class _Search:
         if result.area <= self.area_bound:
             if self.best is None or result.reliability > self.best.reliability:
                 self.best = result
-                if self.on_improvement is not None:
-                    self.on_improvement(result)
         return result
 
 
@@ -167,8 +163,7 @@ def find_design(graph: DataFlowGraph,
                 refine: bool = True,
                 fallback: bool = True,
                 latency_sweep: bool = True,
-                engine: Optional[EvaluationEngine] = None,
-                on_improvement=None) -> DesignResult:
+                engine: Optional[EvaluationEngine] = None) -> DesignResult:
     """Synthesize the most reliable design within the given bounds.
 
     Parameters
@@ -205,14 +200,6 @@ def find_design(graph: DataFlowGraph,
         to the process-wide shared engine, so repeated searches over
         the same graph (latency sweeps, bound grids) reuse each other's
         schedules.
-    on_improvement:
-        Called with every :class:`DesignResult` that becomes the
-        search's new incumbent (feasible and strictly more reliable
-        than the previous best), in discovery order — the anytime
-        hook: a deadline-bounded caller always holds the best design
-        found so far.  The cache server's ``synthesize`` RPC streams
-        these to remote clients.  The callback must not raise; an
-        exception aborts the search.
 
     Returns
     -------
@@ -244,8 +231,7 @@ def find_design(graph: DataFlowGraph,
                            area_model, engine,
                            f" (area floor {area_floor})")
     search = _Search(graph, library, latency_bound, area_bound, area_model,
-                     method="find_design", engine=engine,
-                     on_improvement=on_improvement)
+                     method="find_design", engine=engine)
 
     fastest = {op.op_id: library.fastest(op.rtype) for op in graph}
     floor = engine.min_latency(graph, fastest)

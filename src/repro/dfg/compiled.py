@@ -250,15 +250,14 @@ class MergedBatch:
     """Merge several per-request item lists into one deduplicated work
     list, then split flat results back per request.
 
-    The windowed evaluation service aggregates ``evaluate_batch``
-    requests from many connections into one engine call; this helper
-    owns the index bookkeeping that makes the merge lossless.  Items
-    are deduplicated by a caller-supplied key (the engine uses the
-    allocation signature), so an allocation submitted by several fleet
-    clients in the same window is *computed once* and fanned back out
-    to every requester — the cross-request analogue of the duplicate
-    collapsing the batched timing kernels already perform within one
-    request.
+    ``EvaluationEngine.evaluate_batch_grouped`` evaluates several
+    ``evaluate_batch`` requests as one engine call; this helper owns
+    the index bookkeeping that makes the merge lossless.  Items are
+    deduplicated by a caller-supplied key (the engine uses the
+    allocation signature), so an allocation submitted by several
+    requests is *computed once* and fanned back out to every
+    requester — the cross-request analogue of the duplicate collapsing
+    the batched timing kernels already perform within one request.
 
     >>> merged = MergedBatch()
     >>> merged.add_request(["a", "b"], keys=["a", "b"])

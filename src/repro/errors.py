@@ -53,30 +53,6 @@ class CacheError(ReproError):
     """
 
 
-class CacheTimeoutError(CacheError):
-    """A cache-service request exceeded its client-side deadline.
-
-    Raised by :mod:`repro.core.cache_server` when a request — most
-    often a server-side job still aggregating inside an RPC batch
-    window — does not complete within the client's ``timeout`` /
-    ``job_timeout``.  A subclass of :class:`CacheError`, so every
-    fail-open call site still treats it as "compute locally"; catching
-    this type specifically distinguishes *slow* from *broken*.  The
-    client drops the timed-out connection (a late reply would desync
-    the stream) and transparently reconnects on its next request.
-    """
-
-
-class ProtocolError(CacheError):
-    """A cache-service peer violated the wire protocol.
-
-    Raised by :class:`repro.core.cache_server.CacheClient` when a
-    server's ``ping`` reply reports a different ``PROTOCOL_VERSION``.
-    A subclass of :class:`CacheError`, so every fail-open call site
-    treats it as "compute locally", never as a crash.
-    """
-
-
 class CharacterizationError(ReproError):
     """Gate-level characterization failed (bad netlist, no vectors, ...)."""
 

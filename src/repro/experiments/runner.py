@@ -29,8 +29,6 @@ def run_suites(suites: Mapping[str, Sequence[ExperimentTask]],
                names: Optional[Sequence[str]] = None, *,
                workers: Optional[int] = None,
                share_engine=None,
-               share_mode: str = "snapshot",
-               server_address: Optional[str] = None,
                checkpoint: Optional[Callable[[str], None]] = None,
                ) -> Iterator[Tuple[str, List[object]]]:
     """Run named groups of experiment tasks, yielding each on completion.
@@ -38,15 +36,13 @@ def run_suites(suites: Mapping[str, Sequence[ExperimentTask]],
     A lazy generator: group *name*'s results are yielded as soon as
     its tasks finish, and *checkpoint(name)* runs after the caller has
     consumed them — so a run that dies on table N still leaves behind
-    everything tables 1..N-1 produced and checkpointed.  The sharing
-    parameters are forwarded to :func:`repro.parallel.run_tasks`
+    everything tables 1..N-1 produced and checkpointed.  *workers* and
+    *share_engine* are forwarded to :func:`repro.parallel.run_tasks`
     unchanged.
     """
     for name in (list(suites) if names is None else names):
         results = run_tasks(suites[name], workers=workers,
-                            share_engine=share_engine,
-                            share_mode=share_mode,
-                            server_address=server_address)
+                            share_engine=share_engine)
         yield name, results
         if checkpoint is not None:
             checkpoint(name)

@@ -291,172 +291,3 @@ class TestCacheDir:
         engine = EvaluationEngine()
         assert merge_snapshot(engine, cache_store.load(path)) > 0
 
-
-class TestCacheServer:
-    """The --cache-server flag and the cache-serve subcommand."""
-
-    def test_synth_against_a_live_server(self, tmp_path, capsys):
-        from repro.core import cache_server, set_default_engine
-
-        address = str(tmp_path / "srv.sock")
-        with cache_server.CacheServer(address) as server:
-            args = ["synth", "diffeq", "-l", "6", "-a", "11",
-                    "--cache-server", address]
-            # fresh default engines stand in for separate processes:
-            # the first run must publish to the server, the second must
-            # serve itself from the first one's entries
-            set_default_engine(None)
-            try:
-                assert main(args) == 0
-                first = capsys.readouterr().out
-                assert server.entry_count() > 0, \
-                    "the run left nothing on the server"
-                set_default_engine(None)
-                assert main(args) == 0
-            finally:
-                set_default_engine(None)
-            assert capsys.readouterr().out == first
-            assert server.stats.hits > 0, \
-                "the second run never hit the first run's entries"
-
-    def test_unreachable_server_warns_and_runs_local(self, tmp_path,
-                                                     capsys):
-        assert main(["synth", "diffeq", "-l", "6", "-a", "11"]) == 0
-        reference = capsys.readouterr().out
-        assert main(["synth", "diffeq", "-l", "6", "-a", "11",
-                     "--cache-server", str(tmp_path / "gone.sock")]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == reference
-        assert "unreachable" in captured.err
-        # a URL is not a unix socket path: same warning, same result
-        assert main(["synth", "diffeq", "-l", "6", "-a", "11",
-                     "--cache-server", "tcp://127.0.0.1:7321"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == reference
-        assert "unreachable" in captured.err
-
-    def test_explore_auto_server_matches_serial(self, capsys):
-        assert main(["explore", "diffeq", "--latencies", "5", "6",
-                     "--areas", "11"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["explore", "diffeq", "--latencies", "5", "6",
-                     "--areas", "11", "--workers", "2",
-                     "--cache-server", "auto"]) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_auto_server_socket_lives_in_cache_dir(self, tmp_path,
-                                                   capsys):
-        import os
-
-        assert main(["synth", "diffeq", "-l", "6", "-a", "11",
-                     "--cache-server", "auto",
-                     "--cache-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        # the ephemeral server is gone afterwards (socket removed) but
-        # the cache dir snapshot carries what it collected
-        assert not os.path.exists(
-            str(tmp_path / "cache-server.sock"))
-        assert os.path.exists(
-            os.path.join(str(tmp_path), "engine-cache.bin"))
-
-    def test_cache_serve_seeds_serves_and_shuts_down(self, tmp_path,
-                                                     capsys):
-        import threading
-        import time
-
-        from repro.core import cache_server
-        from repro.errors import CacheError
-
-        # populate a cache dir first
-        assert main(["synth", "diffeq", "-l", "6", "-a", "11",
-                     "--cache-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        address = str(tmp_path / "serve.sock")
-        exit_codes = []
-        thread = threading.Thread(
-            target=lambda: exit_codes.append(
-                main(["cache-serve", "--address", address,
-                      "--cache-dir", str(tmp_path)])),
-            daemon=True)
-        thread.start()
-        client = cache_server.CacheClient(address, timeout=5.0)
-        deadline = time.monotonic() + 10.0
-        while True:
-            try:
-                client.ping()
-                break
-            except CacheError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.05)
-        stats = client.stats()
-        assert stats["entries"] > 0, "server did not seed from the dir"
-        client.shutdown()
-        client.close()
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        assert exit_codes == [0]
-
-    def test_cache_serve_rejects_url_addresses(self, tmp_path, capsys,
-                                               monkeypatch):
-        import os
-
-        monkeypatch.chdir(tmp_path)
-        assert main(["cache-serve", "--address",
-                     "tcp://127.0.0.1:7321"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
-        assert not os.path.exists(tmp_path / "tcp:")
-
-
-class TestCacheStats:
-    """The cache-stats subcommand against a live server."""
-
-    def test_text_report(self, tmp_path, capsys):
-        from repro.core import cache_server
-
-        address = str(tmp_path / "srv.sock")
-        with cache_server.CacheServer(address) as server:
-            server.seed({"density": [((("g",), "sig", 7), "value")]})
-            assert main(["cache-stats", "--address", address]) == 0
-            out = capsys.readouterr().out
-        assert f"cache server at {address}" in out
-        assert "entries     : 1" in out
-        assert "density=1" in out
-
-    def test_json_report(self, tmp_path, capsys):
-        from repro.core import cache_server
-
-        address = str(tmp_path / "srv.sock")
-        with cache_server.CacheServer(address) as server:
-            with cache_server.CacheClient(address) as client:
-                client.put("timing", ("k",), ("starts", 3))
-                client.get("timing", ("k",))
-                client.get("timing", ("absent",))
-            assert main(["cache-stats", "--address", address,
-                         "--json"]) == 0
-            payload = json.loads(capsys.readouterr().out)
-        assert payload["entries"] == 1
-        assert payload["gets"] == 2 and payload["hits"] == 1
-        assert payload["hit_rate"] == 0.5
-        assert payload["layer_sizes"]["timing"] == 1
-
-    def test_cache_dir_resolves_default_socket(self, tmp_path, capsys):
-        from repro.core import cache_server
-
-        address = cache_server.default_address(str(tmp_path))
-        with cache_server.CacheServer(address):
-            assert main(["cache-stats", "--cache-dir",
-                         str(tmp_path)]) == 0
-            assert "cache server at" in capsys.readouterr().out
-
-    def test_requires_a_location(self, capsys):
-        assert main(["cache-stats"]) == 2
-        assert "--address or --cache-dir" in capsys.readouterr().err
-
-    def test_unreachable_server_is_a_clean_error(self, tmp_path, capsys):
-        assert main(["cache-stats", "--address",
-                     str(tmp_path / "nothing.sock")]) == 1
-        assert "error" in capsys.readouterr().err

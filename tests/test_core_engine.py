@@ -312,3 +312,15 @@ class TestParallelSweep:
             assert (a.latency_bound, a.area_bound) == \
                 (b.latency_bound, b.area_bound)
             assert result_fingerprint(a.result) == result_fingerprint(b.result)
+
+    def test_share_caches_rejects_non_bool(self, lib, monkeypatch):
+        from repro.core import explore
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("workers started before validation")
+
+        monkeypatch.setattr(explore, "run_tasks", no_workers)
+        for setting in ("live", "snapshot", None, 1):
+            with pytest.raises(ReproError, match="share_caches"):
+                sweep_bounds(fir16(), lib, [10, 11], [8, 9], workers=2,
+                             share_caches=setting)

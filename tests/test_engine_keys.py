@@ -5,9 +5,9 @@ per-engine version codes and a delay assignment by
 ``CompiledGraph.delays_key``.  Codes are process-local, so these tests
 pin the two halves of the contract: equal-by-value allocations share
 one key (whatever object identity or dict order they arrive with), and
-everything that leaves an engine — exports, snapshots, merges, the
-remote layer — carries the historical content form, so engines whose
-code tables filled in different orders exchange entries losslessly.
+everything that leaves an engine — exports, snapshots, merges —
+carries the historical content form, so engines whose code tables
+filled in different orders exchange entries losslessly.
 """
 
 import pickle

@@ -1,42 +1,20 @@
-"""Property-equivalence and fault-injection suite for the RPC batch
-window (``CacheServer(batch_window=...)``).
+"""Property-equivalence suite for grouped batch evaluation
+(``EvaluationEngine.evaluate_batch_grouped`` with
+:class:`~repro.dfg.compiled.MergedBatch`).
 
-Windowing is a throughput optimisation and nothing else, so every
-test here pins an invariance: merged flushes must produce results
-byte-identical to the unwindowed server and to a local engine-off
-run; each window member owns exactly its own error, never a window
-mate's; and none of the hardening paths — client disconnects
-mid-window, wedged readers, the server dying with jobs queued — may
-leak one member's fate onto another.
-
-Determinism note: several tests pre-increment the server's
-``_window_inflight`` counter before sending traffic.  That simulates
-a merged flush already running on the executor, which disables the
-idle-server immediate-flush path and forces jobs to aggregate until
-the deadline or the item cap — the only way to make multi-client
-window composition reproducible without sleeping on real compute.
+Merging several ``evaluate_batch`` requests into one window of work is
+a throughput optimisation and nothing else, so every test here pins an
+invariance: a merged group must produce results byte-identical to each
+request evaluated alone and to a local engine-off run, a duplicate
+allocation is computed once, and each request owns exactly its own
+error, never a window mate's.
 """
-
-import socket
-import threading
-import time
 
 import pytest
 
 from repro.bench import diffeq, fir16
-from repro.core import EvaluationEngine, find_design
-from repro.core.cache_server import (
-    CacheClient,
-    CacheServer,
-    evaluate_batch_remote,
-    _send_frame,
-)
+from repro.core import EvaluationEngine
 from repro.dfg.compiled import MergedBatch
-from repro.errors import (
-    CacheError,
-    CacheTimeoutError,
-    NoSolutionError,
-)
 from repro.library import paper_library
 
 
@@ -62,108 +40,78 @@ def eval_fp(evals):
             for e in evals]
 
 
-def design_fp(result):
-    if result is None:
-        return None
-    return (result.area, result.latency, result.reliability,
-            dict(result.schedule.starts),
-            dict(result.binding.op_to_instance))
+def spy_batches(engine):
+    """Record the item count of every ``evaluate_batch`` call."""
+    calls = []
+    real = engine.evaluate_batch
 
+    def spy(spy_graph, allocations, latency_bound, **options):
+        calls.append(len(allocations))
+        return real(spy_graph, allocations, latency_bound, **options)
 
-def hold_window(server):
-    """Simulate an in-flight merged flush (see module docstring)."""
-    server._window_inflight += 1
-
-
-def release_window(server):
-    server._window_inflight -= 1
+    engine.evaluate_batch = spy
+    return calls
 
 
 # ----------------------------------------------------------------------
-# equivalence: windowed == unwindowed == local engine-off
+# equivalence: merged == each request alone == local engine-off
 # ----------------------------------------------------------------------
 class TestEquivalence:
-    def test_windowed_unwindowed_local_identical(self, tmp_path, lib):
+    def test_windowed_unwindowed_local_identical(self, lib):
         graph = diffeq()
         allocations = three_allocations(graph, lib)
-        local = eval_fp(EvaluationEngine(cache=False).evaluate_batch(
-            graph, allocations, 8))
+        requests = [allocations, allocations[::-1], allocations[1:]]
+        local = [eval_fp(EvaluationEngine(cache=False).evaluate_batch(
+            graph, request, 8)) for request in requests]
 
-        with CacheServer(str(tmp_path / "plain.sock")) as plain:
-            with CacheClient(plain.address) as client:
-                unwindowed = eval_fp(
-                    client.evaluate_batch(graph, allocations, 8))
+        unwindowed = [eval_fp(EvaluationEngine().evaluate_batch(
+            graph, request, 8)) for request in requests]
         assert unwindowed == local
 
-        with CacheServer(str(tmp_path / "win.sock"),
-                         batch_window=0.05) as srv:
-            results = [None] * 3
+        engine = EvaluationEngine()
+        calls = spy_batches(engine)
+        outcomes = engine.evaluate_batch_grouped(
+            [(graph, request, 8, {}) for request in requests])
+        assert [status for status, _ in outcomes] == ["ok"] * 3
+        assert [eval_fp(evals) for _, evals in outcomes] == local
+        # one group (same graph, bound and options): one merged call
+        # carrying the three unique allocations
+        assert calls == [3]
 
-            def worker(slot):
-                with CacheClient(srv.address) as client:
-                    results[slot] = eval_fp(
-                        client.evaluate_batch(graph, allocations, 8))
-
-            threads = [threading.Thread(target=worker, args=(slot,))
-                       for slot in range(3)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            stats = srv.stats.as_dict()
-        assert results == [local] * 3
-        # every job went through the window accounting
-        assert stats["window_items"] == 3
-        assert 1 <= stats["window_batches"] <= 3
-        assert stats["window_fill"] >= 1.0
-
-    def test_error_parity_windowed_vs_unwindowed(self, tmp_path, lib):
-        """A failing request surfaces the same error string whether it
-        was served alone or demultiplexed out of a merged window."""
+    def test_error_parity_windowed_vs_unwindowed(self, lib):
+        """A failing request surfaces the same error whether it was
+        evaluated alone or demultiplexed out of a merged group, and
+        its group mate's results are untouched."""
         bad_shape = ("evaluate_batch", "not-a-graph")
         # allocations built for the wrong graph fail deep inside the
-        # engine, past the shape validator
-        wrong_graph = (fir16(), three_allocations(diffeq(), lib), 8, {})
+        # engine, past the request-shape check
+        graph = fir16()
+        good = three_allocations(graph, lib)
+        wrong = three_allocations(diffeq(), lib)
 
-        def harvest(server):
-            errors = []
-            with CacheClient(server.address) as client:
-                with pytest.raises(CacheError) as exc:
-                    client._request(bad_shape)
-                errors.append(str(exc.value))
-                with pytest.raises(CacheError) as exc:
-                    client.evaluate_batch(wrong_graph[0], wrong_graph[1],
-                                          wrong_graph[2])
-                errors.append(str(exc.value))
-                client.ping()  # the connection survives either failure
-            return errors
+        with pytest.raises(Exception) as alone:
+            EvaluationEngine().evaluate_batch(graph, wrong, 12)
 
-        with CacheServer(str(tmp_path / "plain.sock")) as plain:
-            unwindowed = harvest(plain)
-        with CacheServer(str(tmp_path / "win.sock"),
-                         batch_window=0.05) as windowed:
-            assert harvest(windowed) == unwindowed
-            assert windowed.stats.window_batches >= 1
+        def harvest(requests):
+            outcomes = EvaluationEngine().evaluate_batch_grouped(requests)
+            return [(status, type(value), str(value))
+                    if status == "error" else (status, eval_fp(value))
+                    for status, value in outcomes]
 
-    def test_synthesize_unaffected_by_windowing(self, tmp_path, lib):
-        """``synthesize`` dispatches immediately on a windowed server
-        (its candidate rounds already batch inside find_design), with
-        results and NoSolutionError surfaces identical to local."""
-        local = find_design(diffeq(), lib, 8, 20,
-                            engine=EvaluationEngine(cache=False))
-        with CacheServer(str(tmp_path / "win.sock"),
-                         batch_window=0.05) as srv:
-            with CacheClient(srv.address) as client:
-                remote = client.synthesize(diffeq(), lib, 8, 20)
-                with pytest.raises(NoSolutionError) as remote_exc:
-                    client.synthesize(diffeq(), lib, 1, 1)
-            assert srv.stats.window_batches == 0  # never windowed
-        assert design_fp(remote) == design_fp(local)
-        with pytest.raises(NoSolutionError) as local_exc:
-            find_design(diffeq(), lib, 1, 1,
-                        engine=EvaluationEngine(cache=False))
-        assert remote_exc.value.latency == local_exc.value.latency
-        assert remote_exc.value.area == local_exc.value.area
+        solo = harvest([bad_shape]) + harvest([(graph, wrong, 12, {})])
+        expected_ok = ("ok", eval_fp(
+            EvaluationEngine(cache=False).evaluate_batch(graph, good, 12)))
+        # the failing request both after and before its group mate
+        merged = harvest([bad_shape, (graph, good, 12, {}),
+                          (graph, wrong, 12, {})])
+        assert solo == [merged[0], merged[2]]
+        assert merged[1] == expected_ok
+        flipped = harvest([(graph, wrong, 12, {}),
+                           (graph, good, 12, {}), bad_shape])
+        assert flipped == [merged[2], expected_ok, merged[0]]
+        assert merged[2] == ("error", type(alone.value),
+                             str(alone.value))
+        assert "malformed evaluate_batch request" in merged[0][2]
 
 
 # ----------------------------------------------------------------------
@@ -214,244 +162,19 @@ class TestDedupe:
         assert eval_fp(outcomes[1][1]) == eval_fp(
             reference.evaluate_batch(graph, [alloc_b, alloc_c], 8))
 
-    def test_duplicate_jobs_share_one_window_batch(self, tmp_path, lib):
+    def test_duplicate_jobs_share_one_window_batch(self, lib):
         graph = diffeq()
         allocations = three_allocations(graph, lib)
         local = eval_fp(EvaluationEngine(cache=False).evaluate_batch(
             graph, allocations, 8))
-        with CacheServer(str(tmp_path / "win.sock"),
-                         batch_window=0.5) as srv:
-            hold_window(srv)  # force both jobs into the same window
-            results = [None] * 2
-
-            def worker(slot):
-                with CacheClient(srv.address) as client:
-                    results[slot] = eval_fp(
-                        client.evaluate_batch(graph, allocations, 8))
-
-            threads = [threading.Thread(target=worker, args=(slot,))
-                       for slot in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            stats = srv.stats.as_dict()
-        assert results == [local] * 2
-        assert stats["window_batches"] == 1  # one merged flush
-        assert stats["window_items"] == 2
-        assert stats["window_fill"] == 2.0
-        assert stats["window_wait_p99"] > 0.0
-
-
-# ----------------------------------------------------------------------
-# max-items cap and overflow splitting
-# ----------------------------------------------------------------------
-class TestOverflowSplitting:
-    def test_cap_triggers_flush_and_splits(self, tmp_path, lib):
-        """Hitting ``batch_max_items`` flushes without waiting for the
-        deadline, splitting into merged calls under the cap."""
-        graph = diffeq()
-        allocations = three_allocations(graph, lib)
-        local = eval_fp(EvaluationEngine(cache=False).evaluate_batch(
-            graph, allocations, 8))
-        with CacheServer(str(tmp_path / "win.sock"), batch_window=30.0,
-                         batch_max_items=4) as srv:
-            hold_window(srv)
-            results = [None] * 2
-            started = time.monotonic()
-
-            def worker(slot):
-                with CacheClient(srv.address) as client:
-                    results[slot] = eval_fp(
-                        client.evaluate_batch(graph, allocations, 8))
-
-            threads = [threading.Thread(target=worker, args=(slot,))
-                       for slot in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            elapsed = time.monotonic() - started
-            stats = srv.stats.as_dict()
-        assert results == [local] * 2
-        # 3 + 3 items tripped the cap of 4: two merged calls, and the
-        # 30 s deadline was never waited on
-        assert stats["window_batches"] == 2
-        assert stats["window_items"] == 2
-        assert elapsed < 25.0
-
-    def test_single_oversized_job_dispatches_alone(self, tmp_path, lib):
-        graph = diffeq()
-        allocations = three_allocations(graph, lib)
-        local = eval_fp(EvaluationEngine(cache=False).evaluate_batch(
-            graph, allocations, 8))
-        with CacheServer(str(tmp_path / "win.sock"), batch_window=0.05,
-                         batch_max_items=2) as srv:
-            with CacheClient(srv.address) as client:
-                result = eval_fp(
-                    client.evaluate_batch(graph, allocations, 8))
-            stats = srv.stats.as_dict()
-        assert result == local
-        assert stats["window_batches"] == 1
-        assert stats["window_items"] == 1
-
-
-# ----------------------------------------------------------------------
-# fault injection
-# ----------------------------------------------------------------------
-class TestFaultInjection:
-    def test_client_disconnect_mid_window_is_shed(self, tmp_path, lib):
-        """A job whose client hung up before the flush is shed; its
-        window mates still compute and reply."""
-        graph = diffeq()
-        allocations = three_allocations(graph, lib)
-        local = eval_fp(EvaluationEngine(cache=False).evaluate_batch(
-            graph, allocations, 8))
-        with CacheServer(str(tmp_path / "win.sock"),
-                         batch_window=0.4) as srv:
-            hold_window(srv)
-            # a legacy-pickle peer queues a job, then vanishes
-            ghost = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            ghost.connect(srv.address)
-            _send_frame(ghost, ("evaluate_batch", graph, allocations,
-                                8, {}))
-            ghost.close()
-            time.sleep(0.1)  # let the server queue the job + see EOF
-            result = [None]
-
-            def worker():
-                with CacheClient(srv.address) as client:
-                    result[0] = eval_fp(
-                        client.evaluate_batch(graph, allocations, 8))
-
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join(timeout=60)
-            stats = srv.stats.as_dict()
-            with CacheClient(srv.address) as client:
-                client.ping()  # the server is unharmed
-        assert result[0] == local
-        # the ghost's job was queued but shed at flush time
-        assert stats["window_items"] == 1
-        assert stats["window_batches"] == 1
-
-    def test_server_killed_mid_window_fails_open(self, tmp_path, lib):
-        """Every client waiting on an unflushed window fails open to
-        identical local compute when the server dies."""
-        graph = diffeq()
-        allocations = three_allocations(graph, lib)
-        local = eval_fp(EvaluationEngine(cache=False).evaluate_batch(
-            graph, allocations, 8))
-        srv = CacheServer(str(tmp_path / "win.sock"),
-                          batch_window=30.0).start()
-        hold_window(srv)  # jobs queue until the far deadline
-        results = [None] * 2
-
-        def worker(slot):
-            results[slot] = eval_fp(evaluate_batch_remote(
-                graph, allocations, 8, address=srv.address,
-                job_timeout=60.0, engine=EvaluationEngine(cache=False)))
-
-        threads = [threading.Thread(target=worker, args=(slot,))
-                   for slot in range(2)]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.3)  # both jobs are sitting in the window
-        srv.stop()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert results == [local] * 2
-
-    def test_wedged_reader_does_not_block_window_mates(self, tmp_path,
-                                                       lib):
-        """One window member that never drains its reply must not
-        delay the others: demux posts each reply independently."""
-        graph = diffeq()
-        allocations = three_allocations(graph, lib)
-        local = eval_fp(EvaluationEngine(cache=False).evaluate_batch(
-            graph, allocations, 8))
-        with CacheServer(str(tmp_path / "win.sock"), batch_window=30.0,
-                         batch_max_items=6) as srv:
-            hold_window(srv)
-            wedged = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            wedged.connect(srv.address)
-            _send_frame(wedged, ("evaluate_batch", graph, allocations,
-                                 8, {}))  # 3 items; never reads
-            time.sleep(0.1)
-            result = [None]
-
-            def worker():
-                # 3 more items hit the cap of 6: one shared flush
-                with CacheClient(srv.address) as client:
-                    result[0] = eval_fp(
-                        client.evaluate_batch(graph, allocations, 8))
-
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join(timeout=60)
-            assert not thread.is_alive(), \
-                "reply never flushed past the wedged window mate"
-            stats = srv.stats.as_dict()
-            wedged.close()
-        assert result[0] == local
-        # both jobs genuinely shared one merged call
-        assert stats["window_batches"] == 1
-        assert stats["window_items"] == 2
-
-
-# ----------------------------------------------------------------------
-# distinct window-flush timeout (and no connection poisoning)
-# ----------------------------------------------------------------------
-class TestTimeoutDistinction:
-    def test_timeout_type_is_a_cache_error(self):
-        # fail-open call sites catch CacheError; the distinct type
-        # must stay inside that net
-        assert issubclass(CacheTimeoutError, CacheError)
-
-    def test_window_timeout_distinct_and_not_poisoned(self, tmp_path,
-                                                      lib):
-        graph = diffeq()
-        allocations = three_allocations(graph, lib)
-        local = eval_fp(EvaluationEngine(cache=False).evaluate_batch(
-            graph, allocations, 8))
-        with CacheServer(str(tmp_path / "win.sock"),
-                         batch_window=30.0) as srv:
-            hold_window(srv)  # the flush outlives the client deadline
-            client = CacheClient(srv.address, job_timeout=0.3)
-            try:
-                with pytest.raises(CacheTimeoutError,
-                                   match="job_timeout"):
-                    client.evaluate_batch(graph, allocations, 8)
-                release_window(srv)
-                # the timed-out connection was dropped; the next
-                # request reconnects and is served normally (the stale
-                # queued job is shed — its connection is gone)
-                assert eval_fp(client.evaluate_batch(
-                    graph, allocations, 8)) == local
-                client.ping()
-            finally:
-                client.close()
-
-    def test_synthesize_timeout_is_distinct(self, tmp_path):
-        """A synthesize job that sends no frame before the deadline
-        surfaces CacheTimeoutError, not a generic CacheError."""
-        address = str(tmp_path / "mute.sock")
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(address)
-        listener.listen(1)
-        accepted = []
-
-        def serve():
-            conn, _ = listener.accept()
-            accepted.append(conn)  # read nothing, reply nothing
-
-        threading.Thread(target=serve, daemon=True).start()
-        try:
-            client = CacheClient(address, job_timeout=0.3)
-            with pytest.raises(CacheTimeoutError, match="job_timeout"):
-                client.synthesize(diffeq(), paper_library(), 8, 20)
-            client.close()
-        finally:
-            for conn in accepted:
-                conn.close()
-            listener.close()
+        engine = EvaluationEngine()
+        calls = spy_batches(engine)
+        outcomes = engine.evaluate_batch_grouped(
+            [(graph, allocations, 8, {})] * 2)
+        assert [eval_fp(evals) for _, evals in outcomes] == [local] * 2
+        assert calls == [3]  # one merged call, the duplicate job free
+        # a different bound is a different group: its own call
+        calls.clear()
+        engine.evaluate_batch_grouped([(graph, allocations, 8, {}),
+                                       (graph, allocations, 9, {})])
+        assert calls == [3, 3]
