@@ -168,33 +168,27 @@ class CompactionStats:
     entries_before: int = 0
     entries_after: int = 0
     pruned_density: int = 0    # bound-dominated density points dropped
-    dropped_for_size: int = 0  # stalest entries dropped for the size cap
 
     @property
     def removed(self) -> int:
         return self.entries_before - self.entries_after
 
 
-def compact_snapshot(snapshot: EngineSnapshot,
-                     max_bytes: Optional[int] = None
+def compact_snapshot(snapshot: EngineSnapshot
                      ) -> Tuple[EngineSnapshot, CompactionStats]:
     """Shrink *snapshot* without changing what loading it can compute.
 
     Every cache layer is a pure memo, so dropping entries can only
     cost future recomputation, never correctness — the property tests
-    assert cold ≡ warm ≡ compacted.  Two reductions run:
-
-    * **bound dominance** — density entries share a key prefix of
-      ``(graph, allocation)`` and differ only in latency; every
-      density scan walks the same allocation's latencies in ascending
-      order from the same critical path and keeps the minimum-area
-      point.  An entry whose realized area does not *improve on* every
-      feasible entry at a strictly lower latency can therefore never
-      be the scan's winner — it is pruned (infeasible/``None`` markers
-      are tiny and memoize real work, so they stay).
-    * **size cap** — with *max_bytes*, the stalest entries (snapshots
-      list least- to most-recently-used) are dropped proportionally
-      across layers until the encoded file fits.
+    assert cold ≡ warm ≡ compacted.  One reduction runs, bound
+    dominance: density entries share a key prefix of ``(graph,
+    allocation)`` and differ only in latency; every density scan walks
+    the same allocation's latencies in ascending order from the same
+    critical path and keeps the minimum-area point.  An entry whose
+    realized area does not *improve on* every feasible entry at a
+    strictly lower latency can therefore never be the scan's winner —
+    it is pruned (infeasible/``None`` markers are tiny and memoize
+    real work, so they stay).
 
     Returns the compacted snapshot (a new object; the input is not
     mutated) and a :class:`CompactionStats`.
@@ -229,24 +223,6 @@ def compact_snapshot(snapshot: EngineSnapshot,
                                  if index not in doomed]
 
     compacted = EngineSnapshot(version=snapshot.version, layers=layers)
-    if max_bytes is not None:
-        data = dumps(compacted)
-        while len(data) > max_bytes:
-            if not any(layers.values()):
-                break  # even the empty envelope exceeds the cap
-            # keep the newest fraction of each layer, estimated from
-            # the overshoot (never more than 7/8, so progress is
-            # guaranteed and the loop is a handful of re-encodes)
-            keep_fraction = min(max_bytes / len(data) * 0.9, 0.875)
-            for name, entries in layers.items():
-                keep = int(len(entries) * keep_fraction)
-                if keep < len(entries):
-                    stats.dropped_for_size += len(entries) - keep
-                    layers[name] = entries[len(entries) - keep:]
-            compacted = EngineSnapshot(version=snapshot.version,
-                                       layers=layers)
-            data = dumps(compacted)
-
     stats.entries_after = compacted.entry_count
     return compacted, stats
 

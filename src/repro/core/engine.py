@@ -113,7 +113,7 @@ from functools import partial
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from repro.dfg.compiled import DELAYS_TYPECODE, MergedBatch, compile_graph
+from repro.dfg.compiled import DELAYS_TYPECODE, compile_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import BindingError, ReproError, SchedulingError
 from repro.hls import fastsched
@@ -875,7 +875,7 @@ class EvaluationEngine:
         succs = compiled.succs
         d = [delays[op] for op in ids]
         s = [starts[op] for op in ids]
-        rank = compiled.topo_rank.tolist()
+        rank = compiled.topo_rank
         topo = compiled.topo_order
         if self.cache_enabled and self.scheduler_impl == "fast":
             # base_timing already computed (and memoized) the tails
@@ -1075,30 +1075,30 @@ class EvaluationEngine:
                        batch_size: Optional[int] = None
                        ) -> List[Optional["Evaluation"]]:
         """``[self.evaluate(graph, a, latency_bound, ...) for a in
-        allocations]`` with cache misses solved in vectorized batches.
+        allocations]`` with the cache misses scanned together.
 
         Results are identical to the sequential loop: memo hits are
         served from the evaluation memo, duplicates collapse onto one
-        computation, and the misses share one batched timing pass and
-        one lockstep density solve (:func:`repro.hls.fastsched.
-        batched_density_schedules`) instead of per-item kernel runs.
-        Only private cache *population* differs — the batched density
-        scan costs non-winning latencies with :func:`_scan_area`
-        (lane counts, no binder) and caches a density point only for
-        each item's winning latency, so a later sweep may re-bind a
-        point the sequential path would have had cached.  Never
-        observable in results; asserted design-identical by the test
-        suite.
+        computation, and the density points every miss's latency scan
+        still needs are collected, deduplicated across items, and
+        solved in one :func:`repro.hls.fastsched.
+        batched_density_schedules` call.  Only private cache
+        *population* differs — the batched density scan costs
+        non-winning latencies with :func:`_scan_area` (lane counts, no
+        binder) and caches a density point only for each item's winning
+        latency, so a later sweep may re-bind a point the sequential
+        path would have had cached.  Never observable in results;
+        asserted design-identical by the test suite.
 
         ``EngineStats.batch_items`` counts submitted items,
         ``EngineStats.batched_evals`` those that reached the batched
         solver; their ratio is :attr:`EngineStats.batch_fill`.
-        *batch_size* splits the items into chunks solved one vectorized
-        round at a time (``None`` = one chunk; a ragged final chunk is
+        *batch_size* splits the items into chunks solved one round at a
+        time (``None`` = one chunk; a ragged final chunk is
         processed like any other).
 
         Falls back to the exact sequential loop whenever the batched
-        kernels could diverge or cannot help: caching disabled, the
+        scan could diverge or cannot help: caching disabled, the
         reference implementation selected, ``stop_at_area`` set (its
         early break is inherently sequential), an empty graph, or a pure
         ``"list"`` scheduler request.
@@ -1144,14 +1144,14 @@ class EvaluationEngine:
 
     def _evaluate_chunk(self, graph, allocations, results, indices,
                         latency_bound, area_model, scheduler) -> None:
-        """One vectorized round of :meth:`evaluate_batch`."""
+        """One round of :meth:`evaluate_batch`."""
         record = self._record(graph)
         delayed = [(idx, {op_id: v.delay
                           for op_id, v in allocations[idx].items()})
                    for idx in indices]
-        # one batched level pass covers every distinct uncached delay
-        # vector; results land in the compiled graph's memo *and* the
-        # engine timing layer, exactly as per-item evaluations would
+        # base timing of every item; results land in the compiled
+        # graph's memo *and* the engine timing layer, exactly as
+        # per-item evaluations would
         timings = fastsched.batched_timing(graph,
                                            [d for _, d in delayed])
         compiled = record.compiled
@@ -1208,8 +1208,8 @@ class EvaluationEngine:
         density_best: Dict[int, Optional[Evaluation]] = {}
         if scheduler in ("auto", "density"):
             # plan every item's latency scan: served density points and
-            # cached schedule points are reused; the rest is collected
-            # into one lockstep density solve
+            # cached schedule points are reused; the rest is collected,
+            # deduplicated, into one batched density call
             needed: Dict[tuple, Tuple[Mapping[str, int], int]] = {}
             plans = []
             for idx, delays, delays_key, critical, signature, _ in todo:
@@ -1308,110 +1308,6 @@ class EvaluationEngine:
             self._evaluations.put(memo_key, result)
             solved[memo_key] = result
             results[idx] = result
-
-    def evaluate_batch_grouped(
-            self, requests: Sequence[tuple]
-            ) -> List[Tuple[str, object]]:
-        """Evaluate several :meth:`evaluate_batch` requests as merged
-        groups.
-
-        *requests* is a sequence of ``(graph, allocations,
-        latency_bound, options)`` tuples, *options* a mapping of
-        :meth:`evaluate_batch` keyword arguments.  Returns one outcome
-        per request, in order: ``("ok", evaluations)`` with exactly the
-        list the request's own :meth:`evaluate_batch` call would
-        return, or ``("error", exception)`` with exactly the
-        :class:`~repro.errors.ReproError` it would raise — one
-        request's failure never contaminates another's results
-        (per-request error parity).
-
-        Requests sharing a group key — identical graph content,
-        latency bound and options — are merged into a *single*
-        :meth:`evaluate_batch` call, with identical allocations
-        deduplicated across requests first
-        (:class:`~repro.dfg.compiled.MergedBatch` keyed on the
-        allocation key), so a duplicate submitted by several requests
-        is computed once.  If a merged
-        call raises, the group falls back to evaluating each request
-        separately, which restores the exact per-request error the
-        sequential path would have surfaced.
-        """
-        outcomes: List[Optional[Tuple[str, object]]] = \
-            [None] * len(requests)
-        groups: Dict[tuple, List[int]] = {}
-        group_keys: List[Optional[tuple]] = []
-        for index, request in enumerate(requests):
-            try:
-                graph, allocations, latency_bound, options = request
-                options = dict(options or {})
-                key = (self._record(graph).key, int(latency_bound),
-                       tuple(sorted(options.items())))
-            except (TypeError, ValueError, ReproError) as exc:
-                outcomes[index] = ("error", exc if isinstance(
-                    exc, ReproError) else ReproError(
-                        f"malformed evaluate_batch request: {exc}"))
-                group_keys.append(None)
-                continue
-            group_keys.append(key)
-            groups.setdefault(key, []).append(index)
-        for members in groups.values():
-            if len(members) == 1:
-                index = members[0]
-                graph, allocations, latency_bound, options = \
-                    requests[index]
-                outcomes[index] = self._grouped_one(
-                    graph, allocations, latency_bound, options)
-                continue
-            merged = MergedBatch()
-            merged_members = []
-            for index in members:
-                graph, allocations, latency_bound, options = \
-                    requests[index]
-                allocations = list(allocations)
-                try:
-                    record = self._record(graph)
-                    keys = [self._allocation_key(record, a)
-                            for a in allocations]
-                except Exception:
-                    # a malformed allocation fails its own request with
-                    # the exact per-item exception, nobody else's
-                    outcomes[index] = self._grouped_one(
-                        graph, allocations, latency_bound, options)
-                    continue
-                merged.add_request(allocations, keys=keys)
-                merged_members.append(index)
-            members = merged_members
-            if not members:
-                continue
-            graph, _, latency_bound, options = requests[members[0]]
-            try:
-                flat = self.evaluate_batch(graph, merged.items,
-                                           int(latency_bound),
-                                           **dict(options or {}))
-                per_request = merged.split(flat)
-            except Exception:
-                # restore exact per-request error attribution: each
-                # member re-runs alone and owns whatever it raises
-                for index in members:
-                    graph, allocations, latency_bound, options = \
-                        requests[index]
-                    outcomes[index] = self._grouped_one(
-                        graph, allocations, latency_bound, options)
-                continue
-            for index, evals in zip(members, per_request):
-                outcomes[index] = ("ok", evals)
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes
-
-    def _grouped_one(self, graph, allocations, latency_bound, options
-                     ) -> Tuple[str, object]:
-        """One request of :meth:`evaluate_batch_grouped`, alone."""
-        try:
-            return ("ok", self.evaluate_batch(graph, list(allocations),
-                                              int(latency_bound),
-                                              **dict(options or {})))
-        except Exception as exc:  # the request owns its own failure
-            return ("error", exc)
 
     # -- density -------------------------------------------------------
     def _density_best(self, graph, record, signature, allocation, delays,

@@ -124,12 +124,11 @@ def evaluate_allocations(graph: DataFlowGraph,
     allocations of one graph.
 
     Equivalent to evaluating each allocation in order — identical
-    results, asserted by the test suite — but cache misses are solved
-    through the engine's vectorized kernels
-    (:meth:`repro.core.engine.EvaluationEngine.evaluate_batch`): one
-    level pass times every distinct delay vector, and one lockstep
-    density solve covers every missing schedule point of the whole
-    sweep.
+    results, asserted by the test suite — but the cache misses are
+    scanned together
+    (:meth:`repro.core.engine.EvaluationEngine.evaluate_batch`): every
+    density point the misses still need is solved once, however many
+    allocations share its delay vector.
     """
     from repro.core.engine import default_engine
 

@@ -96,9 +96,8 @@ def sweep_bounds(graph: DataFlowGraph,
 
     Each grid point's search batches its candidate-allocation rounds
     through :meth:`EvaluationEngine.evaluate_batch` (see
-    :mod:`repro.core.find_design`), so cold sweeps solve memo misses
-    through the vectorized scheduling kernels rather than one
-    allocation at a time.
+    :mod:`repro.core.find_design`), so cold sweeps solve each round's
+    memo misses together rather than one allocation at a time.
 
     Parameters
     ----------

@@ -117,7 +117,7 @@ class _Search:
 
         Equivalent to considering them in order (the engine's batched
         path is result-identical to its sequential one), but cache
-        misses share vectorized timing and density solves.  Used by the
+        misses share one latency scan and one batched density call.  Used by the
         neighbor-generation scans of the area-repair, group-refinement
         and uniform-fallback loops, whose candidate sets within one
         round are pairwise distinct and judged only after the whole

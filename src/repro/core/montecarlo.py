@@ -20,12 +20,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 from repro.core.design import DesignResult
 from repro.errors import ReproError
@@ -65,6 +61,17 @@ class MonteCarloReport:
         null_err = math.sqrt(max(p * (1.0 - p), 0.0) / self.trials)
         return abs(self.estimate - self.analytic) <= max(
             sigmas * max(self.stderr, null_err), 1e-9)
+
+
+@lru_cache(maxsize=None)
+def _numpy():
+    """NumPy for the vectorized campaign, imported on first use, or
+    ``None`` when it is not installed (the scalar loop then runs)."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 def _group_survives(reliability: float, copies: int,
@@ -117,7 +124,7 @@ def _groups_survive(survivors, copies: int):
     return survivors > copies // 2
 
 
-def _simulate_batched(per_op: List[Tuple[float, int]], trials: int,
+def _simulate_batched(np, per_op: List[Tuple[float, int]], trials: int,
                       seed: int) -> int:
     """Vectorized campaign: binomial survivor draws per replica group.
 
@@ -130,8 +137,8 @@ def _simulate_batched(per_op: List[Tuple[float, int]], trials: int,
     ``(trials × ops)`` draw per shape replaces the per-trial Python
     loop.
     """
-    rng = _np.random.default_rng(seed)
-    alive = _np.ones(trials, dtype=bool)
+    rng = np.random.default_rng(seed)
+    alive = np.ones(trials, dtype=bool)
     for (reliability, copies), ops in _shape_counts(per_op).items():
         survivors = rng.binomial(copies, reliability, size=(trials, ops))
         alive &= _groups_survive(survivors, copies).all(axis=1)
@@ -156,8 +163,9 @@ def simulate_design(result: DesignResult,
     if trials < 1:
         raise ReproError(f"trials must be positive, got {trials}")
     per_op = _replica_groups(result)
-    if rng is None and _np is not None:
-        successes = _simulate_batched(per_op, trials, seed)
+    np = _numpy() if rng is None else None
+    if np is not None:
+        successes = _simulate_batched(np, per_op, trials, seed)
     else:
         successes = _simulate_scalar(per_op, trials,
                                      rng or random.Random(seed))
@@ -205,7 +213,8 @@ def simulate_designs(results: List[DesignResult],
     if not results:
         return []
     per_ops = [_replica_groups(result) for result in results]
-    if rng is not None or _np is None:
+    np = _numpy() if rng is None else None
+    if np is None:
         stream = rng or random.Random(seed)
         return [MonteCarloReport(trials,
                                  _simulate_scalar(per_op, trials, stream),
@@ -216,8 +225,8 @@ def simulate_designs(results: List[DesignResult],
     for idx, per_op in enumerate(per_ops):
         for shape, count in _shape_counts(per_op).items():
             columns.setdefault(shape, []).append((idx, count))
-    np_rng = _np.random.default_rng(seed)
-    alive = _np.ones((len(results), trials), dtype=bool)
+    np_rng = np.random.default_rng(seed)
+    alive = np.ones((len(results), trials), dtype=bool)
     for (reliability, copies) in sorted(columns):
         uses = columns[(reliability, copies)]
         total = sum(count for _, count in uses)

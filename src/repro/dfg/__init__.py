@@ -8,9 +8,8 @@ Public surface:
 * analysis: :func:`critical_path`, :func:`depth`, :func:`summarize`, ...
 * persistence: :mod:`repro.dfg.textio` and :func:`to_dot`
 * generators and transformations for tests and ablations
-* :class:`~repro.dfg.compiled.CompiledGraph` / :func:`compile_graph`,
-  loaded on first access: the compiled form needs NumPy, which
-  ``import repro`` therefore never loads
+* :class:`~repro.dfg.compiled.CompiledGraph` / :func:`compile_graph`:
+  the integer-indexed form the fast scheduling kernels run on
 """
 
 from repro.dfg.analysis import (
@@ -25,6 +24,7 @@ from repro.dfg.analysis import (
     width_profile,
 )
 from repro.dfg.builder import DFGBuilder, chain, reduction_tree
+from repro.dfg.compiled import CompiledGraph, compile_graph
 from repro.dfg.dot import to_dot
 from repro.dfg.generators import fir_like, layered_dag, random_dag
 from repro.dfg.graph import DataFlowGraph
@@ -58,11 +58,3 @@ __all__ = [
     "duplicate_graph",
     "rebalance_reduction",
 ]
-
-
-def __getattr__(name):
-    if name in ("CompiledGraph", "compile_graph"):
-        from repro.dfg import compiled
-
-        return getattr(compiled, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

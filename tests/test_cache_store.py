@@ -229,31 +229,15 @@ class TestCompaction:
         snapshot = self._warm_snapshot(lib)
         before = {name: list(entries)
                   for name, entries in snapshot.layers.items()}
-        compact_snapshot(snapshot, max_bytes=1024)
+        compact_snapshot(snapshot)
         assert {name: list(entries)
                 for name, entries in snapshot.layers.items()} == before
-
-    def test_size_cap_is_enforced(self, lib):
-        from repro.core import compact_snapshot
-
-        snapshot = self._warm_snapshot(lib)
-        full_size = len(cache_store.dumps(snapshot))
-        cap = full_size // 3
-        capped, stats = compact_snapshot(snapshot, max_bytes=cap)
-        assert len(cache_store.dumps(capped)) <= cap
-        assert stats.dropped_for_size > 0
-        # the newest (most recently used) entries are the survivors
-        for name, entries in capped.layers.items():
-            if entries:
-                assert entries == snapshot.layers[name][-len(entries):]
 
     def test_compacted_snapshot_still_loads_and_answers(self, lib):
         from repro.core import compact_snapshot
 
         snapshot = self._warm_snapshot(lib)
-        compacted, _ = compact_snapshot(snapshot,
-                                        max_bytes=len(
-                                            cache_store.dumps(snapshot)) // 2)
+        compacted, _ = compact_snapshot(snapshot)
         restored = cache_store.loads(cache_store.dumps(compacted))
         engine = EvaluationEngine()
         assert merge_snapshot(engine, restored) == restored.entry_count

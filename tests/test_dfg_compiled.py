@@ -1,6 +1,5 @@
 """Unit tests for repro.dfg.compiled: the integer-indexed graph core."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,24 +39,27 @@ class TestCompilation:
             assert [cg.op_ids[s] for s in cg.succs[i]] == \
                 g.successors(op_id)
 
-    def test_csr_consistent_with_tuple_adjacency(self):
-        cg = compile_graph(random_dag(25, seed=3))
-        for i in range(cg.n_ops):
-            lo, hi = cg.pred_ptr[i], cg.pred_ptr[i + 1]
-            assert tuple(cg.pred_idx[lo:hi]) == cg.preds[i]
-            lo, hi = cg.succ_ptr[i], cg.succ_ptr[i + 1]
-            assert tuple(cg.succ_idx[lo:hi]) == cg.succs[i]
-
     def test_rtype_codes(self):
         cg = compile_graph(diamond())
         assert cg.rtype_names == ("add", "mul")
+        assert cg.rtype_codes == (0, 1, 0, 0)
         assert [cg.rtype_of(i) for i in range(4)] == \
             ["add", "mul", "add", "add"]
 
     def test_topo_rank_inverts_topo(self):
         cg = compile_graph(random_dag(30, seed=7))
-        assert np.array_equal(cg.topo_rank[cg.topo],
-                              np.arange(cg.n_ops))
+        assert sorted(cg.topo_order) == list(range(cg.n_ops))
+        assert all(cg.topo_rank[cg.topo_order[k]] == k
+                   for k in range(cg.n_ops))
+
+    def test_fields_are_plain_tuples_of_ints(self):
+        cg = compile_graph(random_dag(20, seed=2))
+        for field in (cg.topo_order, cg.topo_rank, cg.rtype_codes):
+            assert type(field) is tuple
+            assert all(type(value) is int for value in field)
+        delays = {op_id: 1 + i % 3 for i, op_id in enumerate(cg.op_ids)}
+        assert cg.delays_array(delays) == \
+            [delays[op_id] for op_id in cg.op_ids]
 
     @given(graph_params)
     @settings(max_examples=60, deadline=None)
@@ -72,8 +74,8 @@ class TestCompilation:
         cg = compile_graph(g)
         assert cg.n_ops == 1 and cg.n_edges == 0
         assert cg.topo_ids() == ["x"]
-        assert list(cg.source_idx) == [0] and list(cg.sink_idx) == [0]
-        assert cg.fwd_levels == [] and cg.rev_levels == []
+        assert cg.topo_rank == (0,)
+        assert cg.preds == ((),) and cg.succs == ((),)
 
     def test_disconnected_components(self):
         g = DataFlowGraph("parts")
@@ -84,8 +86,10 @@ class TestCompilation:
         g.add("z", "add", deps=["y"])
         cg = compile_graph(g)
         assert cg.topo_ids() == g.topological_order()
-        assert sorted(cg.op_ids[i] for i in cg.source_idx) == ["a", "x", "y"]
-        assert sorted(cg.op_ids[i] for i in cg.sink_idx) == ["b", "x", "z"]
+        sources = [cg.op_ids[i] for i in range(cg.n_ops) if not cg.preds[i]]
+        sinks = [cg.op_ids[i] for i in range(cg.n_ops) if not cg.succs[i]]
+        assert sources == ["a", "x", "y"]
+        assert sinks == ["b", "x", "z"]
 
 
 class TestRoundTrip:
@@ -113,7 +117,7 @@ class TestRoundTrip:
         cg, cg2 = compile_graph(g), compile_graph(rebuilt)
         assert cg.op_ids == cg2.op_ids
         assert cg.edge_list == cg2.edge_list
-        assert cg.topo.tolist() == cg2.topo.tolist()
+        assert cg.topo_order == cg2.topo_order
 
     def test_single_node_round_trip(self):
         g = DataFlowGraph("one")

@@ -44,24 +44,26 @@ class TestTopLevel:
         assert design.area <= 8
         assert design.latency <= 11
 
-    def test_cli_import_loads_no_third_party_module_but_numpy(self):
-        # numpy is the only runtime dependency; a fresh interpreter
-        # keeps every other import (graph libraries included) honest
+    def test_cli_and_find_design_load_no_third_party_module(self):
+        # the synthesis flow runs on the standard library alone (numpy
+        # is optional, for Monte Carlo's vectorized campaign); a fresh
+        # interpreter keeps every import honest.  ``__mp_main__`` is
+        # multiprocessing's alias of ``__main__``, not a package.
         import subprocess
         import sys
 
         code = ("import sys; before = set(sys.modules); import repro.cli; "
+                "from repro.core import find_design; "
                 "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
                 "print(sorted(loaded - set(sys.stdlib_module_names)"
-                " - {'repro', 'numpy'}))")
+                " - {'repro', '__mp_main__'}))")
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
     def test_import_and_library_load_no_numpy(self):
-        # numpy is most of a cold `import repro`; only the compiled
-        # graph core needs it, and that loads on first use
+        # no import path of the package or its library loads numpy
         import subprocess
         import sys
 

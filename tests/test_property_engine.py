@@ -13,8 +13,8 @@ identical:
   round-tripped through the serialized wire format;
 * **compacted** — like *reloaded*, but through
   :func:`repro.core.cache_store.compact_snapshot` (bound-dominance
-  pruning, and again under an aggressive size cap) — compaction may
-  only ever cost hit rate, never change results.
+  pruning) — compaction may only ever cost hit rate, never change
+  results.
 
 A further property pins the incremental re-binder against the full
 left-edge bind on single-operation allocation deltas.
@@ -141,18 +141,15 @@ class TestEvaluateEquivalence:
                 reloaded.evaluate(graph, allocation, bound)) == \
                 expected[index]
 
-        # cold ≡ warm ≡ compacted: dominance pruning (and, separately,
-        # a size cap tight enough to actually drop entries) must never
-        # change what a pre-warmed engine answers
-        for max_bytes in (None, 2048):
-            compacted_snapshot, _stats = cache_store.compact_snapshot(
-                snapshot, max_bytes=max_bytes)
-            compacted = EvaluationEngine()
-            merge_snapshot(compacted, compacted_snapshot)
-            for index, (allocation, bound) in enumerate(resolved):
-                assert evaluation_fingerprint(
-                    compacted.evaluate(graph, allocation, bound)) == \
-                    expected[index]
+        # cold ≡ warm ≡ compacted: dominance pruning must never change
+        # what a pre-warmed engine answers
+        compacted_snapshot, _stats = cache_store.compact_snapshot(snapshot)
+        compacted = EvaluationEngine()
+        merge_snapshot(compacted, compacted_snapshot)
+        for index, (allocation, bound) in enumerate(resolved):
+            assert evaluation_fingerprint(
+                compacted.evaluate(graph, allocation, bound)) == \
+                expected[index]
 
     @given(evaluation_case())
     @settings(max_examples=15, deadline=None)
