@@ -53,7 +53,9 @@ from repro.core.engine import EvaluationEngine
 #: Bumped whenever the layer contents or key shapes change shape.
 #: Version 2: ``probes`` values are list-schedule latencies (ints), not
 #: schedules.  Version 3: the ``paths`` layer (latency-loop paths).
-SNAPSHOT_VERSION = 3
+#: Version 4: ``schedules`` values are the schedule alone (or ``None``),
+#: and the ``list`` realization layer is gone.
+SNAPSHOT_VERSION = 4
 
 MAGIC = b"REPROCACHE"
 

@@ -1,4 +1,4 @@
-"""Shared evaluation engine: memoized scheduling and incremental timing.
+"""Shared evaluation engine: memoized scheduling, binding and timing.
 
 Every synthesis entry point in this package bottoms out in the same
 question — "schedule + bind + measure this allocation under this
@@ -26,26 +26,21 @@ Cache layers, from coarse to fine:
     make a realization found at a looser bound reusable at any tighter
     bound it fits: the tighter scan is a prefix of the looser one.
 ``schedule point``
-    ``(graph, delays, latency)`` → one density schedule.  Schedules
-    depend only on the per-operation delays, so allocations that differ
-    only in area or reliability share them; each point also remembers
-    its latest binding, and an allocation one operation away from it is
-    re-bound *incrementally* — only the affected version pools are
-    re-packed (:func:`repro.hls.binding.rebind_versions`).
-``list realization / probe``
-    ``(graph, allocation, bound)`` → the count-driven list realization,
-    and ``(graph, allocation, counts)`` → one list-schedule probe's
-    latency (an int: the search reads nothing else from a probe, and
-    builds the schedule once, for the winning count vector).  The
-    count-increment loop re-probes overlapping count vectors constantly
-    (the winning probe of one round *is* the first probe of the next); the
-    probe cache makes both the intra- and inter-call repeats free.
+    ``(graph, delays, latency)`` → one density schedule (``None`` when
+    the latency is infeasible).  Schedules depend only on the
+    per-operation delays, so allocations that differ only in area or
+    reliability share them; each allocation is bound onto a shared
+    schedule with a full left-edge pass.
+``probe``
+    ``(graph, allocation, counts)`` → one list-schedule probe's latency
+    (an int: the count-driven list realization reads nothing else from
+    a probe, and builds the schedule once, for the winning count
+    vector).  The count-increment loop re-probes overlapping count
+    vectors constantly (the winning probe of one round *is* the first
+    probe of the next); the probe cache makes both the intra- and
+    inter-call repeats free.
 ``timing``
-    ``(graph, delays)`` → ASAP starts and the critical-path latency,
-    plus :meth:`EvaluationEngine.latency_with_delay`, an incremental
-    single-op re-timing that only relaxes the changed operation's
-    descendants instead of re-running a full ASAP pass (victim
-    selection probes every critical operation this way).
+    ``(graph, delays)`` → ASAP starts and the critical-path latency.
 ``paths``
     ``(graph, version pools)`` → the latency path of Figure 6's
     latency loop (lines 7–12): the critical path of the most reliable
@@ -82,17 +77,19 @@ id becomes the graph's content tuple, an allocation key its
 :func:`allocation_signature`, a delays key
 ``tuple(sorted(delays.items()))`` and a list probe's count vector
 ``tuple(sorted(counts.items()))``.  Snapshots and merges go through
-it, so snapshot files keep their format.
+it; values are content already.
 
-Every layer is an independent :class:`LRUCache`: filling one layer
-evicts only that layer's least-recently-used entries, so a probe-heavy
-search can no longer wipe the exact memo (the old behaviour was a
-clear-all).  Caches are also *portable*: :meth:`~EvaluationEngine.
-export_cache_state` / :meth:`~EvaluationEngine.merge_cache_state`
-re-key every entry by graph content, and :mod:`repro.core.cache_store`
-wraps them in a versioned, digest-checked snapshot file — worker
-processes pre-warm from a parent snapshot, and CLI runs persist caches
-across invocations (``--cache-dir``).
+Every layer is a plain ``dict`` bounded by its share of
+``max_entries`` (:attr:`EvaluationEngine.LAYER_SHARES`): a layer that
+reaches its capacity is cleared whole before the next insert — the
+policy the graph registry and the version id table use too — so a
+probe-heavy search can never wipe the exact memo.  Caches are also
+*portable*: :meth:`~EvaluationEngine.export_cache_state` /
+:meth:`~EvaluationEngine.merge_cache_state` re-key every entry by
+graph content, and :mod:`repro.core.cache_store` wraps them in a
+versioned, digest-checked snapshot file — worker processes pre-warm
+from a parent snapshot, and CLI runs persist caches across
+invocations (``--cache-dir``).
 
 A module-level default engine backs the
 :func:`repro.core.evaluate.evaluate_allocation` compatibility wrapper;
@@ -103,21 +100,18 @@ behaviour).
 
 from __future__ import annotations
 
-import heapq
 import os
 import struct
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dfg.compiled import DELAYS_TYPECODE, compile_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import BindingError, ReproError, SchedulingError
 from repro.hls import fastsched
-from repro.hls.binding import Binding, left_edge_bind, rebind_versions
+from repro.hls.binding import Binding, left_edge_bind
 from repro.hls.density import density_schedule
 from repro.hls.listsched import list_schedule
 from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS, total_area
@@ -223,16 +217,12 @@ class EngineStats:
     density_hits: int = 0         # ... served from the point cache
     density_schedules: int = 0    # density_schedule executions
     schedule_reuses: int = 0      # density schedules shared via delays key
-    list_realizations: int = 0    # list realizations requested
-    list_hits: int = 0            # ... served from the realization cache
     list_schedules: int = 0       # list-schedule probes run
     list_probe_hits: int = 0      # probes served from the probe cache
     bindings: int = 0             # left_edge_bind executions
-    incremental_rebinds: int = 0  # single-pool partial re-bindings
     timing_requests: int = 0      # critical-path latency queries
     timing_hits: int = 0          # ... served from the timing cache
-    incremental_timings: int = 0  # single-op partial re-timings
-    evictions: int = 0            # LRU entries dropped across all layers
+    evictions: int = 0            # entries dropped by full-layer clears
     batch_items: int = 0          # items submitted to evaluate_batch()
     batched_evals: int = 0        # ... actually solved by the batched path
     path_requests: int = 0        # latency_start() calls
@@ -288,101 +278,23 @@ class EngineStats:
             f" (density {self.density_schedules}, list {self.list_schedules})",
             f"  density points        : {self.density_points}"
             f" (cache hits {self.density_hits})",
-            f"  list probes cached    : {self.list_probe_hits} hits;"
-            f" realizations {self.list_realizations}"
-            f" (cache hits {self.list_hits})",
+            f"  list probes cached    : {self.list_probe_hits} hits",
             f"  bindings run          : {self.bindings}"
-            f" (incremental {self.incremental_rebinds},"
-            f" schedules shared {self.schedule_reuses})",
+            f" (schedules shared {self.schedule_reuses})",
             f"  timing queries        : {self.timing_requests}"
-            f" (cache hits {self.timing_hits},"
-            f" incremental {self.incremental_timings})",
+            f" (cache hits {self.timing_hits})",
             f"  batched evaluations   : {self.batched_evals}"
             f" (of {self.batch_items} batch items,"
             f" fill {self.batch_fill:.1%})",
             f"  latency paths         : {self.path_requests}"
             f" (hits {self.path_hits}, victim steps {self.path_steps})",
-            f"  lru evictions         : {self.evictions}",
+            f"  evicted entries       : {self.evictions}",
             f"  evaluation wall time  : {self.wall_time:.3f}s"
             f" ({self.evaluations_per_second:.0f} evaluations/s)",
         ])
 
 
 _MISSING = object()
-
-
-class LRUCache:
-    """A bounded mapping with least-recently-used eviction.
-
-    Lookups and inserts refresh an entry's recency; inserts beyond
-    *capacity* silently drop the stalest entries (reporting each drop
-    through *on_evict*).  Because every engine layer is a pure memo,
-    eviction can never change results — only future hit rates.
-    """
-
-    __slots__ = ("capacity", "evictions", "_data", "_on_evict")
-
-    def __init__(self, capacity: int,
-                 on_evict: Optional[Callable[[], None]] = None):
-        if capacity < 1:
-            raise ReproError(
-                f"LRU capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.evictions = 0
-        self._data: OrderedDict = OrderedDict()
-        self._on_evict = on_evict
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key, default=None):
-        """Value for *key* (refreshing its recency), else *default*."""
-        try:
-            self._data.move_to_end(key)
-        except KeyError:
-            return default
-        return self._data[key]
-
-    def put(self, key, value) -> None:
-        """Insert/overwrite *key*, evicting the stalest entries if full."""
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-        data[key] = value
-        while len(data) > self.capacity:
-            data.popitem(last=False)
-            self.evictions += 1
-            if self._on_evict is not None:
-                self._on_evict()
-
-    def items(self) -> Iterator[Tuple[object, object]]:
-        """Entries from least- to most-recently used."""
-        return iter(self._data.items())
-
-    def clear(self) -> None:
-        self._data.clear()
-
-
-class _SchedulePoint:
-    """One delays-keyed density schedule plus its latest binding.
-
-    The density schedule at a latency depends only on the per-operation
-    *delays*, not on which versions induced them — so allocations that
-    differ only in area/reliability share the schedule.  The point also
-    remembers the last allocation bound onto the schedule; a request
-    whose allocation differs from it by a single operation is re-bound
-    incrementally (only the affected version pools are re-packed).
-    ``schedule`` is ``None`` when the latency is infeasible.
-    """
-
-    __slots__ = ("schedule", "signature", "binding")
-
-    def __init__(self, schedule: Optional[Schedule],
-                 signature: Optional[bytes] = None,
-                 binding: Optional[Binding] = None):
-        self.schedule = schedule
-        self.signature = signature
-        self.binding = binding
 
 
 class _GraphRecord:
@@ -439,21 +351,16 @@ class EvaluationEngine:
         independent oracle (no engine memo, no compiled-core memo).
     max_entries:
         Soft bound on the total number of cached entries, split across
-        the cache layers by :attr:`LAYER_SHARES`.  Each layer is an
-        independent LRU: filling one layer evicts only that layer's
-        stalest entries (statistics and the other layers are
-        untouched).
-    layer_capacities:
-        Optional per-layer overrides, e.g. ``{"density": 64}``; layers
-        not named keep their ``max_entries`` share.
+        the cache layers by :attr:`LAYER_SHARES`.  A layer that reaches
+        its share is cleared whole before its next insert; the other
+        layers keep their entries.
     """
 
-    #: Fraction of ``max_entries`` each LRU layer receives by default.
+    #: Fraction of ``max_entries`` each cache layer may hold.
     LAYER_SHARES: Dict[str, float] = {
         "evaluations": 0.15,   # exact evaluate() memo
         "density": 0.25,       # per-(allocation, latency) density points
         "schedules": 0.10,     # delays-keyed density schedules
-        "list": 0.10,          # count-driven list realizations
         "probes": 0.29,        # list-schedule probes
         "timing": 0.10,        # ASAP starts / critical-path latencies
         "paths": 0.01,         # latency-loop paths per (graph, pools)
@@ -463,8 +370,7 @@ class EvaluationEngine:
                  scheduler: str = "auto",
                  scheduler_impl: Optional[str] = None,
                  cache: bool = True,
-                 max_entries: int = 200_000,
-                 layer_capacities: Optional[Mapping[str, int]] = None):
+                 max_entries: int = 200_000):
         check_area_model(area_model)
         if scheduler not in SCHEDULERS:
             raise ReproError(
@@ -480,25 +386,12 @@ class EvaluationEngine:
             raise ReproError(
                 f"unknown scheduler implementation {scheduler_impl!r}; "
                 f"use one of {SCHEDULER_IMPLS}")
-        overrides = dict(layer_capacities or {})
-        unknown = sorted(set(overrides) - set(self.LAYER_SHARES))
-        if unknown:
-            raise ReproError(
-                f"unknown cache layers {unknown}; "
-                f"use one of {sorted(self.LAYER_SHARES)}")
         self.area_model = area_model
         self.scheduler = scheduler
         self.scheduler_impl = scheduler_impl
         self.cache_enabled = cache
         self.max_entries = max_entries
-        self.layer_capacities = {
-            name: int(overrides.get(name, max(1, int(max_entries * share))))
-            for name, share in self.LAYER_SHARES.items()
-        }
         self.stats = EngineStats()
-        # derived probe tables (rebuildable from the timing cache):
-        # bounded like a layer but invisible to snapshots and stats
-        self._timing_order = LRUCache(self.layer_capacities["timing"])
         # the prepared list-scheduling state of the last probed
         # (graph, allocation): ((graph id, allocation key), state)
         self._list_slot: Optional[tuple] = None
@@ -513,20 +406,26 @@ class EvaluationEngine:
         self._versions: List[ResourceVersion] = []
         self._id_codes: Dict[int, int] = {}
         self._id_pins: List[ResourceVersion] = []
-        self._layers: Dict[str, LRUCache] = {
-            name: LRUCache(capacity, self._note_eviction)
-            for name, capacity in self.layer_capacities.items()
-        }
+        self._layers: Dict[str, dict] = {
+            name: {} for name in self.LAYER_SHARES}
+        self._capacities = {
+            name: max(1, int(max_entries * share))
+            for name, share in self.LAYER_SHARES.items()}
         self._evaluations = self._layers["evaluations"]
         self._density = self._layers["density"]
         self._schedules = self._layers["schedules"]
-        self._list_results = self._layers["list"]
         self._list_probes = self._layers["probes"]
         self._timing_cache = self._layers["timing"]
         self._paths = self._layers["paths"]
 
-    def _note_eviction(self) -> None:
-        self.stats.evictions += 1
+    def _store(self, name: str, key, value) -> None:
+        """Insert into layer *name*, first clearing it whole if it is
+        full; the dropped entries count as evictions."""
+        layer = self._layers[name]
+        if len(layer) >= self._capacities[name] and key not in layer:
+            self.stats.evictions += len(layer)
+            layer.clear()
+        layer[key] = value
 
     # ------------------------------------------------------------------
     # graph identity
@@ -614,23 +513,6 @@ class EvaluationEngine:
         versions = self._versions
         return [versions[code]
                 for code in memoryview(key).cast(_CODE_TYPECODE)]
-
-    def _single_op_change(self, old: bytes, new: bytes) -> Optional[set]:
-        """Names of the two versions involved when allocation keys *old*
-        and *new* differ at exactly one operation, else ``None``."""
-        if len(old) != len(new):
-            return None
-        changed = None
-        for pair in zip(memoryview(old).cast(_CODE_TYPECODE),
-                        memoryview(new).cast(_CODE_TYPECODE)):
-            if pair[0] != pair[1]:
-                if changed is not None:
-                    return None
-                changed = pair
-        if changed is None:
-            return None
-        versions = self._versions
-        return {versions[changed[0]].name, versions[changed[1]].name}
 
     def __getstate__(self):
         # id() values mean nothing in another process: a copy drops the
@@ -735,24 +617,6 @@ class EvaluationEngine:
             memo[memo_key] = (vector, code)
         return code
 
-    def _content_value(self, graph_key: int, point: "_SchedulePoint",
-                       memo: Optional[dict] = None) -> tuple:
-        """A ``schedules`` value as it crosses the boundary: the plain
-        ``(schedule, allocation signature, binding)`` tuple."""
-        signature = None if point.signature is None else \
-            self._content_vector(False, graph_key, point.signature, memo)
-        return (point.schedule, signature, point.binding)
-
-    def _local_value(self, graph_key: int, value: tuple,
-                     memo: Optional[dict] = None) -> "_SchedulePoint":
-        """Inverse of :meth:`_content_value`."""
-        schedule, signature, binding = value
-        if signature is not None:
-            signature = self._local_vector(False, graph_key, signature, memo)
-        if signature is None:
-            return _SchedulePoint(schedule)
-        return _SchedulePoint(schedule, signature, binding)
-
     # ------------------------------------------------------------------
     # timing
     # ------------------------------------------------------------------
@@ -784,7 +648,7 @@ class EvaluationEngine:
             starts = asap_starts(graph, delays)
             latency = max(starts[op] + delays[op] for op in starts)
         if self.cache_enabled:
-            self._timing_cache.put(key, (starts, latency))
+            self._store("timing", key, (starts, latency))
         return starts, latency
 
     def latency(self, graph: DataFlowGraph,
@@ -797,137 +661,6 @@ class EvaluationEngine:
         """Critical-path latency of *graph* under *allocation*."""
         return self.latency(
             graph, {op_id: v.delay for op_id, v in allocation.items()})
-
-    def latency_with_delay(self, graph: DataFlowGraph,
-                           delays: Mapping[str, int],
-                           op_id: str, new_delay: int) -> int:
-        """Critical-path latency if *op_id* took *new_delay* cycles.
-
-        A probe is O(1): the answer decomposes as ``max(longest path
-        avoiding the operation, longest path through it shifted by the
-        delay change)``, and both per-operation maxima come from tables
-        built once per delays vector (:meth:`_probe_tables`).  Exact —
-        it returns precisely
-        ``asap_latency(graph, delays | {op_id: new_delay})``.
-        """
-        record = self._record(graph)
-        key = (record.key, record.compiled.delays_key(delays))
-        starts, base_latency = self._timing_for(graph, record, key, delays)
-        if new_delay == delays[op_id]:
-            return base_latency
-        self.stats.incremental_timings += 1
-        tail, avoid = self._probe_tables(record, key, starts, delays)
-        i = record.compiled.index[op_id]
-        through = starts[op_id] + new_delay + (tail[i] - delays[op_id])
-        return max(avoid[i], through)
-
-    def latencies_with_delays(self, graph: DataFlowGraph,
-                              delays: Mapping[str, int],
-                              probes: Sequence[Tuple[str, int]]
-                              ) -> List[int]:
-        """Batched :meth:`latency_with_delay`: the critical-path
-        latency for each ``(op_id, new_delay)`` probe.
-
-        Equivalent to probing one at a time, but the shared base
-        timing and the ``(tail, avoid)`` probe tables are resolved once
-        for the whole batch — the shape victim selection asks in
-        (candidates-per-round) bursts.
-        """
-        record = self._record(graph)
-        key = (record.key, record.compiled.delays_key(delays))
-        starts, base_latency = self._timing_for(graph, record, key, delays)
-        tables = None
-        index = record.compiled.index
-        out = []
-        for op_id, new_delay in probes:
-            if new_delay == delays[op_id]:
-                out.append(base_latency)
-                continue
-            self.stats.incremental_timings += 1
-            if tables is None:
-                tables = self._probe_tables(record, key, starts, delays)
-            tail, avoid = tables
-            i = index[op_id]
-            through = starts[op_id] + new_delay + (tail[i] - delays[op_id])
-            out.append(max(avoid[i], through))
-        return out
-
-    def _probe_tables(self, record, key, starts, delays
-                      ) -> Tuple[list, list]:
-        """Per-op ``(tail, avoid)`` tables for one delays vector.
-
-        ``tail[i]`` is the longest path from operation *i* through its
-        own delay to the end; ``avoid[i]`` the longest source-to-sink
-        path that skips operation *i* entirely.  Any maximal path
-        skipping *i* either ends at a sink before *i* in topological
-        rank, starts at a source after it, or crosses its rank through
-        an edge spanning it — three maxima resolved by a prefix sweep,
-        a suffix sweep, and a lazy-deletion heap over the spanning
-        edges.  Derived data (rebuildable from the timing cache), so it
-        lives outside the snapshot-visible layers.
-        """
-        cached = self._timing_order.get(key) if self.cache_enabled else None
-        if cached is not None:
-            return cached
-        compiled = record.compiled
-        ids = compiled.op_ids
-        n = compiled.n_ops
-        succs = compiled.succs
-        d = [delays[op] for op in ids]
-        s = [starts[op] for op in ids]
-        rank = compiled.topo_rank
-        topo = compiled.topo_order
-        if self.cache_enabled and self.scheduler_impl == "fast":
-            # base_timing already computed (and memoized) the tails
-            tail = fastsched.base_timing(record.graph, delays).tail
-        else:
-            tail = d[:]
-            for i in reversed(topo):
-                best = 0
-                for j in succs[i]:
-                    if tail[j] > best:
-                        best = tail[j]
-                tail[i] += best
-        # paths ending at a sink of lower rank: exclusive prefix maxima
-        before = [-1] * n
-        running = -1
-        for pos, i in enumerate(topo):
-            before[pos] = running
-            if not succs[i] and s[i] + d[i] > running:
-                running = s[i] + d[i]
-        # paths starting at a source of higher rank: exclusive suffix
-        after = [-1] * n
-        running = -1
-        for pos in range(n - 1, -1, -1):
-            i = topo[pos]
-            after[pos] = running
-            if not compiled.preds[i] and tail[i] > running:
-                running = tail[i]
-        # paths crossing the rank through a spanning edge (a, b): the
-        # longest is (finish of a) + (tail of b); sweep ranks with a
-        # lazy-deletion max-heap of the edges currently spanning
-        spanning = sorted(
-            (rank[a], rank[b], s[a] + d[a] + tail[b])
-            for a, b in compiled.edge_list)
-        heap: list = []
-        edge_at = 0
-        avoid = [0] * n
-        for pos in range(n):
-            while edge_at < len(spanning) and spanning[edge_at][0] < pos:
-                _, rank_b, value = spanning[edge_at]
-                if rank_b > pos:
-                    heapq.heappush(heap, (-value, rank_b))
-                edge_at += 1
-            while heap and heap[0][1] <= pos:
-                heapq.heappop(heap)
-            best = before[pos] if before[pos] > after[pos] else after[pos]
-            if heap and -heap[0][0] > best:
-                best = -heap[0][0]
-            avoid[topo[pos]] = best if best > 0 else 0
-        tables = (tail, avoid)
-        if self.cache_enabled:
-            self._timing_order.put(key, tables)
-        return tables
 
     # ------------------------------------------------------------------
     # latency paths
@@ -986,7 +719,7 @@ class EvaluationEngine:
             critical = self.min_latency(graph, allocation)
             walked.append((victim.op_id, victim.new_version, critical))
         if self.cache_enabled:
-            self._paths.put(key, (start, steps + tuple(walked), complete))
+            self._store("paths", key, (start, steps + tuple(walked), complete))
         return None if complete else allocation
 
     # ------------------------------------------------------------------
@@ -1059,7 +792,7 @@ class EvaluationEngine:
         feasible = [c for c in candidates if c is not None]
         result = min(feasible, key=lambda e: e.area) if feasible else None
         if self.cache_enabled:
-            self._evaluations.put(memo_key, result)
+            self._store("evaluations", memo_key, result)
         return result
 
     # ------------------------------------------------------------------
@@ -1167,8 +900,8 @@ class EvaluationEngine:
                 critical = cached[1]
             else:
                 critical = timing.critical
-                self._timing_cache.put(
-                    timing_key, (dict(zip(ids, timing.asap)), critical))
+                self._store("timing", timing_key,
+                            (dict(zip(ids, timing.asap)), critical))
             metas.append((idx, delays, delays_key, critical))
         # memo pass, preserving the sequential semantics exactly:
         # bound-infeasible items return None *without* memoization
@@ -1223,76 +956,64 @@ class EvaluationEngine:
                         plan.append(("pair", latency, pair))
                         continue
                     point_key = (record.key, delays_key, latency)
-                    point = self._schedules.get(point_key, _MISSING)
-                    if point is not _MISSING:
+                    schedule = self._schedules.get(point_key, _MISSING)
+                    if schedule is not _MISSING:
                         self.stats.schedule_reuses += 1
-                        plan.append(("point", latency, point))
+                        plan.append(("point", latency, schedule))
                         continue
                     plan.append(("solve", latency, point_key))
                     if point_key not in needed:
                         needed[point_key] = (delays, latency)
                 plans.append(plan)
-            fresh: Dict[tuple, _SchedulePoint] = {}
+            fresh: Dict[tuple, Optional[Schedule]] = {}
             if needed:
                 self.stats.density_schedules += len(needed)
                 schedules = fastsched.batched_density_schedules(
                     graph, list(needed.values()))
                 for point_key, schedule in zip(needed, schedules):
-                    point = _SchedulePoint(schedule)
-                    self._schedules.put(point_key, point)
-                    fresh[point_key] = point
+                    self._store("schedules", point_key, schedule)
+                    fresh[point_key] = schedule
             for item, plan in zip(todo, plans):
                 idx, delays, delays_key, critical, signature, _ = item
                 allocation = allocations[idx]
-                best = None  # (area, latency, evaluation-or-point)
+                best = None  # (area, latency, schedule, binding or None)
                 for how, latency, obj in plan:
                     if how == "pair":
                         if obj is None:
                             continue  # cached infeasible point
                         schedule, binding = obj
                         area = total_area(binding, area_model)
-                        if best is None or area < best[0]:
-                            best = (area, latency,
-                                    Evaluation(schedule, binding,
-                                               schedule.latency, area))
-                        continue
-                    point = obj if how == "point" else fresh[obj]
-                    if point.schedule is None:
-                        continue
-                    area = _scan_area(point.schedule, allocation,
-                                      area_model)
-                    if area is None:
-                        # zero-delay pool: lane counts are ambiguous,
-                        # bind for real (and cache the pair, exactly as
-                        # the sequential scan would)
-                        binding = self._bind_point(point, allocation,
-                                                   signature)
-                        pair = (point.schedule, binding)
-                        self._density.put(
-                            (record.key, signature, latency), pair)
-                        area = total_area(binding, area_model)
-                        if best is None or area < best[0]:
-                            best = (area, latency,
-                                    Evaluation(point.schedule, binding,
-                                               point.schedule.latency,
-                                               area))
-                    elif best is None or area < best[0]:
-                        best = (area, latency, point)
-                if best is not None and isinstance(best[2], _SchedulePoint):
+                    else:
+                        schedule = obj if how == "point" else fresh[obj]
+                        if schedule is None:
+                            continue
+                        binding = None
+                        area = _scan_area(schedule, allocation, area_model)
+                        if area is None:
+                            # zero-delay pool: lane counts are ambiguous,
+                            # bind for real (and cache the pair, exactly
+                            # as the sequential scan would)
+                            binding = self._bind(schedule, allocation)
+                            self._store("density",
+                                        (record.key, signature, latency),
+                                        (schedule, binding))
+                            area = total_area(binding, area_model)
+                    if best is None or area < best[0]:
+                        best = (area, latency, schedule, binding)
+                if best is None:
+                    density_best[idx] = None
+                    continue
+                area, latency, schedule, binding = best
+                if binding is None:
                     # realize only the winning latency with a real
                     # binding — identical to the full left-edge bind the
                     # sequential scan would have produced there
-                    area, latency, point = best
-                    binding = self._bind_point(point, allocation,
-                                               signature)
+                    binding = self._bind(schedule, allocation)
                     assert total_area(binding, area_model) == area
-                    pair = (point.schedule, binding)
-                    self._density.put((record.key, signature, latency),
-                                      pair)
-                    best = (area, latency,
-                            Evaluation(point.schedule, binding,
-                                       point.schedule.latency, area))
-                density_best[idx] = None if best is None else best[2]
+                    self._store("density", (record.key, signature, latency),
+                                (schedule, binding))
+                density_best[idx] = Evaluation(schedule, binding,
+                                               schedule.latency, area)
         for item in todo:
             idx, delays, delays_key, critical, signature, memo_key = item
             candidates = []
@@ -1305,7 +1026,7 @@ class EvaluationEngine:
             feasible = [c for c in candidates if c is not None]
             result = min(feasible, key=lambda e: e.area) if feasible \
                 else None
-            self._evaluations.put(memo_key, result)
+            self._store("evaluations", memo_key, result)
             solved[memo_key] = result
             results[idx] = result
 
@@ -1337,20 +1058,20 @@ class EvaluationEngine:
             if cached is not _MISSING:
                 self.stats.density_hits += 1
                 return cached
-        point = self._schedule_point(graph, record, delays, delays_key,
-                                     latency, impl)
-        if point.schedule is None:
+        schedule = self._schedule(graph, record, delays, delays_key,
+                                  latency, impl)
+        if schedule is None:
             pair: Optional[Tuple[Schedule, Binding]] = None
         else:
-            pair = (point.schedule,
-                    self._bind_point(point, allocation, signature))
+            pair = (schedule, self._bind(schedule, allocation))
         if self.cache_enabled:
-            self._density.put(key, pair)
+            self._store("density", key, pair)
         return pair
 
-    def _schedule_point(self, graph, record, delays, delays_key, latency,
-                        impl) -> _SchedulePoint:
-        """The delays-keyed density schedule at *latency* (memoized).
+    def _schedule(self, graph, record, delays, delays_key, latency,
+                  impl) -> Optional[Schedule]:
+        """The delays-keyed density schedule at *latency* (memoized), or
+        ``None`` when the latency is infeasible.
 
         With the fast implementation the latency-range scan warm-starts
         across bounds for free: every bound's frames derive from one
@@ -1372,54 +1093,20 @@ class EvaluationEngine:
                 schedule = density_schedule(graph, delays, latency)
         except SchedulingError:
             schedule = None
-        point = _SchedulePoint(schedule)
         if self.cache_enabled:
-            self._schedules.put(key, point)
-        return point
+            self._store("schedules", key, schedule)
+        return schedule
 
-    def _bind_point(self, point: _SchedulePoint, allocation,
-                    signature: bytes) -> Binding:
-        """Bind *allocation* onto the point's schedule.
-
-        When the point's previous binding covers an allocation that
-        differs by exactly one operation, only the affected version
-        pools are re-packed (:func:`repro.hls.binding.rebind_versions`,
-        provably identical to a full left-edge bind); otherwise a full
-        bind runs.  Either way the point remembers this binding for the
-        next single-op delta.
-        """
-        if point.signature == signature and point.binding is not None:
-            return point.binding
-        binding: Optional[Binding] = None
-        if point.binding is not None and point.signature is not None:
-            names = self._single_op_change(point.signature, signature)
-            if names is not None:
-                self.stats.incremental_rebinds += 1
-                binding = rebind_versions(point.schedule, allocation,
-                                          point.binding, names)
-        if binding is None:
-            self.stats.bindings += 1
-            binding = left_edge_bind(point.schedule, allocation)
-        if self.cache_enabled:
-            point.signature = signature
-            point.binding = binding
-        return binding
+    def _bind(self, schedule: Schedule, allocation) -> Binding:
+        """Left-edge binding of *allocation* onto *schedule*."""
+        self.stats.bindings += 1
+        return left_edge_bind(schedule, allocation)
 
     # -- list ----------------------------------------------------------
     def _list_best(self, graph, record, signature, allocation, latency_bound,
                    area_model, impl):
-        self.stats.list_realizations += 1
-        key = (record.key, signature, latency_bound)
-        pair = self._list_results.get(key, _MISSING) \
-            if self.cache_enabled else _MISSING
-        if pair is not _MISSING:
-            self.stats.list_hits += 1
-        else:
-            pair = self._run_list_realization(graph, record, signature,
-                                              allocation, latency_bound,
-                                              impl)
-            if self.cache_enabled:
-                self._list_results.put(key, pair)
+        pair = self._run_list_realization(graph, record, signature,
+                                          allocation, latency_bound, impl)
         if pair is None:
             return None
         schedule, binding = pair
@@ -1444,9 +1131,7 @@ class EvaluationEngine:
                         graph, allocation, counts)
                 else:
                     schedule = list_schedule(graph, allocation, counts)
-                self.stats.bindings += 1
-                binding = left_edge_bind(schedule, allocation)
-                return (schedule, binding)
+                return (schedule, self._bind(schedule, allocation))
             best_name = None
             best_key = None
             for name in counts:
@@ -1485,7 +1170,7 @@ class EvaluationEngine:
         else:
             latency = list_schedule(graph, allocation, counts).latency
         if self.cache_enabled:
-            self._list_probes.put(key, latency)
+            self._store("probes", key, latency)
         return latency
 
     # ------------------------------------------------------------------
@@ -1496,7 +1181,7 @@ class EvaluationEngine:
         return sum(len(layer) for layer in self._layers.values())
 
     def layer_sizes(self) -> Dict[str, int]:
-        """Current entry count of each LRU layer."""
+        """Current entry count of each cache layer."""
         return {name: len(layer) for name, layer in self._layers.items()}
 
     def clear(self) -> None:
@@ -1507,7 +1192,6 @@ class EvaluationEngine:
         """
         for layer in self._layers.values():
             layer.clear()
-        self._timing_order.clear()
         self._list_slot = None
         self._graphs.clear()
         self._graph_keys.clear()
@@ -1519,13 +1203,13 @@ class EvaluationEngine:
     def export_cache_state(self) -> Dict[str, list]:
         """Content-addressed snapshot of every cache layer.
 
-        Every process-local part of an entry — the graph id, allocation
-        and delays keys, a probe's count vector, a schedule point's
-        signature — is translated to content form (:meth:`_content_key`),
-        so a snapshot merged into another engine — a worker process, or
-        a later CLI invocation — lands on the same logical entries.
-        Entries are listed from least- to most-recently used, preserving
-        recency across a merge.
+        Every process-local part of a key — the graph id, allocation
+        and delays keys, a probe's count vector — is translated to
+        content form (:meth:`_content_key`), so a snapshot merged into
+        another engine — a worker process, or a later CLI invocation —
+        lands on the same logical entries.  Values carry no
+        process-local part and pass through.  Entries are listed in
+        insertion order.
         """
         memo: dict = {}
         layers: Dict[str, list] = {}
@@ -1535,8 +1219,6 @@ class EvaluationEngine:
                 content = self._content_key(name, key, memo)
                 if content is None:
                     continue  # the graph registry was cleared under it
-                if name == "schedules":
-                    value = self._content_value(key[0], value, memo)
                 entries.append((content, value))
             layers[name] = entries
         return layers
@@ -1564,10 +1246,8 @@ class EvaluationEngine:
                 local_key = self._local_key(name, key, memo)
                 if local_key is None:
                     continue  # does not fit its graph's operations
-                if cache.get(local_key, _MISSING) is _MISSING:
-                    if name == "schedules":
-                        value = self._local_value(local_key[0], value, memo)
-                    cache.put(local_key, value)
+                if local_key not in cache:
+                    self._store(name, local_key, value)
                     merged += 1
         return merged
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.parallel import run_tasks
-
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import NoSolutionError, ReproError
 from repro.hls.metrics import AREA_INSTANCES
@@ -127,6 +125,10 @@ def sweep_bounds(graph: DataFlowGraph,
              for latency_bound in latency_bounds
              for area_bound in area_bounds]
     if uses_workers(workers, len(pairs)):
+        # process pools cost tens of milliseconds to import: only
+        # parallel sweeps pay for them
+        from repro.parallel import run_tasks
+
         engine = engine if engine is not None else default_engine()
         tasks = [(_sweep_point,
                   ((method, graph, library, latency_bound, area_bound,

@@ -68,46 +68,31 @@ def select_latency_victim(graph: DataFlowGraph,
     The replacement is the most reliable strictly-faster version.
 
     With *timing* (an :class:`~repro.core.engine.EvaluationEngine`),
-    the baseline latency comes from the timing cache and each
-    candidate swap is probed by incremental re-timing of the victim's
-    descendants instead of a full ASAP pass.
+    the baseline latency comes from the timing cache.  Each candidate
+    swap is priced with a full ASAP pass — the compiled kernel when the
+    engine runs the fast implementation with its cache on, as the
+    engine's own timing does — and never stored in the engine.
     """
     delays = {op_id: version.delay for op_id, version in allocation.items()}
     if timing is not None:
         baseline = timing.latency(graph, delays)
     else:
         baseline = asap_latency(graph, delays)
+    fast = (getattr(timing, "scheduler_impl", None) == "fast"
+            and getattr(timing, "cache_enabled", False))
+    swapped_latency = fastsched.fast_asap_latency if fast else asap_latency
 
-    candidates = []
+    best: Optional[LatencyVictim] = None
+    best_key = None
     for op_id in critical_operations(graph, delays, timing):
         current = allocation[op_id]
         faster = library.faster_than(current)
         if not faster:
             continue
-        candidates.append((op_id, current, faster[0]))  # most reliable
-
-    if timing is not None and hasattr(timing, "latencies_with_delays"):
-        # one probe-table resolution for the whole candidate burst
-        swapped_list = timing.latencies_with_delays(
-            graph, delays,
-            [(op_id, replacement.delay)
-             for op_id, _, replacement in candidates])
-    else:
-        swapped_list = []
-        for op_id, _, replacement in candidates:
-            if timing is not None:
-                swapped_list.append(timing.latency_with_delay(
-                    graph, delays, op_id, replacement.delay))
-            else:
-                trial = dict(delays)
-                trial[op_id] = replacement.delay
-                swapped_list.append(asap_latency(graph, trial))
-
-    best: Optional[LatencyVictim] = None
-    best_key = None
-    for (op_id, current, replacement), swapped in zip(candidates,
-                                                      swapped_list):
-        benefit = baseline - swapped
+        replacement = faster[0]  # the most reliable faster version
+        trial = dict(delays)
+        trial[op_id] = replacement.delay
+        benefit = baseline - swapped_latency(graph, trial)
         loss = current.reliability - replacement.reliability
         key = (-current.delay, -benefit, loss, op_id)
         if best_key is None or key < best_key:

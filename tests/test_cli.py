@@ -210,8 +210,9 @@ class TestCacheDir:
         assert "999" in captured.err
 
     def test_v1_snapshot_is_ignored_and_rewritten(self, tmp_path, capsys):
-        """A snapshot from before probes held latencies (format v1) or
-        before the latency-path layer (format v2) is a version
+        """A snapshot from before probes held latencies (format v1),
+        before the latency-path layer (format v2) or before schedule
+        points dropped their bindings (format v3) is a version
         mismatch: the run goes cold and saves a current file."""
         import hashlib
         import pickle
@@ -221,7 +222,7 @@ class TestCacheDir:
         args = ["synth", "fir", "-l", "11", "-a", "8"]
         assert main(args) == 0
         cold = capsys.readouterr().out
-        for version in (1, 2):
+        for version in (1, 2, 3):
             cache_dir = tmp_path / f"v{version}"
             cache_dir.mkdir()
             payload = pickle.dumps({"version": version,
@@ -237,7 +238,7 @@ class TestCacheDir:
             assert "ignoring engine cache" in captured.err
             assert f"format version {version}" in captured.err
             with open(path, "rb") as fh:
-                assert fh.read().startswith(cache_store.MAGIC + b" v3\n")
+                assert fh.read().startswith(cache_store.MAGIC + b" v4\n")
             layers = cache_store.load(path).layers
             assert layers["probes"] and layers["paths"]
 

@@ -20,6 +20,7 @@ from repro.core import EvaluationEngine, cache_store, find_design
 from repro.core.engine import allocation_signature
 from repro.dfg import compile_graph
 from repro.hls import fastsched
+from repro.hls.schedule import Schedule
 from repro.library import ResourceLibrary, ResourceVersion, paper_library
 
 
@@ -164,9 +165,10 @@ class TestContentBoundary:
                     assert {n for n, _ in counts} == \
                         {v.name for v in allocation.values()}
                 if name == "schedules":
-                    schedule, signature, binding = value
-                    assert signature in (None,
-                                         allocation_signature(allocation))
+                    # the schedule alone: nothing process-local to translate
+                    assert value is None or isinstance(value, Schedule)
+                    if value is not None:
+                        assert tuple(sorted(value.delays.items())) == key[1]
 
     def test_merge_between_opposite_code_orders(self, lib):
         graph = fir16()

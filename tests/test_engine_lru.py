@@ -1,7 +1,8 @@
-"""Unit tests for the engine's per-layer LRU eviction.
+"""Unit tests for the engine's per-layer capacity bound.
 
-Three claims, per the cache-persistence contract: every layer respects
-its own capacity bound independently, eviction is observable through
+Every layer is a plain dict bounded by its ``LAYER_SHARES`` share of
+``max_entries``.  Three claims: a layer that reaches its capacity is
+cleared whole and alone, the dropped entries are counted in
 ``EngineStats.evictions``, and — because every layer is a pure memo —
 eviction can never change a result, only future hit rates.
 """
@@ -10,8 +11,6 @@ import pytest
 
 from repro.bench import diffeq, ewf, fir16
 from repro.core import EvaluationEngine, find_design
-from repro.core.engine import LRUCache
-from repro.errors import ReproError
 from repro.library import paper_library
 
 
@@ -20,82 +19,49 @@ def lib():
     return paper_library()
 
 
-class TestLRUCache:
-    def test_capacity_bound_and_eviction_order(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)  # evicts "a", the least recently used
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.get("a") is None
-        assert cache.get("b") == 2
-        assert cache.get("c") == 3
-
-    def test_get_refreshes_recency(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1   # "b" is now the stalest
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-
-    def test_put_refreshes_recency_and_overwrites(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)           # refresh + overwrite
-        cache.put("c", 3)
-        assert cache.get("a") == 10
-        assert cache.get("b") is None
-
-    def test_none_values_are_cacheable(self):
-        # evaluation/density layers legitimately memoize None
-        # (infeasible); the sentinel-based lookup must distinguish
-        # "cached None" from "absent"
-        sentinel = object()
-        cache = LRUCache(2)
-        cache.put("a", None)
-        assert cache.get("a", sentinel) is None
-        assert cache.get("b", sentinel) is sentinel
-
-    def test_eviction_hook_fires(self):
-        fired = []
-        cache = LRUCache(1, lambda: fired.append(1))
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert len(fired) == 2
-
-    def test_items_order_is_lru_to_mru(self):
-        cache = LRUCache(3)
-        for key in "abc":
-            cache.put(key, key)
-        cache.get("a")
-        assert [k for k, _ in cache.items()] == ["b", "c", "a"]
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ReproError):
-            LRUCache(0)
+def capacity(engine, name):
+    return max(1, int(engine.max_entries * engine.LAYER_SHARES[name]))
 
 
 class TestEngineLayerBounds:
     def test_default_capacities_follow_shares(self):
         engine = EvaluationEngine(max_entries=100)
-        for name, share in EvaluationEngine.LAYER_SHARES.items():
-            assert engine.layer_capacities[name] == max(1, int(100 * share))
+        for name in EvaluationEngine.LAYER_SHARES:
+            limit = capacity(engine, name)
+            for index in range(limit):
+                engine._store(name, index, index)
+            assert engine.layer_sizes()[name] == limit
+            assert engine.stats.evictions == 0
+            engine._store(name, limit, limit)  # full: cleared first
+            assert engine.layer_sizes()[name] == 1
+            assert engine.stats.evictions == limit
+            engine.clear()
+            engine.stats.reset()
 
-    def test_layer_capacity_overrides(self):
-        engine = EvaluationEngine(layer_capacities={"density": 7})
-        assert engine.layer_capacities["density"] == 7
-        assert engine.layer_capacities["probes"] == \
-            EvaluationEngine(max_entries=engine.max_entries) \
-            .layer_capacities["probes"]
+    def test_overwriting_a_full_layer_keeps_it(self):
+        engine = EvaluationEngine(max_entries=100)
+        limit = capacity(engine, "paths")
+        for index in range(limit):
+            engine._store("paths", index, index)
+        engine._store("paths", 0, "extended")  # an existing key
+        assert engine.layer_sizes()["paths"] == limit
+        assert engine.stats.evictions == 0
+        assert engine._layers["paths"][0] == "extended"
 
-    def test_rejects_unknown_layer_override(self):
-        with pytest.raises(ReproError, match="unknown cache layers"):
-            EvaluationEngine(layer_capacities={"densities": 7})
+    def test_none_values_are_cacheable(self, lib):
+        # evaluation/density/schedules layers legitimately memoize None
+        # (infeasible): a cached None must answer without recomputation
+        engine = EvaluationEngine()
+        graph = diffeq()
+        allocation = {op.op_id: lib.fastest(op.rtype) for op in graph}
+        bound = engine.min_latency(graph, allocation) + 1
+        key = (engine._record(graph).key,
+               engine.allocation_key(graph, allocation), bound,
+               "instances", "auto", None)
+        engine._store("evaluations", key, None)
+        assert engine.evaluate(graph, allocation, bound) is None
+        assert engine.stats.hits == 1
+        assert engine.stats.schedules_run == 0
 
     def test_per_layer_bounds_respected_under_load(self, lib):
         engine = EvaluationEngine(max_entries=60)
@@ -105,27 +71,43 @@ class TestEngineLayerBounds:
         sizes = engine.layer_sizes()
         assert engine.stats.evictions > 0
         for name, size in sizes.items():
-            assert size <= engine.layer_capacities[name], (name, sizes)
+            assert size <= capacity(engine, name), (name, sizes)
 
     def test_one_layer_overflow_does_not_drain_the_others(self, lib):
-        # probe-heavy load with a tiny probe layer: the evaluation memo
-        # must keep its entries (the old clear-all dropped everything)
-        engine = EvaluationEngine(layer_capacities={"probes": 1})
+        # a layer reaching its capacity clears itself only: every other
+        # layer keeps exactly the entries it had
+        engine = EvaluationEngine(max_entries=10_000)
         find_design(diffeq(), lib, 6, 11, engine=engine)
-        sizes = engine.layer_sizes()
-        assert sizes["probes"] <= 1
-        assert engine.stats.evictions > 0
-        assert sizes["evaluations"] > 1
-        assert sizes["density"] > 1
+        before = {name: dict(layer) for name, layer in engine._layers.items()}
+        assert all(before.values()), engine.layer_sizes()
+        evictions = engine.stats.evictions
+        limit = capacity(engine, "probes")
+        for index in range(limit - len(before["probes"]) + 1):
+            engine._store("probes", ("filler", index), 0)
+        assert engine.layer_sizes()["probes"] == 1
+        assert engine.stats.evictions == evictions + limit
+        for name, entries in before.items():
+            if name != "probes":
+                assert engine._layers[name] == entries, name
 
     def test_stats_report_evictions(self, lib):
+        # every new entry either is still in its layer or was dropped by
+        # a whole-layer clear, and evictions counts exactly the dropped
         engine = EvaluationEngine(max_entries=12)
+        inserted = []
+        store = engine._store
+
+        def counting_store(name, key, value):
+            inserted.append(key not in engine._layers[name])
+            store(name, key, value)
+
+        engine._store = counting_store
         find_design(diffeq(), lib, 6, 11, engine=engine)
         assert engine.stats.evictions > 0
-        assert engine.stats.evictions == sum(
-            layer.evictions for layer in engine._layers.values())
+        assert sum(inserted) == \
+            engine.cache_size() + engine.stats.evictions
         assert engine.stats.as_dict()["evictions"] == engine.stats.evictions
-        assert "lru evictions" in engine.stats.as_text()
+        assert "evicted entries" in engine.stats.as_text()
 
 
 class TestEvictionTransparency:
@@ -137,7 +119,7 @@ class TestEvictionTransparency:
                              ids=lambda v: getattr(v, "__name__", str(v)))
     def test_thrashing_engine_matches_reference(self, lib, make,
                                                 latency_bound, area_bound):
-        # capacity so small every layer constantly evicts
+        # capacity so small every layer constantly clears
         thrashing = EvaluationEngine(max_entries=6)
         reference = EvaluationEngine(cache=False)
         ours = find_design(make(), lib, latency_bound, area_bound,

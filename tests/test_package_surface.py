@@ -48,7 +48,8 @@ class TestTopLevel:
         # the synthesis flow runs on the standard library alone (numpy
         # is optional, for Monte Carlo's vectorized campaign); a fresh
         # interpreter keeps every import honest.  ``__mp_main__`` is
-        # multiprocessing's alias of ``__main__``, not a package.
+        # multiprocessing's alias of ``__main__``, not a package.  Process
+        # pools are not loaded either: only parallel sweeps import them.
         import subprocess
         import sys
 
@@ -56,11 +57,13 @@ class TestTopLevel:
                 "from repro.core import find_design; "
                 "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
                 "print(sorted(loaded - set(sys.stdlib_module_names)"
-                " - {'repro', '__mp_main__'}))")
+                " - {'repro', '__mp_main__'}), "
+                "'repro.parallel' in sys.modules, "
+                "'concurrent.futures.process' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.strip() == "[] False False"
 
     def test_import_and_library_load_no_numpy(self):
         # no import path of the package or its library loads numpy

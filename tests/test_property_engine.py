@@ -2,7 +2,7 @@
 
 Hypothesis drives random DFGs, random resource libraries (deliberately
 including same-delay version pairs, which exercise the delays-keyed
-schedule sharing and the incremental re-binding path), and random
+schedule sharing), and random
 allocation sequences through four engines that must be observationally
 identical:
 
@@ -16,8 +16,9 @@ identical:
   pruning) — compaction may only ever cost hit rate, never change
   results.
 
-A further property pins the incremental re-binder against the full
-left-edge bind on single-operation allocation deltas.
+A further property pins the pool-local re-binder
+(:func:`repro.hls.binding.rebind_versions`) against the full left-edge
+bind on single-operation allocation deltas.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -39,8 +40,9 @@ from repro.library import ResourceLibrary, ResourceVersion, paper_library
 def random_library(rng_values) -> ResourceLibrary:
     """A 2-type library whose version parameters come from hypothesis.
 
-    Every type gets one pair of versions sharing a delay (the
-    incremental-rebind trigger) plus one distinct-delay version.
+    Every type gets one pair of versions sharing a delay (two
+    allocations then share one density schedule) plus one
+    distinct-delay version.
     """
     versions = []
     for rtype, prefix in (("add", "a"), ("mul", "m")):
@@ -155,7 +157,7 @@ class TestEvaluateEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_find_design_cached_equals_reference(self, case):
         """End-to-end: the full search (memo layers, schedule sharing,
-        incremental re-binding, dominance pruning) matches the
+        dominance pruning) matches the
         uncached reference on random instances."""
         graph, library, requests = case
         allocation, slack = requests[0]
@@ -245,10 +247,13 @@ class TestIncrementalRebind:
             == [(i.name, i.version, i.ops) for i in full.instances]
         assert incremental.area == full.area
 
-    def test_engine_uses_incremental_rebinding(self):
+
+class TestScheduleSharing:
+    def test_same_delay_allocations_share_one_schedule(self):
         """The paper library has no same-delay version pairs, so build
-        one explicitly and check the engine actually takes the
-        incremental path (not just that the path is correct)."""
+        one explicitly: an allocation one same-delay swap away reuses
+        the cached density schedule, bound afresh, and still equals the
+        uncached reference."""
         library = ResourceLibrary([
             ResourceVersion("add", "slowrel", area=2, delay=2,
                             reliability=0.999),
@@ -261,18 +266,18 @@ class TestIncrementalRebind:
         base = {op.op_id: library.version(
             "slowrel" if op.rtype == "add" else "m") for op in graph}
         adders = [op.op_id for op in graph if op.rtype == "add"]
-        if not adders:  # seed-dependent guard; seed=3 does contain adds
-            return
+        assert adders  # seed=3 contains adds
         engine = EvaluationEngine(scheduler="density")
         off = EvaluationEngine(cache=False, scheduler="density")
         bound = engine.min_latency(graph, base) + 2
         engine.evaluate(graph, base, bound)
+        schedules_before = engine.stats.density_schedules
         delta = dict(base)
         delta[adders[0]] = library.version("slowcheap")
         warm = engine.evaluate(graph, delta, bound)
         cold = off.evaluate(graph, delta, bound)
-        assert engine.stats.incremental_rebinds > 0
         assert engine.stats.schedule_reuses > 0
+        assert engine.stats.density_schedules == schedules_before
         assert evaluation_fingerprint(warm) == evaluation_fingerprint(cold)
 
 
