@@ -14,6 +14,11 @@ README.md) so the perf trajectory is tracked across PRs.
 Run with ``-s`` to see the table:
 
     PYTHONPATH=src python -m pytest -s benchmarks/bench_engine_cache.py
+
+Pytest runs write their JSON to a temporary directory (or
+``BENCH_JSON_DIR``); a standalone run refreshes the tracked file:
+
+    PYTHONPATH=src python benchmarks/bench_engine_cache.py
 """
 
 import os
@@ -135,3 +140,11 @@ def test_engine_results_identical_to_seed_path(measurements):
             assert cold.result.latency == warm.result.latency
             assert cold.result.reliability == warm.result.reliability
             assert cold.result.schedule.starts == warm.result.schedule.starts
+
+
+if __name__ == "__main__":
+    import sys
+
+    os.environ.setdefault("BENCH_JSON_DIR", os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
+    sys.exit(pytest.main(["-q", "-s", __file__]))

@@ -27,9 +27,14 @@ or standalone (the CI perf-smoke job does), where ``--quick`` trims
 the grids and only the equivalence assertions can fail:
 
     PYTHONPATH=src python benchmarks/bench_fastsched.py --quick
+
+Pytest and ``--quick`` runs write their JSON to a temporary directory
+(or ``BENCH_JSON_DIR``); only a full standalone run refreshes the
+tracked file.
 """
 
 import os
+import tempfile
 import time
 
 from repro.bench import get_benchmark
@@ -157,6 +162,11 @@ if __name__ == "__main__":
                              "mismatches fail, never timing noise")
     args = parser.parse_args()
     if args.quick:
+        # a smoke run: its timings go to a temporary directory, never
+        # over the tracked BENCH_fastsched.json
+        if "BENCH_JSON_DIR" not in os.environ:
+            os.environ["BENCH_JSON_DIR"] = tempfile.mkdtemp(
+                prefix="bench-json-")
         report(measure(quick=True))
         print("fast == reference on the quick grids: ok")
     else:

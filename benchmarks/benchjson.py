@@ -19,7 +19,10 @@ Schema (documented in README.md, "Benchmark result files"):
 
 ``results`` is benchmark-owned; the envelope is stable.  Files land in
 the repository root by default; set ``BENCH_JSON_DIR`` to redirect
-them (e.g. into a CI artifact directory).
+them (e.g. into a CI artifact directory).  Pytest runs and
+``--quick`` smoke runs set it to a temporary directory themselves
+(``conftest.py``), so only a full standalone run rewrites the tracked
+files.
 """
 
 from __future__ import annotations

@@ -25,6 +25,14 @@ Cache layers, from coarse to fine:
     point of the scan over ``[critical, L]``, these per-latency points
     make a realization found at a looser bound reusable at any tighter
     bound it fits: the tighter scan is a prefix of the looser one.
+    The scan (:meth:`EvaluationEngine._scan`) visits only latencies
+    that can still win: it skips a latency whose work-conservation
+    area bound is strictly above the best area so far or, under
+    ``"auto"``, the list realization's area (computed first), and
+    stops once the best area is at most the bound at ``L``.  Ascending
+    order and "first minimum wins" are kept, so a density-only scan
+    at a tighter bound still visits a prefix of the looser one's
+    points.  Skipped latencies count in ``EngineStats.density_pruned``.
 ``schedule point``
     ``(graph, delays, latency)`` → one density schedule (``None`` when
     the latency is infeasible).  Schedules depend only on the
@@ -100,6 +108,7 @@ behaviour).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import time
@@ -124,7 +133,9 @@ from repro.core.evaluate import (
     SCHEDULER_IMPLS,
     SCHEDULERS,
     Evaluation,
+    _area_lower_bound,
     _count_lower_bounds,
+    _pool_work,
 )
 from repro.core.victims import select_latency_victim
 
@@ -215,6 +226,7 @@ class EngineStats:
     hits: int = 0                 # exact evaluation-memo hits
     density_points: int = 0       # density latencies examined
     density_hits: int = 0         # ... served from the point cache
+    density_pruned: int = 0       # density latencies the bound skipped
     density_schedules: int = 0    # density_schedule executions
     schedule_reuses: int = 0      # density schedules shared via delays key
     list_schedules: int = 0       # list-schedule probes run
@@ -277,7 +289,8 @@ class EngineStats:
             f"  schedules run         : {self.schedules_run}"
             f" (density {self.density_schedules}, list {self.list_schedules})",
             f"  density points        : {self.density_points}"
-            f" (cache hits {self.density_hits})",
+            f" (cache hits {self.density_hits},"
+            f" pruned {self.density_pruned})",
             f"  list probes cached    : {self.list_probe_hits} hits",
             f"  bindings run          : {self.bindings}"
             f" (schedules shared {self.schedule_reuses})",
@@ -349,6 +362,10 @@ class EvaluationEngine:
         Unless ``scheduler_impl`` is given explicitly, a cache-disabled
         engine also runs the *reference* kernels, making it a fully
         independent oracle (no engine memo, no compiled-core memo).
+        The density scan's area-bound pruning applies here too, so
+        agreement with the cached engine does not check it;
+        ``tests/test_property_engine.py::TestPrunedScan`` compares
+        both engines with an exhaustive, unpruned scan.
     max_entries:
         Soft bound on the total number of cached entries, split across
         the cache layers by :attr:`LAYER_SHARES`.  A layer that reaches
@@ -780,20 +797,34 @@ class EvaluationEngine:
                 self.stats.hits += 1
                 return memoized
 
-        candidates = []
-        if scheduler in ("auto", "density"):
-            candidates.append(self._density_best(
-                graph, record, signature, allocation, delays, delays_key,
-                critical, latency_bound, area_model, stop_at_area, impl))
-        if scheduler in ("auto", "list"):
-            candidates.append(self._list_best(
-                graph, record, signature, allocation, latency_bound,
-                area_model, impl))
-        feasible = [c for c in candidates if c is not None]
-        result = min(feasible, key=lambda e: e.area) if feasible else None
+        result = self._realize(graph, record, signature, allocation, delays,
+                               delays_key, critical, latency_bound,
+                               area_model, stop_at_area, scheduler, impl,
+                               lazy=False)
         if self.cache_enabled:
             self._store("evaluations", memo_key, result)
         return result
+
+    def _realize(self, graph, record, signature, allocation, delays,
+                 delays_key, critical, latency_bound, area_model,
+                 stop_at_area, scheduler, impl, lazy):
+        """Minimum-area realization under *scheduler*.
+
+        The list realization runs first so that, under ``"auto"``, its
+        area caps the density scan; the density candidate still comes
+        first and wins ties.
+        """
+        density = listed = None
+        if scheduler in ("auto", "list"):
+            listed = self._list_best(graph, record, signature, allocation,
+                                     latency_bound, area_model, impl)
+        if scheduler in ("auto", "density"):
+            density = self._density_best(
+                graph, record, signature, allocation, delays, delays_key,
+                critical, latency_bound, area_model, stop_at_area, impl,
+                None if listed is None else listed.area, lazy)
+        feasible = [c for c in (density, listed) if c is not None]
+        return min(feasible, key=lambda e: e.area) if feasible else None
 
     # ------------------------------------------------------------------
     # batched evaluation
@@ -808,20 +839,21 @@ class EvaluationEngine:
                        batch_size: Optional[int] = None
                        ) -> List[Optional["Evaluation"]]:
         """``[self.evaluate(graph, a, latency_bound, ...) for a in
-        allocations]`` with the cache misses scanned together.
+        allocations]`` with the base timing of every item computed
+        together and the cache misses realized lazily.
 
         Results are identical to the sequential loop: memo hits are
         served from the evaluation memo, duplicates collapse onto one
-        computation, and the density points every miss's latency scan
-        still needs are collected, deduplicated across items, and
-        solved in one :func:`repro.hls.fastsched.
-        batched_density_schedules` call.  Only private cache
-        *population* differs — the batched density scan costs
-        non-winning latencies with :func:`_scan_area` (lane counts, no
-        binder) and caches a density point only for each item's winning
-        latency, so a later sweep may re-bind a point the sequential
-        path would have had cached.  Never observable in results;
-        asserted design-identical by the test suite.
+        computation, and each remaining miss runs the same pruned
+        latency scan as :meth:`evaluate` (:meth:`_scan`), visiting only
+        the latencies that can still win; the delays-keyed schedule
+        memo shares every density schedule across items with the same
+        delays.  Only private cache *population* differs — the batched
+        scan costs non-winning latencies with :func:`_scan_area` (lane
+        counts, no binder) and caches a density point only for each
+        item's winning latency, so a later sweep may re-bind a point
+        the sequential path would have had cached.  Never observable in
+        results; asserted design-identical by the test suite.
 
         ``EngineStats.batch_items`` counts submitted items,
         ``EngineStats.batched_evals`` those that reached the batched
@@ -831,7 +863,7 @@ class EvaluationEngine:
         processed like any other).
 
         Falls back to the exact sequential loop whenever the batched
-        scan could diverge or cannot help: caching disabled, the
+        path could diverge or cannot help: caching disabled, the
         reference implementation selected, ``stop_at_area`` set (its
         early break is inherently sequential), an empty graph, or a pure
         ``"list"`` scheduler request.
@@ -926,147 +958,133 @@ class EvaluationEngine:
             todo.append((idx, delays, delays_key, critical, signature,
                          memo_key))
         solved: Dict[tuple, Optional[Evaluation]] = {}
-        if todo:
-            self.stats.batched_evals += len(todo)
-            self._solve_batch(graph, record, allocations, results, todo,
-                              latency_bound, area_model, scheduler, solved)
+        self.stats.batched_evals += len(todo)
+        for idx, delays, delays_key, critical, signature, memo_key in todo:
+            result = self._realize(graph, record, signature,
+                                   allocations[idx], delays, delays_key,
+                                   critical, latency_bound, area_model,
+                                   None, scheduler, "fast", lazy=True)
+            self._store("evaluations", memo_key, result)
+            solved[memo_key] = result
+            results[idx] = result
         for memo_key, extra in dups.items():
             for idx in extra:  # same allocation repeated within a chunk
                 self.stats.hits += 1
                 results[idx] = solved[memo_key]
 
-    def _solve_batch(self, graph, record, allocations, results, todo,
-                     latency_bound, area_model, scheduler, solved) -> None:
-        """Evaluate the chunk's memo misses through the batched kernels."""
-        density_best: Dict[int, Optional[Evaluation]] = {}
-        if scheduler in ("auto", "density"):
-            # plan every item's latency scan: served density points and
-            # cached schedule points are reused; the rest is collected,
-            # deduplicated, into one batched density call
-            needed: Dict[tuple, Tuple[Mapping[str, int], int]] = {}
-            plans = []
-            for idx, delays, delays_key, critical, signature, _ in todo:
-                plan = []
-                for latency in range(critical, latency_bound + 1):
-                    self.stats.density_points += 1
-                    pair = self._density.get(
-                        (record.key, signature, latency), _MISSING)
-                    if pair is not _MISSING:
-                        self.stats.density_hits += 1
-                        plan.append(("pair", latency, pair))
-                        continue
-                    point_key = (record.key, delays_key, latency)
-                    schedule = self._schedules.get(point_key, _MISSING)
-                    if schedule is not _MISSING:
-                        self.stats.schedule_reuses += 1
-                        plan.append(("point", latency, schedule))
-                        continue
-                    plan.append(("solve", latency, point_key))
-                    if point_key not in needed:
-                        needed[point_key] = (delays, latency)
-                plans.append(plan)
-            fresh: Dict[tuple, Optional[Schedule]] = {}
-            if needed:
-                self.stats.density_schedules += len(needed)
-                schedules = fastsched.batched_density_schedules(
-                    graph, list(needed.values()))
-                for point_key, schedule in zip(needed, schedules):
-                    self._store("schedules", point_key, schedule)
-                    fresh[point_key] = schedule
-            for item, plan in zip(todo, plans):
-                idx, delays, delays_key, critical, signature, _ = item
-                allocation = allocations[idx]
-                best = None  # (area, latency, schedule, binding or None)
-                for how, latency, obj in plan:
-                    if how == "pair":
-                        if obj is None:
-                            continue  # cached infeasible point
-                        schedule, binding = obj
-                        area = total_area(binding, area_model)
-                    else:
-                        schedule = obj if how == "point" else fresh[obj]
-                        if schedule is None:
-                            continue
-                        binding = None
-                        area = _scan_area(schedule, allocation, area_model)
-                        if area is None:
-                            # zero-delay pool: lane counts are ambiguous,
-                            # bind for real (and cache the pair, exactly
-                            # as the sequential scan would)
-                            binding = self._bind(schedule, allocation)
-                            self._store("density",
-                                        (record.key, signature, latency),
-                                        (schedule, binding))
-                            area = total_area(binding, area_model)
-                    if best is None or area < best[0]:
-                        best = (area, latency, schedule, binding)
-                if best is None:
-                    density_best[idx] = None
-                    continue
-                area, latency, schedule, binding = best
-                if binding is None:
-                    # realize only the winning latency with a real
-                    # binding — identical to the full left-edge bind the
-                    # sequential scan would have produced there
-                    binding = self._bind(schedule, allocation)
-                    assert total_area(binding, area_model) == area
-                    self._store("density", (record.key, signature, latency),
-                                (schedule, binding))
-                density_best[idx] = Evaluation(schedule, binding,
-                                               schedule.latency, area)
-        for item in todo:
-            idx, delays, delays_key, critical, signature, memo_key = item
-            candidates = []
-            if scheduler in ("auto", "density"):
-                candidates.append(density_best.get(idx))
-            if scheduler in ("auto", "list"):
-                candidates.append(self._list_best(
-                    graph, record, signature, allocations[idx],
-                    latency_bound, area_model, "fast"))
-            feasible = [c for c in candidates if c is not None]
-            result = min(feasible, key=lambda e: e.area) if feasible \
-                else None
-            self._store("evaluations", memo_key, result)
-            solved[memo_key] = result
-            results[idx] = result
-
     # -- density -------------------------------------------------------
     def _density_best(self, graph, record, signature, allocation, delays,
                       delays_key, critical, latency_bound, area_model,
-                      stop_at_area, impl):
+                      stop_at_area, impl, ceiling, lazy):
+        """Slack exploitation (Figure 6, lines 15–21): the first
+        minimum-area density point over ``[critical, latency_bound]``.
+
+        Scanned by :meth:`_scan`, capped by *ceiling* (the list
+        realization's area), unless *stop_at_area* is set: then every
+        latency is visited in order until an area at most
+        *stop_at_area* turns up.  A *lazy* scan (the batched path's)
+        binds only the winner.
+        """
+        def point(latency):
+            return self._density_point(graph, record, signature, allocation,
+                                       delays, delays_key, latency,
+                                       area_model, impl, lazy)
+
+        if stop_at_area is None:
+            best = self._scan(critical, latency_bound,
+                              _pool_work(graph, allocation), area_model,
+                              ceiling, point)
+        else:
+            best = None
+            for latency in range(critical, latency_bound + 1):
+                costed = point(latency)
+                if costed is None:
+                    continue
+                if best is None or costed[0] < best[0]:
+                    best = (costed[0], latency, costed[1])
+                if costed[0] <= stop_at_area:
+                    break
+        if best is None:
+            return None
+        area, latency, (schedule, binding) = best
+        if binding is None:
+            # a lazy winner: the full left-edge bind the sequential scan
+            # would have run at this latency
+            binding = self._bind(schedule, allocation)
+            assert total_area(binding, area_model) == area
+            self._store("density", (record.key, signature, latency),
+                        (schedule, binding))
+        return Evaluation(schedule, binding, schedule.latency, area)
+
+    def _scan(self, critical, latency_bound, pools, area_model, ceiling,
+              point):
+        """The ascending latency scan, pruned by the area lower bound.
+
+        Returns the first minimum-area ``(area, latency, payload)`` of
+        ``point(latency) -> (area, payload)`` (``None`` when the latency
+        is infeasible) over ``[critical, latency_bound]``, or ``None``.
+        A latency whose :func:`~repro.core.evaluate._area_lower_bound`
+        is strictly above the cap — the best area so far, or the
+        *ceiling* when smaller — is skipped: its point could neither
+        become the first minimum nor beat the list realization, which
+        density replaces only on a tie or better.  The bound never
+        grows with the latency, so once the best area is at most the
+        bound at *latency_bound* no later point can beat it and the
+        scan stops; when even the *ceiling* is below that bound, no
+        point is visited.  Every latency not visited counts in
+        ``EngineStats.density_pruned``.
+        """
+        floor = _area_lower_bound(pools, latency_bound, area_model)
+        cap = math.inf if ceiling is None else ceiling
+        if cap < floor:
+            self.stats.density_pruned += latency_bound - critical + 1
+            return None
         best = None
         for latency in range(critical, latency_bound + 1):
-            pair = self._density_point(graph, record, signature, allocation,
-                                       delays, delays_key, latency, impl)
-            if pair is None:
-                continue
-            schedule, binding = pair
-            area = total_area(binding, area_model)
-            if best is None or area < best.area:
-                best = Evaluation(schedule, binding, schedule.latency, area)
-            if stop_at_area is not None and area <= stop_at_area:
+            if best is not None and best[0] <= floor:
+                self.stats.density_pruned += latency_bound - latency + 1
                 break
+            if _area_lower_bound(pools, latency, area_model) > cap:
+                self.stats.density_pruned += 1
+                continue
+            costed = point(latency)
+            if costed is not None and (best is None or costed[0] < best[0]):
+                best = (costed[0], latency, costed[1])
+                cap = min(cap, costed[0])
         return best
 
     def _density_point(self, graph, record, signature, allocation, delays,
-                       delays_key, latency, impl
-                       ) -> Optional[Tuple[Schedule, Binding]]:
+                       delays_key, latency, area_model, impl, lazy
+                       ) -> Optional[Tuple[int, Tuple[Schedule,
+                                                      Optional[Binding]]]]:
+        """``(area, (schedule, binding))`` of the density point at
+        *latency*, or ``None`` when the latency is infeasible.
+
+        A *lazy* point costs a fresh schedule with :func:`_scan_area`
+        and leaves the binding ``None`` (not cached: its scan binds
+        the winner only); otherwise the point is bound, and the pair
+        cached for any later scan at another bound.
+        """
         self.stats.density_points += 1
         key = (record.key, signature, latency)
+        pair = _MISSING
         if self.cache_enabled:
-            cached = self._density.get(key, _MISSING)
-            if cached is not _MISSING:
+            pair = self._density.get(key, _MISSING)
+            if pair is not _MISSING:
                 self.stats.density_hits += 1
-                return cached
-        schedule = self._schedule(graph, record, delays, delays_key,
-                                  latency, impl)
-        if schedule is None:
-            pair: Optional[Tuple[Schedule, Binding]] = None
-        else:
-            pair = (schedule, self._bind(schedule, allocation))
-        if self.cache_enabled:
-            self._store("density", key, pair)
-        return pair
+        if pair is _MISSING:
+            schedule = self._schedule(graph, record, delays, delays_key,
+                                      latency, impl)
+            if schedule is not None and lazy:
+                area = _scan_area(schedule, allocation, area_model)
+                if area is not None:
+                    return area, (schedule, None)
+            pair = None if schedule is None \
+                else (schedule, self._bind(schedule, allocation))
+            if self.cache_enabled:
+                self._store("density", key, pair)
+        return None if pair is None \
+            else (total_area(pair[1], area_model), pair)
 
     def _schedule(self, graph, record, delays, delays_key, latency,
                   impl) -> Optional[Schedule]:

@@ -8,6 +8,16 @@ area (the paper's Figure 6, lines 15–21, exploits exactly this slack).
 :func:`evaluate_allocation` scans the feasible latency range and keeps
 the smallest-area realization.
 
+The scan visits only latencies that can still win.  A version pool
+with ``W`` busy cycles needs at least ``ceil(W / L)`` instances at
+latency ``L`` (:func:`_area_lower_bound`, the work-conservation bound
+that also seeds the list realization's instance counts), so a latency
+whose bound is strictly above the best area so far — or, under
+``"auto"``, above the list realization's area — is skipped, and the
+scan stops once its best area is at most the bound at the latency
+bound.  The result is the one the full scan returns: the first
+minimum, and the density realization on a tie with the list one.
+
 The realization algorithms themselves live in
 :mod:`repro.core.engine`, which memoizes them across searches and
 sweeps; this module keeps the historical call surface
@@ -19,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dfg.graph import DataFlowGraph
 from repro.hls.binding import Binding
-from repro.hls.metrics import AREA_INSTANCES
+from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS
 from repro.hls.schedule import Schedule
 from repro.hls.timing import asap_latency
 from repro.library.version import ResourceVersion
@@ -58,16 +68,50 @@ def min_latency(graph: DataFlowGraph,
     return asap_latency(graph, delays_of(allocation))
 
 
+def _pool_work(graph: DataFlowGraph,
+               allocation: Mapping[str, ResourceVersion]
+               ) -> Dict[str, Tuple[int, int]]:
+    """Busy cycles and unit area of every version pool, in first-use
+    (op) order.
+
+    A pool is every operation allocated one version name, as the binder
+    groups them; its instances all carry the pool's last version in op
+    order, so that version's area is the pool's unit area.  Both
+    work-conservation bounds below read only this.
+    """
+    busy: Dict[str, int] = {}
+    unit_area: Dict[str, int] = {}
+    for op in graph:
+        version = allocation[op.op_id]
+        busy[version.name] = busy.get(version.name, 0) + version.delay
+        unit_area[version.name] = version.area
+    return {name: (cycles, unit_area[name]) for name, cycles in busy.items()}
+
+
 def _count_lower_bounds(graph: DataFlowGraph,
                         allocation: Mapping[str, ResourceVersion],
                         latency_bound: int) -> Dict[str, int]:
     """Work-conservation lower bound on instances per version."""
-    busy: Dict[str, int] = {}
-    for op in graph:
-        version = allocation[op.op_id]
-        busy[version.name] = busy.get(version.name, 0) + version.delay
     return {name: max(1, math.ceil(cycles / latency_bound))
-            for name, cycles in busy.items()}
+            for name, (cycles, _) in _pool_work(graph, allocation).items()}
+
+
+def _area_lower_bound(pools: Mapping[str, Tuple[int, int]], latency: int,
+                      area_model: str) -> int:
+    """Lower bound on the area of any realization of latency at most
+    *latency*, from :func:`_pool_work`'s *pools*.
+
+    A pool with ``W`` busy cycles keeps at least ``ceil(W / latency)``
+    instances busy at some step (work conservation, the resource bound
+    of Rim & Jain, IEEE TCAD 1994), and the binder opens no fewer
+    lanes than the peak overlap.  Under the versions model the area is
+    the sum of the versions used, whatever the schedule, so the bound
+    is exact.
+    """
+    if area_model == AREA_VERSIONS:
+        return sum(area for _, area in pools.values())
+    return sum(area * -(-cycles // latency)
+               for cycles, area in pools.values())
 
 
 def evaluate_allocation(graph: DataFlowGraph,

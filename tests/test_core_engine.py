@@ -130,6 +130,26 @@ class TestCacheBehaviour:
         assert tight.latency == expected.latency
         assert loose.area <= tight.area
 
+    def test_loose_bound_scan_prunes_latencies(self, lib):
+        graph = fir16()
+        allocation = {op.op_id: lib.fastest_smallest(op.rtype)
+                      for op in graph}
+        engine = EvaluationEngine()
+        critical = engine.min_latency(graph, allocation)
+        bound = 3 * critical
+        result = engine.evaluate(graph, allocation, bound)
+        stats = engine.stats
+        # every latency of [critical, bound] is either visited or pruned
+        assert stats.density_pruned > 0
+        assert stats.density_points + stats.density_pruned \
+            == bound - critical + 1
+        assert stats.as_dict()["density_pruned"] == stats.density_pruned
+        assert f"pruned {stats.density_pruned}" in stats.as_text()
+        reference = EvaluationEngine(cache=False).evaluate(
+            graph, allocation, bound)
+        assert (result.area, result.latency) == \
+            (reference.area, reference.latency)
+
     def test_content_addressed_graph_identity(self, lib):
         # rebuilding the same benchmark must hit the cache built by the
         # first object

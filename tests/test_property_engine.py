@@ -16,6 +16,12 @@ identical:
   pruning) — compaction may only ever cost hit rate, never change
   results.
 
+The density latency scan skips latencies whose area lower bound
+cannot win, in every engine (the cache-disabled one included), so the
+engines agreeing with each other no longer checks that pruning; a
+further property compares them all with an exhaustive scan defined
+here.
+
 A further property pins the pool-local re-binder
 (:func:`repro.hls.binding.rebind_versions`) against the full left-edge
 bind on single-operation allocation deltas.
@@ -31,9 +37,12 @@ from repro.core import (
     merge_snapshot,
     snapshot_engine,
 )
+from repro.core.evaluate import Evaluation
 from repro.dfg import random_dag
-from repro.errors import NoSolutionError
+from repro.errors import NoSolutionError, SchedulingError
+from repro.hls import AREA_MODELS, density_schedule, total_area
 from repro.hls.binding import left_edge_bind, rebind_versions
+from repro.hls.timing import asap_latency
 from repro.library import ResourceLibrary, ResourceVersion, paper_library
 
 
@@ -205,6 +214,68 @@ class TestEvaluateEquivalence:
         assert evaluation_fingerprint(
             reloaded.evaluate(rebuilt, rebuilt_allocation, bound)) == \
             expected
+
+
+def exhaustive_realization(graph, allocation, bound, area_model,
+                           scheduler):
+    """The realization with no latency skipped: the reference density
+    schedule, left-edge binding and area at every latency from the
+    critical path to *bound*, keeping the first minimum; under
+    ``"auto"`` the list realization replaces it only when strictly
+    smaller."""
+    delays = {op_id: version.delay for op_id, version in allocation.items()}
+    critical = asap_latency(graph, delays)
+    if critical > bound:
+        return None
+    best = None
+    if scheduler in ("auto", "density"):
+        for latency in range(critical, bound + 1):
+            try:
+                schedule = density_schedule(graph, delays, latency)
+            except SchedulingError:
+                continue
+            binding = left_edge_bind(schedule, allocation)
+            area = total_area(binding, area_model)
+            if best is None or area < best.area:
+                best = Evaluation(schedule, binding, schedule.latency, area)
+    if scheduler in ("auto", "list"):
+        listed = EvaluationEngine(cache=False, scheduler="list").evaluate(
+            graph, allocation, bound, area_model=area_model)
+        if listed is not None and (best is None or listed.area < best.area):
+            best = listed
+    return best
+
+
+class TestPrunedScan:
+    @given(evaluation_case(), st.sampled_from(AREA_MODELS),
+           st.sampled_from(("auto", "density", "list")),
+           st.integers(min_value=0, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_engines_match_the_exhaustive_scan(self, case, area_model,
+                                               scheduler, stretch):
+        graph, library, requests = case
+        allocations = [allocation for allocation, _ in requests]
+        kwargs = dict(area_model=area_model, scheduler=scheduler)
+        engines = (EvaluationEngine(), EvaluationEngine(cache=False))
+        for allocation, slack in requests:
+            bound = engines[1].min_latency(graph, allocation) \
+                + slack + stretch
+            expected = evaluation_fingerprint(exhaustive_realization(
+                graph, allocation, bound, area_model, scheduler))
+            for engine in engines:
+                assert evaluation_fingerprint(engine.evaluate(
+                    graph, allocation, bound, **kwargs)) == expected
+        # one bound for the whole batch: items below their critical
+        # path come back None
+        bound = min(engines[1].min_latency(graph, allocation)
+                    for allocation in allocations) + stretch
+        expected = [evaluation_fingerprint(exhaustive_realization(
+            graph, allocation, bound, area_model, scheduler))
+            for allocation in allocations]
+        for engine in (EvaluationEngine(), EvaluationEngine(cache=False)):
+            batch = engine.evaluate_batch(graph, allocations, bound,
+                                          **kwargs)
+            assert [evaluation_fingerprint(e) for e in batch] == expected
 
 
 class TestIncrementalRebind:
