@@ -20,11 +20,14 @@ Cache layers, from coarse to fine:
     → the final :class:`~repro.core.evaluate.Evaluation`.  Exact-key
     memo; hits skip all scheduling.
 ``density point``
-    ``(graph, allocation, latency)`` → one density schedule + binding.
-    Because the density realization at bound ``L`` is the min-area
-    point of the scan over ``[critical, L]``, these per-latency points
-    make a realization found at a looser bound reusable at any tighter
-    bound it fits: the tighter scan is a prefix of the looser one.
+    ``(graph, allocation, latency)`` → one density schedule + binding
+    (``None`` when the latency is infeasible).  A scan costs the
+    latencies it visits with lane counts (:func:`_scan_area`) and binds
+    and stores only its winner.  Because the density realization at
+    bound ``L`` is the min-area point of the scan over
+    ``[critical, L]``, a winner found at a looser bound is reusable at
+    any tighter bound it fits: the tighter scan is a prefix of the
+    looser one.
     The scan (:meth:`EvaluationEngine._scan`) visits only latencies
     that can still win: it skips a latency whose work-conservation
     area bound is strictly above the best area so far or, under
@@ -184,9 +187,9 @@ def _scan_area(schedule: Schedule,
     caller binds for real.  The version model is schedule-independent
     (distinct versions used) and always answered.
 
-    The batched evaluation path uses this to cost the non-winning
-    latencies of a density scan in O(pool size) instead of running a
-    full binding per latency.
+    The density scan uses this to cost its non-winning latencies in
+    O(pool size) instead of running a full binding per latency; only
+    the winner is bound.
     """
     pools: Dict[str, List[str]] = {}
     versions: Dict[str, ResourceVersion] = {}
@@ -235,8 +238,6 @@ class EngineStats:
     timing_requests: int = 0      # critical-path latency queries
     timing_hits: int = 0          # ... served from the timing cache
     evictions: int = 0            # entries dropped by full-layer clears
-    batch_items: int = 0          # items submitted to evaluate_batch()
-    batched_evals: int = 0        # ... actually solved by the batched path
     path_requests: int = 0        # latency_start() calls
     path_hits: int = 0            # ... answered by a stored latency path
     path_steps: int = 0           # latency-victim selections run
@@ -251,13 +252,6 @@ class EngineStats:
     def hit_rate(self) -> float:
         """Fraction of evaluate() calls answered from the exact memo."""
         return self.hits / self.requests if self.requests else 0.0
-
-    @property
-    def batch_fill(self) -> float:
-        """Fraction of evaluate_batch() items that reached the batched
-        solver (the rest were memo hits, duplicates, or infeasible)."""
-        return self.batched_evals / self.batch_items if self.batch_items \
-            else 0.0
 
     @property
     def evaluations_per_second(self) -> float:
@@ -276,7 +270,6 @@ class EngineStats:
         }
         snapshot["schedules_run"] = self.schedules_run
         snapshot["hit_rate"] = self.hit_rate
-        snapshot["batch_fill"] = self.batch_fill
         snapshot["evaluations_per_second"] = self.evaluations_per_second
         return snapshot
 
@@ -296,9 +289,6 @@ class EngineStats:
             f" (schedules shared {self.schedule_reuses})",
             f"  timing queries        : {self.timing_requests}"
             f" (cache hits {self.timing_hits})",
-            f"  batched evaluations   : {self.batched_evals}"
-            f" (of {self.batch_items} batch items,"
-            f" fill {self.batch_fill:.1%})",
             f"  latency paths         : {self.path_requests}"
             f" (hits {self.path_hits}, victim steps {self.path_steps})",
             f"  evicted entries       : {self.evictions}",
@@ -775,6 +765,28 @@ class EvaluationEngine:
         finally:
             self.stats.wall_time += time.perf_counter() - started
 
+    def evaluate_batch(self, graph: DataFlowGraph,
+                       allocations: Sequence[Mapping[str, ResourceVersion]],
+                       latency_bound: int,
+                       area_model: Optional[str] = None,
+                       stop_at_area: Optional[int] = None,
+                       scheduler: Optional[str] = None,
+                       scheduler_impl: Optional[str] = None
+                       ) -> List[Optional["Evaluation"]]:
+        """``[self.evaluate(graph, a, latency_bound, ...) for a in
+        allocations]``: one call for a round of candidates.
+
+        Each item is served exactly as the loop would serve it (memo
+        hits, repeated allocations, ``None`` for an infeasible bound)
+        and validated by :meth:`evaluate`; ``[]`` returns ``[]``.
+        """
+        return [self.evaluate(graph, allocation, latency_bound,
+                              area_model=area_model,
+                              stop_at_area=stop_at_area,
+                              scheduler=scheduler,
+                              scheduler_impl=scheduler_impl)
+                for allocation in allocations]
+
     def _evaluate(self, graph, allocation, latency_bound, area_model,
                   stop_at_area, scheduler, impl):
         delays = {op_id: v.delay for op_id, v in allocation.items()}
@@ -799,15 +811,14 @@ class EvaluationEngine:
 
         result = self._realize(graph, record, signature, allocation, delays,
                                delays_key, critical, latency_bound,
-                               area_model, stop_at_area, scheduler, impl,
-                               lazy=False)
+                               area_model, stop_at_area, scheduler, impl)
         if self.cache_enabled:
             self._store("evaluations", memo_key, result)
         return result
 
     def _realize(self, graph, record, signature, allocation, delays,
                  delays_key, critical, latency_bound, area_model,
-                 stop_at_area, scheduler, impl, lazy):
+                 stop_at_area, scheduler, impl):
         """Minimum-area realization under *scheduler*.
 
         The list realization runs first so that, under ``"auto"``, its
@@ -822,173 +833,28 @@ class EvaluationEngine:
             density = self._density_best(
                 graph, record, signature, allocation, delays, delays_key,
                 critical, latency_bound, area_model, stop_at_area, impl,
-                None if listed is None else listed.area, lazy)
+                None if listed is None else listed.area)
         feasible = [c for c in (density, listed) if c is not None]
         return min(feasible, key=lambda e: e.area) if feasible else None
-
-    # ------------------------------------------------------------------
-    # batched evaluation
-    # ------------------------------------------------------------------
-    def evaluate_batch(self, graph: DataFlowGraph,
-                       allocations: Sequence[Mapping[str, ResourceVersion]],
-                       latency_bound: int,
-                       area_model: Optional[str] = None,
-                       stop_at_area: Optional[int] = None,
-                       scheduler: Optional[str] = None,
-                       scheduler_impl: Optional[str] = None,
-                       batch_size: Optional[int] = None
-                       ) -> List[Optional["Evaluation"]]:
-        """``[self.evaluate(graph, a, latency_bound, ...) for a in
-        allocations]`` with the base timing of every item computed
-        together and the cache misses realized lazily.
-
-        Results are identical to the sequential loop: memo hits are
-        served from the evaluation memo, duplicates collapse onto one
-        computation, and each remaining miss runs the same pruned
-        latency scan as :meth:`evaluate` (:meth:`_scan`), visiting only
-        the latencies that can still win; the delays-keyed schedule
-        memo shares every density schedule across items with the same
-        delays.  Only private cache *population* differs — the batched
-        scan costs non-winning latencies with :func:`_scan_area` (lane
-        counts, no binder) and caches a density point only for each
-        item's winning latency, so a later sweep may re-bind a point
-        the sequential path would have had cached.  Never observable in
-        results; asserted design-identical by the test suite.
-
-        ``EngineStats.batch_items`` counts submitted items,
-        ``EngineStats.batched_evals`` those that reached the batched
-        solver; their ratio is :attr:`EngineStats.batch_fill`.
-        *batch_size* splits the items into chunks solved one round at a
-        time (``None`` = one chunk; a ragged final chunk is
-        processed like any other).
-
-        Falls back to the exact sequential loop whenever the batched
-        path could diverge or cannot help: caching disabled, the
-        reference implementation selected, ``stop_at_area`` set (its
-        early break is inherently sequential), an empty graph, or a pure
-        ``"list"`` scheduler request.
-        """
-        allocations = list(allocations)
-        if not allocations:
-            return []
-        area_model = area_model if area_model is not None \
-            else self.area_model
-        scheduler = scheduler if scheduler is not None else self.scheduler
-        impl = scheduler_impl if scheduler_impl is not None \
-            else self.scheduler_impl
-        if scheduler not in SCHEDULERS:
-            raise ReproError(
-                f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}")
-        if impl not in SCHEDULER_IMPLS:
-            raise ReproError(
-                f"unknown scheduler implementation {impl!r}; "
-                f"use one of {SCHEDULER_IMPLS}")
-        self.stats.batch_items += len(allocations)
-        if (not self.cache_enabled or impl != "fast"
-                or stop_at_area is not None
-                or scheduler == "list" or len(graph) == 0):
-            return [self.evaluate(graph, allocation, latency_bound,
-                                  area_model=area_model,
-                                  stop_at_area=stop_at_area,
-                                  scheduler=scheduler, scheduler_impl=impl)
-                    for allocation in allocations]
-        started = time.perf_counter()
-        self.stats.requests += len(allocations)
-        try:
-            results: List[Optional[Evaluation]] = [None] * len(allocations)
-            chunk = len(allocations) if batch_size is None \
-                else max(1, int(batch_size))
-            for base in range(0, len(allocations), chunk):
-                self._evaluate_chunk(
-                    graph, allocations, results,
-                    range(base, min(base + chunk, len(allocations))),
-                    latency_bound, area_model, scheduler)
-            return results
-        finally:
-            self.stats.wall_time += time.perf_counter() - started
-
-    def _evaluate_chunk(self, graph, allocations, results, indices,
-                        latency_bound, area_model, scheduler) -> None:
-        """One round of :meth:`evaluate_batch`."""
-        record = self._record(graph)
-        delayed = [(idx, {op_id: v.delay
-                          for op_id, v in allocations[idx].items()})
-                   for idx in indices]
-        # base timing of every item; results land in the compiled
-        # graph's memo *and* the engine timing layer, exactly as
-        # per-item evaluations would
-        timings = fastsched.batched_timing(graph,
-                                           [d for _, d in delayed])
-        compiled = record.compiled
-        ids = compiled.op_ids
-        metas = []
-        for (idx, delays), timing in zip(delayed, timings):
-            delays_key = compiled.delays_key(delays)
-            self.stats.timing_requests += 1
-            timing_key = (record.key, delays_key)
-            cached = self._timing_cache.get(timing_key, _MISSING)
-            if cached is not _MISSING:
-                self.stats.timing_hits += 1
-                critical = cached[1]
-            else:
-                critical = timing.critical
-                self._store("timing", timing_key,
-                            (dict(zip(ids, timing.asap)), critical))
-            metas.append((idx, delays, delays_key, critical))
-        # memo pass, preserving the sequential semantics exactly:
-        # bound-infeasible items return None *without* memoization
-        todo = []
-        dups: Dict[tuple, List[int]] = {}
-        for idx, delays, delays_key, critical in metas:
-            if critical > latency_bound:
-                results[idx] = None
-                continue
-            signature = self._allocation_key(record, allocations[idx])
-            memo_key = (record.key, signature, latency_bound, area_model,
-                        scheduler, None)
-            memoized = self._evaluations.get(memo_key, _MISSING)
-            if memoized is not _MISSING:
-                self.stats.hits += 1
-                results[idx] = memoized
-                continue
-            if memo_key in dups:
-                dups[memo_key].append(idx)
-                continue
-            dups[memo_key] = []
-            todo.append((idx, delays, delays_key, critical, signature,
-                         memo_key))
-        solved: Dict[tuple, Optional[Evaluation]] = {}
-        self.stats.batched_evals += len(todo)
-        for idx, delays, delays_key, critical, signature, memo_key in todo:
-            result = self._realize(graph, record, signature,
-                                   allocations[idx], delays, delays_key,
-                                   critical, latency_bound, area_model,
-                                   None, scheduler, "fast", lazy=True)
-            self._store("evaluations", memo_key, result)
-            solved[memo_key] = result
-            results[idx] = result
-        for memo_key, extra in dups.items():
-            for idx in extra:  # same allocation repeated within a chunk
-                self.stats.hits += 1
-                results[idx] = solved[memo_key]
 
     # -- density -------------------------------------------------------
     def _density_best(self, graph, record, signature, allocation, delays,
                       delays_key, critical, latency_bound, area_model,
-                      stop_at_area, impl, ceiling, lazy):
+                      stop_at_area, impl, ceiling):
         """Slack exploitation (Figure 6, lines 15–21): the first
         minimum-area density point over ``[critical, latency_bound]``.
 
         Scanned by :meth:`_scan`, capped by *ceiling* (the list
         realization's area), unless *stop_at_area* is set: then every
         latency is visited in order until an area at most
-        *stop_at_area* turns up.  A *lazy* scan (the batched path's)
-        binds only the winner.
+        *stop_at_area* turns up.  Visited points are costed by
+        :meth:`_density_point` without binding; only the winner is
+        bound, and cached for later scans at other bounds.
         """
         def point(latency):
             return self._density_point(graph, record, signature, allocation,
                                        delays, delays_key, latency,
-                                       area_model, impl, lazy)
+                                       area_model, impl)
 
         if stop_at_area is None:
             best = self._scan(critical, latency_bound,
@@ -1008,12 +874,11 @@ class EvaluationEngine:
             return None
         area, latency, (schedule, binding) = best
         if binding is None:
-            # a lazy winner: the full left-edge bind the sequential scan
-            # would have run at this latency
             binding = self._bind(schedule, allocation)
             assert total_area(binding, area_model) == area
-            self._store("density", (record.key, signature, latency),
-                        (schedule, binding))
+            if self.cache_enabled:
+                self._store("density", (record.key, signature, latency),
+                            (schedule, binding))
         return Evaluation(schedule, binding, schedule.latency, area)
 
     def _scan(self, critical, latency_bound, pools, area_model, ceiling,
@@ -1054,16 +919,16 @@ class EvaluationEngine:
         return best
 
     def _density_point(self, graph, record, signature, allocation, delays,
-                       delays_key, latency, area_model, impl, lazy
+                       delays_key, latency, area_model, impl
                        ) -> Optional[Tuple[int, Tuple[Schedule,
                                                       Optional[Binding]]]]:
         """``(area, (schedule, binding))`` of the density point at
         *latency*, or ``None`` when the latency is infeasible.
 
-        A *lazy* point costs a fresh schedule with :func:`_scan_area`
-        and leaves the binding ``None`` (not cached: its scan binds
-        the winner only); otherwise the point is bound, and the pair
-        cached for any later scan at another bound.
+        A cached point comes bound.  A fresh schedule is costed with
+        :func:`_scan_area` and its binding left ``None`` (the scan binds
+        its winner only); when that cannot answer (a zero-delay
+        operation) the point is bound now, and the pair cached.
         """
         self.stats.density_points += 1
         key = (record.key, signature, latency)
@@ -1075,7 +940,7 @@ class EvaluationEngine:
         if pair is _MISSING:
             schedule = self._schedule(graph, record, delays, delays_key,
                                       latency, impl)
-            if schedule is not None and lazy:
+            if schedule is not None:
                 area = _scan_area(schedule, allocation, area_model)
                 if area is not None:
                     return area, (schedule, None)

@@ -162,23 +162,15 @@ def evaluate_allocations(graph: DataFlowGraph,
                          area_model: str = AREA_INSTANCES,
                          scheduler: str = "auto",
                          scheduler_impl: Optional[str] = None,
-                         batch_size: Optional[int] = None,
                          engine=None) -> List[Optional[Evaluation]]:
-    """Batched :func:`evaluate_allocation` over many candidate
-    allocations of one graph.
-
-    Equivalent to evaluating each allocation in order — identical
-    results, asserted by the test suite — but the cache misses are
-    scanned together
-    (:meth:`repro.core.engine.EvaluationEngine.evaluate_batch`): every
-    density point the misses still need is solved once, however many
-    allocations share its delay vector.
-    """
+    """:func:`evaluate_allocation` over many candidate allocations of
+    one graph, in order
+    (:meth:`repro.core.engine.EvaluationEngine.evaluate_batch`, a loop
+    over :meth:`~repro.core.engine.EvaluationEngine.evaluate`)."""
     from repro.core.engine import default_engine
 
     engine = engine if engine is not None else default_engine()
     return engine.evaluate_batch(graph, allocations, latency_bound,
                                  area_model=area_model,
                                  scheduler=scheduler,
-                                 scheduler_impl=scheduler_impl,
-                                 batch_size=batch_size)
+                                 scheduler_impl=scheduler_impl)

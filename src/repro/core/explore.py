@@ -92,10 +92,9 @@ def sweep_bounds(graph: DataFlowGraph,
                  **kwargs) -> List[SweepPoint]:
     """Synthesize at every (Ld, Ad) pair; infeasible points yield None.
 
-    Each grid point's search batches its candidate-allocation rounds
-    through :meth:`EvaluationEngine.evaluate_batch` (see
-    :mod:`repro.core.find_design`), so cold sweeps solve each round's
-    memo misses together rather than one allocation at a time.
+    Every grid point's search evaluates through one engine, so a
+    serial sweep answers the allocations, density points and list
+    probes its grid points share from that engine's caches.
 
     Parameters
     ----------

@@ -113,15 +113,12 @@ class _Search:
         return self._absorb(allocation, key, evaluation)
 
     def consider_batch(self, allocations, keys) -> list:
-        """:meth:`consider` for many candidates in one engine batch.
-
-        Equivalent to considering them in order (the engine's batched
-        path is result-identical to its sequential one), but cache
-        misses share one latency scan and one batched density call.  Used by the
-        neighbor-generation scans of the area-repair, group-refinement
-        and uniform-fallback loops, whose candidate sets within one
+        """:meth:`consider` for each of *allocations*, in order, through
+        one :meth:`~repro.core.engine.EvaluationEngine.evaluate_batch`
+        call.  Used by the neighbor-generation scans of the area-repair
+        and group-refinement loops, whose candidate sets within one
         round are pairwise distinct and judged only after the whole
-        round — so batching cannot change which candidate wins.
+        round.
         """
         evaluations = self.engine.evaluate_batch(
             self.graph, allocations, self.latency_bound,
@@ -243,19 +240,11 @@ def find_design(graph: DataFlowGraph,
     for horizon in horizons:
         _trajectory(search, horizon, repair, refine, seen_allocations)
 
-    # Fallback: uniform single-version allocations, realized in
-    # lazily-drained batches (the generator stays unmaterialized; the
-    # final ragged chunk is processed like any other).
+    # Fallback: uniform single-version allocations (the generator stays
+    # unmaterialized).
     if fallback and search.best is None:
-        pending = []
         for combo in uniform_allocations(graph, library):
-            pending.append(combo)
-            if len(pending) >= 64:
-                search.consider_batch(pending,
-                                      [search.key(a) for a in pending])
-                pending = []
-        if pending:
-            search.consider_batch(pending, [search.key(a) for a in pending])
+            search.consider(combo, search.key(combo))
 
     if search.best is None:
         raise _no_solution(graph, library, latency_bound, area_bound,

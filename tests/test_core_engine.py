@@ -9,7 +9,7 @@ strictly less scheduling work.
 import pytest
 
 from repro.bench import diffeq, ewf, fir16
-from repro.dfg import DFGBuilder
+from repro.dfg import DFGBuilder, random_dag
 from repro.errors import ReproError
 from repro.library import ResourceLibrary, ResourceVersion, paper_library
 from repro.core import EvaluationEngine, find_design, sweep_bounds
@@ -149,6 +149,16 @@ class TestCacheBehaviour:
             graph, allocation, bound)
         assert (result.area, result.latency) == \
             (reference.area, reference.latency)
+
+    def test_uncached_engine_stores_nothing(self, lib):
+        # a density scan binds only its winner; an uncached engine must
+        # not keep that winner, and still lands on the cached design
+        graph = random_dag(24, seed=1)
+        uncached = EvaluationEngine(cache=False)
+        result = find_design(graph, lib, 20, 20, engine=uncached)
+        assert uncached.cache_size() == 0
+        cached = find_design(graph, lib, 20, 20, engine=EvaluationEngine())
+        assert result_fingerprint(result) == result_fingerprint(cached)
 
     def test_content_addressed_graph_identity(self, lib):
         # rebuilding the same benchmark must hit the cache built by the
