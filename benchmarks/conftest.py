@@ -28,27 +28,6 @@ def bench_json_dir(tmp_path_factory):
         yield directory
 
 
-@pytest.fixture(scope="module")
-def reference_kernels():
-    """Pin a benchmark module to the reference scheduling kernels.
-
-    The compiled core (``hls/fastsched.py``) made cold scheduling on
-    the small paper grids cheaper than worker pre-warm, so with the
-    default kernels the cache-sharing benchmark has nothing left to
-    amortize.  It targets the expensive-compute regime and keeps
-    measuring it there
-    (``REPRO_SCHEDULER_IMPL`` propagates into worker processes), while
-    ``bench_fastsched.py`` covers the cold path.
-    """
-    previous = os.environ.get("REPRO_SCHEDULER_IMPL")
-    os.environ["REPRO_SCHEDULER_IMPL"] = "reference"
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_SCHEDULER_IMPL", None)
-    else:
-        os.environ["REPRO_SCHEDULER_IMPL"] = previous
-
-
 @pytest.fixture
 def once(benchmark):
     """Run the benchmarked callable exactly once (experiments are

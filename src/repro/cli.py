@@ -16,9 +16,11 @@ across processes.  ``synth``, ``explore`` and ``experiment`` accept
 ``--cache-dir DIR`` to persist the evaluation engine's caches across
 invocations: the run pre-warms from ``DIR``'s snapshot (if any) and
 saves the merged caches back on exit (``experiment all`` flushes after
-*every* table/figure, so a crash keeps the earlier tables' work).  A
-stale, corrupted, or version-mismatched snapshot is reported and
-ignored — the run simply starts cold.
+*every* table/figure, so a crash keeps the earlier tables' work).
+With ``--workers N`` the snapshot holds only the parent process's
+engine: workers run cold and their caches die with them.  A stale,
+corrupted, or version-mismatched snapshot is reported and ignored —
+the run simply starts cold.
 
 The scheduling kernels themselves come in two interchangeable
 implementations (``REPRO_SCHEDULER_IMPL=fast|reference``, default
@@ -232,7 +234,6 @@ def _cmd_characterize(args) -> int:
 
 def _cmd_experiment(args) -> int:
     from repro import experiments
-    from repro.core import default_engine
     from repro.experiments import run_suites
 
     _load_engine_cache(args.cache_dir)
@@ -271,10 +272,8 @@ def _cmd_experiment(args) -> int:
         _save_engine_cache(args.cache_dir)
         state["unsaved"] = False
 
-    suites = run_suites(
-        runs, names, workers=args.workers,
-        share_engine=default_engine(),
-        checkpoint=_checkpoint)
+    suites = run_suites(runs, names, workers=args.workers,
+                        checkpoint=_checkpoint)
     try:
         for index, (_name, tables) in enumerate(suites):
             state["unsaved"] = True

@@ -2,14 +2,12 @@
 
 The engine's memo layers are pure functions of graph *content* — not of
 process-local object identities — so they can outlive the process that
-computed them.  This module defines the snapshot format and the three
+computed them.  This module defines the snapshot format and the two
 operations built on it:
 
-* ``sweep_bounds(workers=N)`` pre-warms every worker process from a
-  parent snapshot and merges the workers' caches back on join
-  (:mod:`repro.parallel`);
 * the CLI's ``--cache-dir`` persists the default engine's caches across
-  invocations;
+  invocations (with ``--workers N`` only the parent's: worker caches
+  are discarded when the worker exits);
 * tests snapshot an engine mid-flight and assert a reloaded engine is
   behaviourally identical.
 
@@ -34,8 +32,7 @@ Trust model: the digest detects *corruption* (truncated writes, bit
 rot), not tampering — the payload is a pickle, and unpickling
 attacker-controlled bytes executes arbitrary code.  A cache dir
 therefore carries the same trust as the source tree itself: point
-``--cache-dir`` (and worker pre-warm snapshots, which travel through
-the same format) only at directories you would run code from, not at
+``--cache-dir`` only at directories you would run code from, not at
 world-writable paths.
 """
 

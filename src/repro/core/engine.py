@@ -98,9 +98,8 @@ probe-heavy search can never wipe the exact memo.  Caches are also
 *portable*: :meth:`~EvaluationEngine.export_cache_state` /
 :meth:`~EvaluationEngine.merge_cache_state` re-key every entry by
 graph content, and :mod:`repro.core.cache_store` wraps them in a
-versioned, digest-checked snapshot file — worker processes pre-warm
-from a parent snapshot, and CLI runs persist caches across
-invocations (``--cache-dir``).
+versioned, digest-checked snapshot file, which CLI runs use to persist
+caches across invocations (``--cache-dir``).
 
 A module-level default engine backs the
 :func:`repro.core.evaluate.evaluate_allocation` compatibility wrapper;
@@ -1089,8 +1088,8 @@ class EvaluationEngine:
         Every process-local part of a key — the graph id, allocation
         and delays keys, a probe's count vector — is translated to
         content form (:meth:`_content_key`), so a snapshot merged into
-        another engine — a worker process, or a later CLI invocation —
-        lands on the same logical entries.  Values carry no
+        another engine — a later CLI invocation, say — lands on the
+        same logical entries.  Values carry no
         process-local part and pass through.  Entries are listed in
         insertion order.
         """

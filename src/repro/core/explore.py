@@ -8,10 +8,8 @@ Sweeps share one :class:`~repro.core.engine.EvaluationEngine` across
 all grid points by default, so a realization computed for one (Ld, Ad)
 pair is reused by every other pair that revisits the allocation.  Pass
 ``workers=N`` to :func:`sweep_bounds` to fan the grid out across
-processes; workers pre-warm from a snapshot of the shared engine's
-caches and merge their own caches back on join
-(:mod:`repro.core.cache_store`), so parallel sweeps no longer re-warm
-every cache per worker.
+processes; each worker runs cold, through its own engine built with
+the sweep engine's settings, and its caches are discarded on exit.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dfg.graph import DataFlowGraph
-from repro.errors import NoSolutionError, ReproError
+from repro.errors import NoSolutionError
 from repro.hls.metrics import AREA_INSTANCES
 from repro.library.library import ResourceLibrary
 from repro.core.baseline import baseline_design
@@ -69,15 +67,43 @@ def uses_workers(workers: Optional[int], points: int) -> bool:
     return workers is not None and workers > 1 and points > 1
 
 
-def _sweep_point(task) -> Optional[DesignResult]:
-    """One grid point; module-level so process pools can pickle it."""
-    method, graph, library, latency_bound, area_bound, area_model, \
-        kwargs = task
+#: this worker process's engines, one per distinct engine settings
+#: tuple (:func:`_engine_settings`), reused across the tasks it serves
+_WORKER_ENGINES: Dict[tuple, EvaluationEngine] = {}
+
+
+def _engine_settings(engine: EvaluationEngine) -> tuple:
+    """What a worker needs to rebuild *engine*'s behaviour: its
+    constructor settings, never its caches."""
+    return (engine.area_model, engine.scheduler, engine.scheduler_impl,
+            engine.cache_enabled, engine.max_entries)
+
+
+def _worker_engine(settings: tuple) -> EvaluationEngine:
+    engine = _WORKER_ENGINES.get(settings)
+    if engine is None:
+        area_model, scheduler, scheduler_impl, cache, max_entries = settings
+        engine = _WORKER_ENGINES[settings] = EvaluationEngine(
+            area_model=area_model, scheduler=scheduler,
+            scheduler_impl=scheduler_impl, cache=cache,
+            max_entries=max_entries)
+    return engine
+
+
+def _design_or_none(engine, method, graph, library, latency_bound,
+                    area_bound, area_model, kwargs
+                    ) -> Optional[DesignResult]:
     try:
         return synthesize(method, graph, library, latency_bound, area_bound,
-                          area_model=area_model, **kwargs)
+                          area_model=area_model, engine=engine, **kwargs)
     except NoSolutionError:
         return None
+
+
+def _sweep_point(settings: tuple, *point) -> Optional[DesignResult]:
+    """One grid point in a worker; module-level so process pools can
+    pickle it."""
+    return _design_or_none(_worker_engine(settings), *point)
 
 
 def sweep_bounds(graph: DataFlowGraph,
@@ -88,7 +114,6 @@ def sweep_bounds(graph: DataFlowGraph,
                  area_model: str = AREA_INSTANCES,
                  workers: Optional[int] = None,
                  engine: Optional[EvaluationEngine] = None,
-                 share_caches: bool = True,
                  **kwargs) -> List[SweepPoint]:
     """Synthesize at every (Ld, Ad) pair; infeasible points yield None.
 
@@ -105,50 +130,33 @@ def sweep_bounds(graph: DataFlowGraph,
         startup.
     engine:
         Engine for the serial path (default: the process-wide one).
-        With *workers* parallelism it becomes the cache-sharing hub:
-        its caches seed every worker, and what the grid computed lands
-        back in it on join — so a later sweep (or a ``--cache-dir``
-        save) starts from everything the grid computed.
-    share_caches:
-        ``True`` pre-warms workers from a snapshot of *engine* and
-        merges their caches back on join; ``False`` runs workers fully
-        cold and discards their caches.  Results are identical either
-        way — only wall clock differs.  Any other value raises
-        :class:`~repro.errors.ReproError`.
+        With *workers* parallelism only its settings (area model,
+        scheduler, scheduler implementation, caching, ``max_entries``)
+        reach the workers, never its caches: each worker evaluates
+        through its own engine built with those settings, and *engine*
+        is left untouched.
     """
-    if not isinstance(share_caches, bool):
-        raise ReproError(
-            f"unknown share_caches setting {share_caches!r}; "
-            f"use True or False")
     pairs = [(latency_bound, area_bound)
              for latency_bound in latency_bounds
              for area_bound in area_bounds]
+    engine = engine if engine is not None else default_engine()
     if uses_workers(workers, len(pairs)):
         # process pools cost tens of milliseconds to import: only
         # parallel sweeps pay for them
         from repro.parallel import run_tasks
 
-        engine = engine if engine is not None else default_engine()
-        tasks = [(_sweep_point,
-                  ((method, graph, library, latency_bound, area_bound,
-                    area_model, kwargs),), {})
-                 for latency_bound, area_bound in pairs]
-        results = run_tasks(tasks, workers=workers,
-                            share_engine=engine if share_caches else None)
-        return [SweepPoint(latency_bound, area_bound, result)
-                for (latency_bound, area_bound), result in zip(pairs, results)]
-
-    engine = engine if engine is not None else default_engine()
-    points = []
-    for latency_bound, area_bound in pairs:
-        try:
-            result = synthesize(method, graph, library, latency_bound,
-                                area_bound, area_model=area_model,
-                                engine=engine, **kwargs)
-        except NoSolutionError:
-            result = None
-        points.append(SweepPoint(latency_bound, area_bound, result))
-    return points
+        settings = _engine_settings(engine)
+        results = run_tasks(
+            [(_sweep_point, (settings, method, graph, library, latency_bound,
+                             area_bound, area_model, kwargs), {})
+             for latency_bound, area_bound in pairs], workers=workers)
+    else:
+        results = [_design_or_none(engine, method, graph, library,
+                                   latency_bound, area_bound, area_model,
+                                   kwargs)
+                   for latency_bound, area_bound in pairs]
+    return [SweepPoint(latency_bound, area_bound, result)
+            for (latency_bound, area_bound), result in zip(pairs, results)]
 
 
 def reliability_vs_latency(graph: DataFlowGraph, library: ResourceLibrary,

@@ -48,8 +48,7 @@ class CacheError(ReproError):
     Raised by :mod:`repro.core.cache_store` when a snapshot file has
     the wrong magic, a mismatched format version, a failed integrity
     digest, or an undecodable payload.  Callers (the CLI's
-    ``--cache-dir``, worker pre-warming) treat this as "start cold",
-    never as a crash.
+    ``--cache-dir``) treat this as "start cold", never as a crash.
     """
 
 

@@ -1,11 +1,7 @@
 """Shared experiment plumbing: result tables, formatting, and the
 parallel experiment executor.
 
-``run_tasks`` is re-exported from :mod:`repro.parallel`; experiment
-drivers that fan tables out across processes can pass
-``share_engine=`` to pre-warm the workers from (and merge their caches
-back into) a parent evaluation engine — the CLI's ``experiment
---workers N --cache-dir DIR`` builds directly on this, and
+``run_tasks`` is re-exported from :mod:`repro.parallel`;
 :func:`run_suites` adds the crash-safety loop for multi-table runs
 (``experiment all``): each named group of tasks is executed and
 yielded as soon as it finishes, with a *checkpoint* callback between
@@ -28,7 +24,6 @@ __all__ = ["ExperimentTable", "ExperimentTask", "improvement", "mean",
 def run_suites(suites: Mapping[str, Sequence[ExperimentTask]],
                names: Optional[Sequence[str]] = None, *,
                workers: Optional[int] = None,
-               share_engine=None,
                checkpoint: Optional[Callable[[str], None]] = None,
                ) -> Iterator[Tuple[str, List[object]]]:
     """Run named groups of experiment tasks, yielding each on completion.
@@ -36,13 +31,11 @@ def run_suites(suites: Mapping[str, Sequence[ExperimentTask]],
     A lazy generator: group *name*'s results are yielded as soon as
     its tasks finish, and *checkpoint(name)* runs after the caller has
     consumed them — so a run that dies on table N still leaves behind
-    everything tables 1..N-1 produced and checkpointed.  *workers* and
-    *share_engine* are forwarded to :func:`repro.parallel.run_tasks`
-    unchanged.
+    everything tables 1..N-1 produced and checkpointed.  *workers* is
+    forwarded to :func:`repro.parallel.run_tasks` unchanged.
     """
     for name in (list(suites) if names is None else names):
-        results = run_tasks(suites[name], workers=workers,
-                            share_engine=share_engine)
+        results = run_tasks(suites[name], workers=workers)
         yield name, results
         if checkpoint is not None:
             checkpoint(name)

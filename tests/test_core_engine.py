@@ -324,14 +324,21 @@ class TestParallelSweep:
                 (b.latency_bound, b.area_bound)
             assert result_fingerprint(a.result) == result_fingerprint(b.result)
 
-    def test_share_caches_rejects_non_bool(self, lib, monkeypatch):
-        from repro import parallel
+    @pytest.mark.parametrize("scheduler", ["list", "density"])
+    def test_workers_use_the_engine_settings(self, lib, scheduler):
+        # the workers build their own engines, but from the sweep
+        # engine's settings: a non-default scheduler reaches them
+        def sweep(**kwargs):
+            return [result_fingerprint(p.result) for p in sweep_bounds(
+                fir16(), lib, [10, 11], [8, 9],
+                engine=EvaluationEngine(scheduler=scheduler), **kwargs)]
 
-        def no_workers(*args, **kwargs):
-            raise AssertionError("workers started before validation")
+        assert sweep(workers=2) == sweep()
 
-        monkeypatch.setattr(parallel, "run_tasks", no_workers)
-        for setting in ("live", "snapshot", None, 1):
-            with pytest.raises(ReproError, match="share_caches"):
-                sweep_bounds(fir16(), lib, [10, 11], [8, 9], workers=2,
-                             share_caches=setting)
+
+class TestRunTasks:
+    def test_results_come_back_in_task_order(self):
+        from repro.parallel import run_tasks
+
+        tasks = [(pow, (base, 2), {}) for base in range(5)]
+        assert run_tasks(tasks, workers=2) == [0, 1, 4, 9, 16]

@@ -1,11 +1,11 @@
-"""Determinism of parallel sweeps under cache pre-warm/merge.
+"""Determinism of parallel sweeps.
 
 ``sweep_bounds`` must produce byte-identical points regardless of the
-worker count and of whether cross-process cache sharing (pre-warm from
-a parent snapshot, merge-back on join) is active — on all three paper
-benchmarks.  This is the contract that lets ``--workers N`` and
-``--cache-dir`` be pure wall-clock knobs: they may never become result
-knobs.
+worker count, on all three paper benchmarks.  Workers run cold, each
+through its own engine, so a parallel sweep neither reads nor fills
+the caches of the engine it is given.  This is the contract that lets
+``--workers N`` and ``--cache-dir`` be pure wall-clock knobs: they may
+never become result knobs.
 """
 
 import pytest
@@ -51,25 +51,20 @@ def serial_points(lib):
 @pytest.mark.parametrize("make", list(GRIDS),
                          ids=lambda make: make.__name__)
 class TestWorkerDeterminism:
-    def test_workers4_unshared_matches_serial(self, lib, make,
-                                              serial_points):
-        points = sweep_bounds(make(), lib, *GRIDS[make], workers=4,
-                              share_caches=False)
+    def test_workers4_matches_serial(self, lib, make, serial_points):
+        points = sweep_bounds(make(), lib, *GRIDS[make], workers=4)
         assert [point_fingerprint(p) for p in points] == \
             serial_points[make]
 
-    def test_workers4_with_prewarm_and_merge_matches_serial(
-            self, lib, make, serial_points):
-        hub = EvaluationEngine()
-        # run twice through the same hub: pass 1 runs cold workers and
-        # merges their caches back; pass 2 pre-warms the workers from
-        # the merged snapshot — both must equal the serial sweep
-        for expectation in ("cold+merge", "pre-warmed"):
+    def test_repeated_parallel_sweep_matches_serial(self, lib, make,
+                                                    serial_points):
+        engine = EvaluationEngine()
+        for attempt in ("first", "second"):
             points = sweep_bounds(make(), lib, *GRIDS[make], workers=4,
-                                  engine=hub)
+                                  engine=engine)
             assert [point_fingerprint(p) for p in points] == \
-                serial_points[make], expectation
-        assert hub.cache_size() > 0  # the merge-back actually happened
+                serial_points[make], attempt
+        assert engine.cache_size() == 0  # workers never touch its caches
 
     def test_workers1_falls_back_to_serial_path(self, lib, make,
                                                 serial_points):
