@@ -18,14 +18,10 @@ invocations: the run pre-warms from ``DIR``'s snapshot (if any) and
 saves the merged caches back on exit (``experiment all`` flushes after
 *every* table/figure, so a crash keeps the earlier tables' work).
 With ``--workers N`` the snapshot holds only the parent process's
-engine: workers run cold and their caches die with them.  A stale,
-corrupted, or version-mismatched snapshot is reported and ignored —
-the run simply starts cold.
-
-The scheduling kernels themselves come in two interchangeable
-implementations (``REPRO_SCHEDULER_IMPL=fast|reference``, default
-``fast`` — the compiled array core; see the README's Performance
-section).  Both produce identical designs.
+engine: workers run cold and their caches die with them, and when
+every task runs in a worker the directory is neither read nor written
+(a note on stderr says so).  A stale, corrupted, or version-mismatched
+snapshot is reported and ignored — the run simply starts cold.
 """
 
 from __future__ import annotations
@@ -136,6 +132,19 @@ def _load_engine_cache(cache_dir: Optional[str]) -> None:
               file=sys.stderr)
 
 
+def _in_process_cache_dir(cache_dir: Optional[str],
+                          fanned_out: bool) -> Optional[str]:
+    """*cache_dir*, or ``None`` when every task runs in a worker
+    process (*fanned_out*): workers start cold and never read the
+    parent's snapshot, so loading and re-saving it would cost memory
+    and time for no hit."""
+    if cache_dir and fanned_out:
+        print(f"note: --cache-dir {cache_dir} unused: every task runs in "
+              f"a worker process", file=sys.stderr)
+        return None
+    return cache_dir
+
+
 def _save_engine_cache(cache_dir: Optional[str]) -> None:
     """Persist the default engine's caches into *cache_dir*.
 
@@ -235,8 +244,8 @@ def _cmd_characterize(args) -> int:
 def _cmd_experiment(args) -> int:
     from repro import experiments
     from repro.experiments import run_suites
+    from repro.parallel import uses_workers
 
-    _load_engine_cache(args.cache_dir)
     model = args.area_model
     runs = {
         "table1": [(experiments.run_table1_calibrated, (), {}),
@@ -264,12 +273,16 @@ def _cmd_experiment(args) -> int:
                        (experiments.run_montecarlo_validation, (), {})],
     }
     names = list(runs) if args.name == "all" else [args.name]
+    cache_dir = _in_process_cache_dir(
+        args.cache_dir,
+        all(uses_workers(args.workers, len(runs[name])) for name in names))
+    _load_engine_cache(cache_dir)
     state = {"unsaved": True}
 
     def _checkpoint(_name: str) -> None:
         # flush the cache dir after every table/figure so a crash mid-
         # `experiment all` keeps everything the earlier tables computed
-        _save_engine_cache(args.cache_dir)
+        _save_engine_cache(cache_dir)
         state["unsaved"] = False
 
     suites = run_suites(runs, names, workers=args.workers,
@@ -284,19 +297,23 @@ def _cmd_experiment(args) -> int:
                 print()
     finally:
         if state["unsaved"]:  # a clean run already saved at the last
-            _save_engine_cache(args.cache_dir)  # checkpoint
+            _save_engine_cache(cache_dir)  # checkpoint
     return 0
 
 
 def _cmd_explore(args) -> int:
     from repro.core import pareto_frontier, sweep_bounds
+    from repro.parallel import uses_workers
 
     graph = _load_graph(args.benchmark)
     library = _load_library(None)
-    _load_engine_cache(args.cache_dir)
+    fanned_out = uses_workers(args.workers,
+                              len(args.latencies) * len(args.areas))
+    cache_dir = _in_process_cache_dir(args.cache_dir, fanned_out)
+    _load_engine_cache(cache_dir)
     points = sweep_bounds(graph, library, args.latencies, args.areas,
                           args.method, workers=args.workers)
-    _save_engine_cache(args.cache_dir)
+    _save_engine_cache(cache_dir)
     print(f"{'Ld':>4} {'Ad':>4} {'latency':>8} {'area':>5} {'reliability':>12}")
     for point in points:
         if point.result is None:
@@ -314,9 +331,7 @@ def _cmd_explore(args) -> int:
         print(f"  latency {result.latency}  area {result.area}  "
               f"reliability {result.reliability:.5f}")
     if args.stats:
-        from repro.core.explore import uses_workers
-
-        if uses_workers(args.workers, len(args.latencies) * len(args.areas)):
+        if fanned_out:
             print("\nengine statistics: unavailable with --workers "
                   "(each worker process keeps its own engine)",
                   file=sys.stderr)

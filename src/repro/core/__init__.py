@@ -19,7 +19,6 @@ from repro.core.engine import (
     set_default_engine,
 )
 from repro.core.evaluate import (
-    SCHEDULER_IMPLS,
     evaluate_allocation,
     evaluate_allocations,
     min_latency,
@@ -69,7 +68,6 @@ __all__ = [
     "evaluate_allocation",
     "evaluate_allocations",
     "min_latency",
-    "SCHEDULER_IMPLS",
     "uniform_allocations",
     "minimize_area",
     "minimize_latency",

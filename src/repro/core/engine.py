@@ -101,6 +101,14 @@ graph content, and :mod:`repro.core.cache_store` wraps them in a
 versioned, digest-checked snapshot file, which CLI runs use to persist
 caches across invocations (``--cache-dir``).
 
+The caching setting also picks the scheduling kernels.  A cached
+engine runs the compiled core (:mod:`repro.hls.fastsched` over
+:class:`~repro.dfg.compiled.CompiledGraph`); ``cache=False`` runs the
+reference kernels (:mod:`repro.hls.timing`, :mod:`repro.hls.density`,
+:mod:`repro.hls.listsched`) and reads no compiled-core memo either, so
+it is an independent oracle for the cached path.  Both produce
+identical schedules (``tests/test_fastsched.py``).
+
 A module-level default engine backs the
 :func:`repro.core.evaluate.evaluate_allocation` compatibility wrapper;
 pass ``engine=`` to any synthesis entry point to use a private one
@@ -111,7 +119,6 @@ behaviour).
 from __future__ import annotations
 
 import math
-import os
 import struct
 import time
 from dataclasses import dataclass
@@ -132,7 +139,6 @@ from repro.library.library import ResourceLibrary
 from repro.library.version import ResourceVersion
 from repro.core.design import check_area_model
 from repro.core.evaluate import (
-    SCHEDULER_IMPLS,
     SCHEDULERS,
     Evaluation,
     _area_lower_bound,
@@ -333,24 +339,12 @@ class EvaluationEngine:
     scheduler:
         Default realization scheduler (``"auto"``, ``"density"`` or
         ``"list"``); overridable per call.
-    scheduler_impl:
-        Which scheduling *core* runs on cache misses: ``"fast"`` (the
-        default) is the compiled array-based implementation
-        (:mod:`repro.hls.fastsched` over
-        :class:`~repro.dfg.compiled.CompiledGraph`), ``"reference"``
-        the original dict-based kernels.  The two produce identical
-        schedules — asserted property-based in
-        ``tests/test_fastsched.py`` — so every cache layer and snapshot
-        entry is shared freely between them, and the memo keys
-        deliberately do *not* include the implementation.  The
-        ``REPRO_SCHEDULER_IMPL`` environment variable overrides the
-        built-in default; overridable per call too.
     cache:
-        Disable to force every request through the full algorithms —
-        the reference behaviour the cached path must reproduce exactly.
-        Unless ``scheduler_impl`` is given explicitly, a cache-disabled
-        engine also runs the *reference* kernels, making it a fully
-        independent oracle (no engine memo, no compiled-core memo).
+        A cached engine memoizes every layer and runs the compiled
+        scheduling core.  Disable to force every request through the
+        full reference algorithms — reference kernels, no engine memo,
+        no compiled-core memo — the independent oracle the cached path
+        must reproduce exactly.
         The density scan's area-bound pruning applies here too, so
         agreement with the cached engine does not check it;
         ``tests/test_property_engine.py::TestPrunedScan`` compares
@@ -374,27 +368,14 @@ class EvaluationEngine:
 
     def __init__(self, *, area_model: str = AREA_INSTANCES,
                  scheduler: str = "auto",
-                 scheduler_impl: Optional[str] = None,
                  cache: bool = True,
                  max_entries: int = 200_000):
         check_area_model(area_model)
         if scheduler not in SCHEDULERS:
             raise ReproError(
                 f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}")
-        if scheduler_impl is None:
-            # a cache-disabled engine is the independence oracle the
-            # equivalence suites compare against, so unless told
-            # otherwise it also runs the reference kernels — "every
-            # request through the full (seed) algorithms" stays true
-            scheduler_impl = os.environ.get(
-                "REPRO_SCHEDULER_IMPL", "fast" if cache else "reference")
-        if scheduler_impl not in SCHEDULER_IMPLS:
-            raise ReproError(
-                f"unknown scheduler implementation {scheduler_impl!r}; "
-                f"use one of {SCHEDULER_IMPLS}")
         self.area_model = area_model
         self.scheduler = scheduler
-        self.scheduler_impl = scheduler_impl
         self.cache_enabled = cache
         self.max_entries = max_entries
         self.stats = EngineStats()
@@ -633,9 +614,8 @@ class EvaluationEngine:
         key = (record.key, record.compiled.delays_key(delays))
         return self._timing_for(graph, record, key, delays)
 
-    def _timing_for(self, graph, record, key, delays, impl=None
+    def _timing_for(self, graph, record, key, delays
                     ) -> Tuple[Dict[str, int], int]:
-        impl = impl if impl is not None else self.scheduler_impl
         self.stats.timing_requests += 1
         cached = self._timing_cache.get(key, _MISSING)
         if cached is not _MISSING:
@@ -645,7 +625,7 @@ class EvaluationEngine:
         # read fastsched's per-graph base-timing memo either, or a
         # keying bug there would corrupt both sides of an equivalence
         # comparison identically
-        if impl == "fast" and self.cache_enabled and len(graph):
+        if self.cache_enabled and len(graph):
             timing = fastsched.base_timing(graph, delays)
             ids = record.compiled.op_ids
             starts = dict(zip(ids, timing.asap))
@@ -736,8 +716,7 @@ class EvaluationEngine:
                  latency_bound: int,
                  area_model: Optional[str] = None,
                  stop_at_area: Optional[int] = None,
-                 scheduler: Optional[str] = None,
-                 scheduler_impl: Optional[str] = None):
+                 scheduler: Optional[str] = None):
         """Best (minimum-area) realization of an allocation within a bound.
 
         Drop-in equivalent of the historical
@@ -747,20 +726,14 @@ class EvaluationEngine:
         """
         area_model = area_model if area_model is not None else self.area_model
         scheduler = scheduler if scheduler is not None else self.scheduler
-        impl = scheduler_impl if scheduler_impl is not None \
-            else self.scheduler_impl
         if scheduler not in SCHEDULERS:
             raise ReproError(
                 f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}")
-        if impl not in SCHEDULER_IMPLS:
-            raise ReproError(
-                f"unknown scheduler implementation {impl!r}; "
-                f"use one of {SCHEDULER_IMPLS}")
         started = time.perf_counter()
         self.stats.requests += 1
         try:
             return self._evaluate(graph, allocation, latency_bound,
-                                  area_model, stop_at_area, scheduler, impl)
+                                  area_model, stop_at_area, scheduler)
         finally:
             self.stats.wall_time += time.perf_counter() - started
 
@@ -769,8 +742,7 @@ class EvaluationEngine:
                        latency_bound: int,
                        area_model: Optional[str] = None,
                        stop_at_area: Optional[int] = None,
-                       scheduler: Optional[str] = None,
-                       scheduler_impl: Optional[str] = None
+                       scheduler: Optional[str] = None
                        ) -> List[Optional["Evaluation"]]:
         """``[self.evaluate(graph, a, latency_bound, ...) for a in
         allocations]``: one call for a round of candidates.
@@ -782,24 +754,19 @@ class EvaluationEngine:
         return [self.evaluate(graph, allocation, latency_bound,
                               area_model=area_model,
                               stop_at_area=stop_at_area,
-                              scheduler=scheduler,
-                              scheduler_impl=scheduler_impl)
+                              scheduler=scheduler)
                 for allocation in allocations]
 
     def _evaluate(self, graph, allocation, latency_bound, area_model,
-                  stop_at_area, scheduler, impl):
+                  stop_at_area, scheduler):
         delays = {op_id: v.delay for op_id, v in allocation.items()}
         record = self._record(graph)
         delays_key = record.compiled.delays_key(delays)
         _, critical = self._timing_for(graph, record,
-                                       (record.key, delays_key), delays,
-                                       impl)
+                                       (record.key, delays_key), delays)
         if critical > latency_bound:
             return None
         signature = self._allocation_key(record, allocation)
-        # the implementation is deliberately absent from the memo key:
-        # fast and reference schedules are identical, so either may
-        # serve (and populate) the same entries
         memo_key = (record.key, signature, latency_bound, area_model,
                     scheduler, stop_at_area)
         if self.cache_enabled:
@@ -810,14 +777,14 @@ class EvaluationEngine:
 
         result = self._realize(graph, record, signature, allocation, delays,
                                delays_key, critical, latency_bound,
-                               area_model, stop_at_area, scheduler, impl)
+                               area_model, stop_at_area, scheduler)
         if self.cache_enabled:
             self._store("evaluations", memo_key, result)
         return result
 
     def _realize(self, graph, record, signature, allocation, delays,
                  delays_key, critical, latency_bound, area_model,
-                 stop_at_area, scheduler, impl):
+                 stop_at_area, scheduler):
         """Minimum-area realization under *scheduler*.
 
         The list realization runs first so that, under ``"auto"``, its
@@ -827,11 +794,11 @@ class EvaluationEngine:
         density = listed = None
         if scheduler in ("auto", "list"):
             listed = self._list_best(graph, record, signature, allocation,
-                                     latency_bound, area_model, impl)
+                                     latency_bound, area_model)
         if scheduler in ("auto", "density"):
             density = self._density_best(
                 graph, record, signature, allocation, delays, delays_key,
-                critical, latency_bound, area_model, stop_at_area, impl,
+                critical, latency_bound, area_model, stop_at_area,
                 None if listed is None else listed.area)
         feasible = [c for c in (density, listed) if c is not None]
         return min(feasible, key=lambda e: e.area) if feasible else None
@@ -839,7 +806,7 @@ class EvaluationEngine:
     # -- density -------------------------------------------------------
     def _density_best(self, graph, record, signature, allocation, delays,
                       delays_key, critical, latency_bound, area_model,
-                      stop_at_area, impl, ceiling):
+                      stop_at_area, ceiling):
         """Slack exploitation (Figure 6, lines 15–21): the first
         minimum-area density point over ``[critical, latency_bound]``.
 
@@ -853,7 +820,7 @@ class EvaluationEngine:
         def point(latency):
             return self._density_point(graph, record, signature, allocation,
                                        delays, delays_key, latency,
-                                       area_model, impl)
+                                       area_model)
 
         if stop_at_area is None:
             best = self._scan(critical, latency_bound,
@@ -918,7 +885,7 @@ class EvaluationEngine:
         return best
 
     def _density_point(self, graph, record, signature, allocation, delays,
-                       delays_key, latency, area_model, impl
+                       delays_key, latency, area_model
                        ) -> Optional[Tuple[int, Tuple[Schedule,
                                                       Optional[Binding]]]]:
         """``(area, (schedule, binding))`` of the density point at
@@ -938,7 +905,7 @@ class EvaluationEngine:
                 self.stats.density_hits += 1
         if pair is _MISSING:
             schedule = self._schedule(graph, record, delays, delays_key,
-                                      latency, impl)
+                                      latency)
             if schedule is not None:
                 area = _scan_area(schedule, allocation, area_model)
                 if area is not None:
@@ -950,12 +917,12 @@ class EvaluationEngine:
         return None if pair is None \
             else (total_area(pair[1], area_model), pair)
 
-    def _schedule(self, graph, record, delays, delays_key, latency,
-                  impl) -> Optional[Schedule]:
+    def _schedule(self, graph, record, delays, delays_key, latency
+                  ) -> Optional[Schedule]:
         """The delays-keyed density schedule at *latency* (memoized), or
         ``None`` when the latency is infeasible.
 
-        With the fast implementation the latency-range scan warm-starts
+        On the compiled core the latency-range scan warm-starts
         across bounds for free: every bound's frames derive from one
         memoized ASAP/tail pass (:func:`repro.hls.fastsched.
         base_timing`), so only the placement loop runs per latency.
@@ -968,7 +935,7 @@ class EvaluationEngine:
                 return cached
         try:
             self.stats.density_schedules += 1
-            if impl == "fast":
+            if self.cache_enabled:
                 schedule: Optional[Schedule] = \
                     fastsched.fast_density_schedule(graph, delays, latency)
             else:
@@ -986,9 +953,9 @@ class EvaluationEngine:
 
     # -- list ----------------------------------------------------------
     def _list_best(self, graph, record, signature, allocation, latency_bound,
-                   area_model, impl):
+                   area_model):
         pair = self._run_list_realization(graph, record, signature,
-                                          allocation, latency_bound, impl)
+                                          allocation, latency_bound)
         if pair is None:
             return None
         schedule, binding = pair
@@ -996,7 +963,7 @@ class EvaluationEngine:
                           total_area(binding, area_model))
 
     def _run_list_realization(self, graph, record, signature, allocation,
-                              latency_bound, impl):
+                              latency_bound):
         """Count-driven list realization (see evaluate.py's docstring),
         with every list-schedule probe served through the probe cache.
         Probes yield latencies only; the schedule and binding are built
@@ -1007,8 +974,8 @@ class EvaluationEngine:
         max_rounds = sum(counts.values()) + len(graph)
         for _ in range(max_rounds):
             if self._list_probe(graph, record, signature, allocation,
-                                counts, impl) <= latency_bound:
-                if impl == "fast":
+                                counts) <= latency_bound:
+                if self.cache_enabled:
                     schedule = fastsched.fast_list_schedule(
                         graph, allocation, counts)
                 else:
@@ -1020,7 +987,7 @@ class EvaluationEngine:
                 trial = dict(counts)
                 trial[name] += 1
                 latency = self._list_probe(graph, record, signature,
-                                           allocation, trial, impl)
+                                           allocation, trial)
                 key = (latency, unit_area[name], name)
                 if best_key is None or key < best_key:
                     best_key = key
@@ -1029,7 +996,7 @@ class EvaluationEngine:
         return None
 
     def _list_probe(self, graph, record, signature, allocation,
-                    counts, impl) -> int:
+                    counts) -> int:
         """Latency of the list schedule under *counts*."""
         # counts keep _count_lower_bounds' key order (first use in op
         # order), which the allocation key already determines
@@ -1040,7 +1007,7 @@ class EvaluationEngine:
                 self.stats.list_probe_hits += 1
                 return cached
         self.stats.list_schedules += 1
-        if impl == "fast":
+        if self.cache_enabled:
             # the prepared state depends on the allocation only, so one
             # slot serves every probe of a realization
             slot_key = key[:2]

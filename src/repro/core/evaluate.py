@@ -40,12 +40,6 @@ from repro.library.version import ResourceVersion
 
 SCHEDULERS = ("auto", "density", "list")
 
-#: Scheduling-core implementations: ``"fast"`` is the compiled
-#: array-based core (:mod:`repro.hls.fastsched`), ``"reference"`` the
-#: original dict-based kernels.  Both produce identical schedules; the
-#: switch exists so the reference can serve as an equivalence oracle.
-SCHEDULER_IMPLS = ("fast", "reference")
-
 
 @dataclass
 class Evaluation:
@@ -120,7 +114,6 @@ def evaluate_allocation(graph: DataFlowGraph,
                         area_model: str = AREA_INSTANCES,
                         stop_at_area: Optional[int] = None,
                         scheduler: str = "auto",
-                        scheduler_impl: Optional[str] = None,
                         engine=None) -> Optional[Evaluation]:
     """Best (minimum-area) realization of an allocation within a bound.
 
@@ -135,24 +128,21 @@ def evaluate_allocation(graph: DataFlowGraph,
         budgets from the work-conservation lower bound;
         ``"auto"`` (default) — run both and keep the smaller area
         (ties: the density result, matching the paper's flow).
-    scheduler_impl:
-        ``"fast"`` (compiled array core) or ``"reference"`` (the
-        original kernels); ``None`` keeps the engine's default.  The
-        two produce identical schedules, so cached results are shared
-        freely between them.
     stop_at_area:
         Optional early-exit threshold for the density latency scan.
     engine:
         The :class:`~repro.core.engine.EvaluationEngine` answering the
-        request; defaults to the process-wide shared engine.
+        request; defaults to the process-wide shared engine.  A
+        cached engine runs the compiled scheduling core, one built with
+        ``cache=False`` the reference kernels; both give identical
+        results.
     """
     from repro.core.engine import default_engine
 
     engine = engine if engine is not None else default_engine()
     return engine.evaluate(graph, allocation, latency_bound,
                            area_model=area_model, stop_at_area=stop_at_area,
-                           scheduler=scheduler,
-                           scheduler_impl=scheduler_impl)
+                           scheduler=scheduler)
 
 
 def evaluate_allocations(graph: DataFlowGraph,
@@ -161,7 +151,6 @@ def evaluate_allocations(graph: DataFlowGraph,
                          latency_bound: int,
                          area_model: str = AREA_INSTANCES,
                          scheduler: str = "auto",
-                         scheduler_impl: Optional[str] = None,
                          engine=None) -> List[Optional[Evaluation]]:
     """:func:`evaluate_allocation` over many candidate allocations of
     one graph, in order
@@ -172,5 +161,4 @@ def evaluate_allocations(graph: DataFlowGraph,
     engine = engine if engine is not None else default_engine()
     return engine.evaluate_batch(graph, allocations, latency_bound,
                                  area_model=area_model,
-                                 scheduler=scheduler,
-                                 scheduler_impl=scheduler_impl)
+                                 scheduler=scheduler)

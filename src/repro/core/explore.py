@@ -60,13 +60,6 @@ def synthesize(method: str, graph: DataFlowGraph, library: ResourceLibrary,
     return func(graph, library, latency_bound, area_bound, **kwargs)
 
 
-def uses_workers(workers: Optional[int], points: int) -> bool:
-    """Whether a sweep of *points* grid points with this *workers*
-    setting fans out to worker processes (the single source of truth
-    for :func:`sweep_bounds` and the CLI's ``--stats`` gating)."""
-    return workers is not None and workers > 1 and points > 1
-
-
 #: this worker process's engines, one per distinct engine settings
 #: tuple (:func:`_engine_settings`), reused across the tasks it serves
 _WORKER_ENGINES: Dict[tuple, EvaluationEngine] = {}
@@ -75,17 +68,16 @@ _WORKER_ENGINES: Dict[tuple, EvaluationEngine] = {}
 def _engine_settings(engine: EvaluationEngine) -> tuple:
     """What a worker needs to rebuild *engine*'s behaviour: its
     constructor settings, never its caches."""
-    return (engine.area_model, engine.scheduler, engine.scheduler_impl,
-            engine.cache_enabled, engine.max_entries)
+    return (engine.area_model, engine.scheduler, engine.cache_enabled,
+            engine.max_entries)
 
 
 def _worker_engine(settings: tuple) -> EvaluationEngine:
     engine = _WORKER_ENGINES.get(settings)
     if engine is None:
-        area_model, scheduler, scheduler_impl, cache, max_entries = settings
+        area_model, scheduler, cache, max_entries = settings
         engine = _WORKER_ENGINES[settings] = EvaluationEngine(
-            area_model=area_model, scheduler=scheduler,
-            scheduler_impl=scheduler_impl, cache=cache,
+            area_model=area_model, scheduler=scheduler, cache=cache,
             max_entries=max_entries)
     return engine
 
@@ -131,20 +123,18 @@ def sweep_bounds(graph: DataFlowGraph,
     engine:
         Engine for the serial path (default: the process-wide one).
         With *workers* parallelism only its settings (area model,
-        scheduler, scheduler implementation, caching, ``max_entries``)
-        reach the workers, never its caches: each worker evaluates
-        through its own engine built with those settings, and *engine*
-        is left untouched.
+        scheduler, caching, ``max_entries``) reach the workers, never
+        its caches: each worker evaluates through its own engine built
+        with those settings, and *engine* is left untouched.
     """
     pairs = [(latency_bound, area_bound)
              for latency_bound in latency_bounds
              for area_bound in area_bounds]
     engine = engine if engine is not None else default_engine()
-    if uses_workers(workers, len(pairs)):
-        # process pools cost tens of milliseconds to import: only
-        # parallel sweeps pay for them
-        from repro.parallel import run_tasks
+    # imported here, so that importing repro.core loads no fan-out code
+    from repro.parallel import run_tasks, uses_workers
 
+    if uses_workers(workers, len(pairs)):
         settings = _engine_settings(engine)
         results = run_tasks(
             [(_sweep_point, (settings, method, graph, library, latency_bound,

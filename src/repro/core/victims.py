@@ -47,9 +47,10 @@ def critical_operations(graph: DataFlowGraph,
         latency = timing.latency(graph, delays)
     else:
         latency = asap_latency(graph, delays)
-    if getattr(timing, "scheduler_impl", "reference") == "fast":
-        # identical integer fixpoint over the compiled arrays, without
-        # the reference's per-call topological re-sorts
+    if getattr(timing, "cache_enabled", False):
+        # a cached engine runs the compiled core: the identical integer
+        # fixpoint over its arrays, without the reference's per-call
+        # topological re-sorts
         frames = fastsched.fast_time_frames(graph, delays, latency)
     else:
         frames = time_frames(graph, delays, latency)
@@ -70,17 +71,16 @@ def select_latency_victim(graph: DataFlowGraph,
     With *timing* (an :class:`~repro.core.engine.EvaluationEngine`),
     the baseline latency comes from the timing cache.  Each candidate
     swap is priced with a full ASAP pass — the compiled kernel when the
-    engine runs the fast implementation with its cache on, as the
-    engine's own timing does — and never stored in the engine.
+    engine's cache is on, as the engine's own timing does — and never
+    stored in the engine.
     """
     delays = {op_id: version.delay for op_id, version in allocation.items()}
     if timing is not None:
         baseline = timing.latency(graph, delays)
     else:
         baseline = asap_latency(graph, delays)
-    fast = (getattr(timing, "scheduler_impl", None) == "fast"
-            and getattr(timing, "cache_enabled", False))
-    swapped_latency = fastsched.fast_asap_latency if fast else asap_latency
+    swapped_latency = fastsched.fast_asap_latency \
+        if getattr(timing, "cache_enabled", False) else asap_latency
 
     best: Optional[LatencyVictim] = None
     best_key = None

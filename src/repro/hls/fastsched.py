@@ -58,7 +58,9 @@ Equivalence with the reference schedulers is *exact*, not approximate:
 
 ``tests/test_fastsched.py`` asserts start-step-identical schedules
 against the reference kernels over randomized graphs, delays and
-bounds, and the golden paper values pin the end-to-end results.
+bounds, and the golden paper values pin the end-to-end results.  A
+cached :class:`~repro.core.engine.EvaluationEngine` runs this core;
+one built with ``cache=False`` runs the reference kernels.
 """
 
 from __future__ import annotations

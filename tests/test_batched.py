@@ -319,10 +319,12 @@ class TestScanArea:
 
 class TestFindDesignBatchedParity:
     def test_fast_matches_reference_engine(self):
+        """A cached engine (compiled core) and an uncached one
+        (reference kernels) select the same design."""
         library = paper_library()
         for bench, latency, area in ((fir16, 11, 9), (diffeq, 7, 20)):
-            fast_engine = EvaluationEngine(scheduler_impl="fast")
-            ref_engine = EvaluationEngine(scheduler_impl="reference")
+            fast_engine = EvaluationEngine()
+            ref_engine = EvaluationEngine(cache=False)
             fast = find_design(bench(), library, latency, area,
                                engine=fast_engine)
             ref = find_design(bench(), library, latency, area,
@@ -337,8 +339,8 @@ class TestFindDesignBatchedParity:
 def test_table2_style_grid_end_to_end():
     """The acceptance shape: every Table 2 graph's full
     uniform-allocation grid at each of its paper latency bounds,
-    batched vs sequential vs uncached vs reference kernels, identical
-    selected designs."""
+    batched vs sequential vs uncached (the reference kernels),
+    identical selected designs."""
     library = paper_library()
     for name in paper_data.TABLE2:
         graph = get_benchmark(name)
@@ -353,9 +355,7 @@ def test_table2_style_grid_end_to_end():
                 {op.op_id: pick[op.rtype] for op in graph})
         batched_engine = EvaluationEngine(scheduler="density")
         engines = (EvaluationEngine(scheduler="density"),
-                   EvaluationEngine(scheduler="density", cache=False),
-                   EvaluationEngine(scheduler="density",
-                                    scheduler_impl="reference"))
+                   EvaluationEngine(scheduler="density", cache=False))
         for ld in lds:
             batched = batched_engine.evaluate_batch(graph, allocations, ld)
             selections = []

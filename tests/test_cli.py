@@ -262,6 +262,30 @@ class TestCacheDir:
                      "--cache-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("command", [
+        ["experiment", "fig8", "--workers", "2"],
+        ["explore", "diffeq", "--latencies", "5", "6", "--areas", "11",
+         "--workers", "2"],
+    ], ids=["experiment", "explore"])
+    def test_all_tasks_in_workers_leave_the_snapshot_alone(
+            self, tmp_path, capsys, command):
+        """When every task runs in a worker, nothing reads the parent's
+        snapshot: the run neither loads nor re-saves it, and says so."""
+        import os
+
+        assert main(["synth", "diffeq", "-l", "6", "-a", "11",
+                     "--cache-dir", str(tmp_path)]) == 0
+        path = self._snapshot_file(tmp_path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        mtime = os.stat(path).st_mtime_ns
+        capsys.readouterr()
+        assert main(command + ["--cache-dir", str(tmp_path)]) == 0
+        assert "--cache-dir" in capsys.readouterr().err
+        assert os.stat(path).st_mtime_ns == mtime
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+
     def test_experiment_all_flushes_between_tables(self, tmp_path,
                                                    monkeypatch, capsys):
         """`experiment all --cache-dir` must persist after *each*

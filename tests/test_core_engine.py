@@ -113,6 +113,25 @@ class TestCacheBehaviour:
         find_design(fir16(), lib, 10, 9, engine=reference)
         assert stats.schedules_run < reference.stats.schedules_run
 
+    def test_table2_grid_sweep_matches_uncached(self, lib):
+        """diffeq's full Table 2 grid through one warm engine and
+        through an uncached one: the same designs, fewer schedules."""
+        from repro.experiments import paper_data
+
+        grid = paper_data.table2_grid("diffeq")
+        latencies = sorted({latency for latency, _ in grid})
+        areas = sorted({area for _, area in grid})
+        warm, cold = EvaluationEngine(), EvaluationEngine(cache=False)
+        designs = [[(p.latency_bound, p.area_bound,
+                     p.result and result_fingerprint(p.result))
+                    for p in sweep_bounds(diffeq(), lib, latencies, areas,
+                                          engine=engine)]
+                   for engine in (warm, cold)]
+        assert designs[0] == designs[1]
+        assert any(design[2] for design in designs[1])
+        assert warm.stats.hits > 0
+        assert warm.stats.schedules_run < cold.stats.schedules_run
+
     def test_bound_aware_density_reuse(self, lib):
         graph = fir16()
         allocation = {op.op_id: lib.fastest_smallest(op.rtype)
@@ -281,10 +300,10 @@ class TestListTieBreak:
                 self.probed = []
 
             def _list_probe(self, graph, record, signature, allocation,
-                            counts, impl):
+                            counts):
                 self.probed.append(dict(counts))
                 return super()._list_probe(graph, record, signature,
-                                           allocation, counts, impl)
+                                           allocation, counts)
 
         engine = RecordingEngine()
         evaluation = engine.evaluate(graph, allocation, 2, scheduler="list")

@@ -369,7 +369,8 @@ class TestListProbeKernel:
 
 
 class TestEngineImplEquivalence:
-    """One engine per implementation, identical evaluations."""
+    """A cached engine runs the compiled core, a ``cache=False`` engine
+    the reference kernels: identical evaluations, independent code."""
 
     @given(graph_params, st.integers(0, 5), st.integers(0, 99))
     @settings(max_examples=25, deadline=None)
@@ -379,8 +380,8 @@ class TestEngineImplEquivalence:
         graph = build(params)
         allocation = random_allocation(graph, seed)
         bound = min_latency(graph, allocation) + slack
-        fast = EvaluationEngine(scheduler_impl="fast")
-        reference = EvaluationEngine(scheduler_impl="reference")
+        fast = EvaluationEngine()
+        reference = EvaluationEngine(cache=False)
         got = fast.evaluate(graph, allocation, bound)
         expected = reference.evaluate(graph, allocation, bound)
         if expected is None:
@@ -392,62 +393,41 @@ class TestEngineImplEquivalence:
         assert got.binding.instance_counts() == \
             expected.binding.instance_counts()
 
-    def test_impl_validated(self):
-        from repro.core import EvaluationEngine
-
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            EvaluationEngine(scheduler_impl="warp")
-        engine = EvaluationEngine()
-        graph = random_dag(4, seed=0)
-        allocation = random_allocation(graph, 0)
-        with pytest.raises(ReproError):
-            engine.evaluate(graph, allocation, 10, scheduler_impl="warp")
-
-    def test_env_var_selects_default(self, monkeypatch):
-        from repro.core import EvaluationEngine
-
-        monkeypatch.setenv("REPRO_SCHEDULER_IMPL", "reference")
-        assert EvaluationEngine().scheduler_impl == "reference"
-        monkeypatch.delenv("REPRO_SCHEDULER_IMPL")
-        assert EvaluationEngine().scheduler_impl == "fast"
-
-    def test_per_call_reference_override_avoids_the_fast_core(self,
-                                                              monkeypatch):
-        from repro.core import EvaluationEngine
-
-        graph = random_dag(10, seed=8)
-        allocation = random_allocation(graph, 8)
-        engine = EvaluationEngine()  # fast default
+    def test_uncached_engine_never_runs_the_fast_core(self, monkeypatch):
+        from repro.bench import diffeq
+        from repro.core import EvaluationEngine, find_design
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("fast core ran under a reference "
-                                 "override")
+            raise AssertionError("fast core ran in a cache=False engine")
 
-        monkeypatch.setattr(fastsched, "base_timing", forbidden)
-        monkeypatch.setattr(fastsched, "fast_density_schedule", forbidden)
-        monkeypatch.setattr(fastsched, "fast_list_schedule", forbidden)
-        monkeypatch.setattr(fastsched, "prepare_list_state", forbidden)
-        monkeypatch.setattr(fastsched, "list_probe_latency", forbidden)
-        result = engine.evaluate(graph, allocation, 40,
-                                 scheduler_impl="reference")
-        assert result is not None
+        for name in ("base_timing", "fast_density_schedule",
+                     "fast_list_schedule", "prepare_list_state",
+                     "list_probe_latency", "fast_time_frames",
+                     "fast_asap_latency"):
+            monkeypatch.setattr(fastsched, name, forbidden)
+        # the latency loop runs victim selection too: Ld 6 is below
+        # diffeq's most-reliable critical path
+        result = find_design(diffeq(), paper_library(), 6, 11,
+                             engine=EvaluationEngine(cache=False))
+        assert result.latency <= 6
 
-    def test_per_call_override_shares_caches(self):
-        from repro.core import EvaluationEngine
+    def test_cached_engine_never_runs_the_reference_kernels(self,
+                                                            monkeypatch):
+        from repro.bench import diffeq
+        import repro.core.engine as engine_module
+        import repro.core.victims as victims_module
+        from repro.core import EvaluationEngine, find_design
 
-        graph = random_dag(12, seed=6)
-        allocation = random_allocation(graph, 6)
-        engine = EvaluationEngine()  # fast by default
-        bound = 40
-        first = engine.evaluate(graph, allocation, bound)
-        # the reference override lands on the same memo entries
-        hits_before = engine.stats.hits
-        second = engine.evaluate(graph, allocation, bound,
-                                 scheduler_impl="reference")
-        assert engine.stats.hits == hits_before + 1
-        assert second is first
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reference kernel ran in a cached engine")
+
+        for name in ("density_schedule", "list_schedule", "asap_starts"):
+            monkeypatch.setattr(engine_module, name, forbidden)
+        for name in ("asap_latency", "time_frames"):
+            monkeypatch.setattr(victims_module, name, forbidden)
+        result = find_design(diffeq(), paper_library(), 6, 11,
+                             engine=EvaluationEngine())
+        assert result.latency <= 6
 
 
 class TestBatchedTimingMemoOverflow:

@@ -3,10 +3,13 @@
 Hypothesis drives random DFGs, random resource libraries (deliberately
 including same-delay version pairs, which exercise the delays-keyed
 schedule sharing), and random
-allocation sequences through four engines that must be observationally
+allocation sequences through five engines that must be observationally
 identical:
 
-* **off** — caching disabled, the reference algorithms;
+* **off** — caching disabled: the reference kernels
+  (``hls/timing.py``, ``hls/density.py``, ``hls/listsched.py``) and no
+  memo, the independent oracle; every other engine is cached and runs
+  the compiled core (``hls/fastsched.py``);
 * **cold** — a fresh engine per request;
 * **warm** — one engine serving every request (intra-run reuse);
 * **reloaded** — a fresh engine pre-warmed from a snapshot of *warm*
