@@ -14,14 +14,16 @@ run, wall time) after the result; ``explore`` and ``experiment``
 accept ``--workers N`` to fan independent grid points / tables out
 across processes.  ``synth``, ``explore`` and ``experiment`` accept
 ``--cache-dir DIR`` to persist the evaluation engine's caches across
-invocations: the run pre-warms from ``DIR``'s snapshot (if any) and
-saves the merged caches back on exit (``experiment all`` flushes after
-*every* table/figure, so a crash keeps the earlier tables' work).
-With ``--workers N`` the snapshot holds only the parent process's
-engine: workers run cold and their caches die with them, and when
-every task runs in a worker the directory is neither read nor written
-(a note on stderr says so).  A stale, corrupted, or version-mismatched
-snapshot is reported and ignored — the run simply starts cold.
+invocations: the run installs a new default engine, restored from
+``DIR``'s snapshot (if any), and saves its caches back on exit
+(``experiment all`` flushes after every table/figure run in-process,
+so a crash keeps the earlier tables' work).  With ``--workers N`` the
+snapshot holds only the parent process's engine: workers run cold and
+their caches die with them, and when every task runs in a worker the
+directory is neither read nor written (a note on stderr says so).  A
+stale, corrupted, or version-mismatched snapshot is reported and
+ignored — the run simply starts cold.  A snapshot is a pickle: point
+``--cache-dir`` only at directories you would run code from.
 """
 
 from __future__ import annotations
@@ -111,22 +113,26 @@ def _print_engine_stats() -> None:
 
 
 def _load_engine_cache(cache_dir: Optional[str]) -> None:
-    """Pre-warm the default engine from *cache_dir*'s snapshot, if any.
+    """Install a new default engine, restored from *cache_dir*'s
+    snapshot if there is one.
 
-    Unreadable snapshots (corruption, a future format version) are
+    Unreadable snapshots (corruption, another format version) are
     reported on stderr and skipped — a stale cache never fails a run.
     """
     if not cache_dir:
         return
     import os
 
-    from repro.core import cache_store, default_engine, merge_snapshot
+    from repro.core import (EvaluationEngine, cache_store, merge_snapshot,
+                            set_default_engine)
 
+    engine = EvaluationEngine()
+    set_default_engine(engine)
     path = cache_store.snapshot_path(cache_dir)
     if not os.path.exists(path):
         return
     try:
-        merge_snapshot(default_engine(), cache_store.load(path))
+        merge_snapshot(engine, cache_store.load(path))
     except ReproError as exc:
         print(f"warning: ignoring engine cache {path}: {exc}",
               file=sys.stderr)
@@ -146,22 +152,14 @@ def _in_process_cache_dir(cache_dir: Optional[str],
 
 
 def _save_engine_cache(cache_dir: Optional[str]) -> None:
-    """Persist the default engine's caches into *cache_dir*.
-
-    The snapshot is compacted first — bound-dominated density entries
-    are pruned — which only affects file size and future hit rates,
-    never results (``tests/test_property_engine.py`` pins
-    cold ≡ warm ≡ compacted).
-    """
+    """Persist the default engine's caches into *cache_dir*."""
     if not cache_dir:
         return
-    from repro.core import (cache_store, compact_snapshot, default_engine,
-                            snapshot_engine)
+    from repro.core import cache_store, default_engine, snapshot_engine
 
     path = cache_store.snapshot_path(cache_dir)
-    snapshot, _ = compact_snapshot(snapshot_engine(default_engine()))
     try:
-        cache_store.save(snapshot, path)
+        cache_store.save(snapshot_engine(default_engine()), path)
     except OSError as exc:
         print(f"warning: could not save engine cache {path}: {exc}",
               file=sys.stderr)
@@ -279,10 +277,12 @@ def _cmd_experiment(args) -> int:
     _load_engine_cache(cache_dir)
     state = {"unsaved": True}
 
-    def _checkpoint(_name: str) -> None:
+    def _checkpoint(name: str) -> None:
         # flush the cache dir after every table/figure so a crash mid-
-        # `experiment all` keeps everything the earlier tables computed
-        _save_engine_cache(cache_dir)
+        # `experiment all` keeps everything the earlier tables computed;
+        # a suite run in workers left the parent's engine as it was
+        if not uses_workers(args.workers, len(runs[name])):
+            _save_engine_cache(cache_dir)
         state["unsaved"] = False
 
     suites = run_suites(runs, names, workers=args.workers,

@@ -3,9 +3,7 @@
 from repro.core import cache_store
 from repro.core.baseline import baseline_design
 from repro.core.cache_store import (
-    CompactionStats,
     EngineSnapshot,
-    compact_snapshot,
     merge_snapshot,
     snapshot_engine,
 )
@@ -14,7 +12,6 @@ from repro.core.design import DesignResult
 from repro.core.engine import (
     EngineStats,
     EvaluationEngine,
-    allocation_signature,
     default_engine,
     set_default_engine,
 )
@@ -52,12 +49,9 @@ __all__ = [
     "EvaluationEngine",
     "EngineStats",
     "EngineSnapshot",
-    "CompactionStats",
     "cache_store",
     "snapshot_engine",
     "merge_snapshot",
-    "compact_snapshot",
-    "allocation_signature",
     "default_engine",
     "set_default_engine",
     "find_design",

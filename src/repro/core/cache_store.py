@@ -1,15 +1,17 @@
-"""Persistent, shareable snapshots of :class:`EvaluationEngine` caches.
+"""Persistent snapshots of :class:`EvaluationEngine` caches.
 
-The engine's memo layers are pure functions of graph *content* — not of
-process-local object identities — so they can outlive the process that
-computed them.  This module defines the snapshot format and the two
-operations built on it:
-
-* the CLI's ``--cache-dir`` persists the default engine's caches across
-  invocations (with ``--workers N`` only the parent's: worker caches
-  are discarded when the worker exits);
-* tests snapshot an engine mid-flight and assert a reloaded engine is
-  behaviourally identical.
+A snapshot is an engine's caches in the engine's own key form, plus
+the two tables that give those keys meaning: the graph key table
+(graph content -> graph id) and the version code table (resource
+version -> code).  Restoring one adopts tables and layers into a
+*fresh* engine as they are, with no per-key translation; an engine
+that has already registered a graph or interned a version raises
+:class:`~repro.errors.CacheError` instead, since the ids and codes it
+handed out could clash with the snapshot's.  The CLI's ``--cache-dir``
+uses this to persist the default engine's caches across invocations:
+each run restores into a new engine (with ``--workers N`` only the
+parent's caches are kept: worker caches are discarded when the worker
+exits).
 
 On-disk format (version |SNAPSHOT_VERSION|)::
 
@@ -17,16 +19,14 @@ On-disk format (version |SNAPSHOT_VERSION|)::
     <sha256 hex digest of the payload>\\n
     <pickled payload>
 
-The payload is a pickle of ``{"version": int, "layers": {layer name:
-[(content key, value), ...]}}`` where every content key starts with the
-graph's content tuple (name, operations, edges) instead of a
-process-local id — the content addressing that makes snapshots
-mergeable anywhere.  The header is checked before a single payload byte
-is decoded: a wrong magic, a future format version, or a digest
-mismatch raises :class:`~repro.errors.CacheError`, and so does a
-payload whose decoded layers turn out not to have the promised shape.
-Every reader in this package treats ``CacheError`` as "start cold",
-never as a crash.
+The payload is a pickle of ``{"version": int, "graph_keys": {content:
+id}, "version_codes": {version: code}, "layers": {layer name: {key:
+value}}}``.  The header is checked before a single payload byte is
+decoded: a wrong magic, another format version, or a digest mismatch
+raises :class:`~repro.errors.CacheError`, and so does a payload that
+turns out not to have the promised shape, including key tables that do
+not map one-to-one onto ``0..n-1``.  Every reader in this package
+treats ``CacheError`` as "start cold", never as a crash.
 
 Trust model: the digest detects *corruption* (truncated writes, bit
 rot), not tampering — the payload is a pickle, and unpickling
@@ -42,7 +42,7 @@ import hashlib
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Mapping
 
 from repro.errors import CacheError
 from repro.core.engine import EvaluationEngine
@@ -51,8 +51,9 @@ from repro.core.engine import EvaluationEngine
 #: Version 2: ``probes`` values are list-schedule latencies (ints), not
 #: schedules.  Version 3: the ``paths`` layer (latency-loop paths).
 #: Version 4: ``schedules`` values are the schedule alone (or ``None``),
-#: and the ``list`` realization layer is gone.
-SNAPSHOT_VERSION = 4
+#: and the ``list`` realization layer is gone.  Version 5: keys in the
+#: engine's own form, with its graph key and version code tables.
+SNAPSHOT_VERSION = 5
 
 MAGIC = b"REPROCACHE"
 
@@ -66,11 +67,12 @@ SNAPSHOT_BASENAME = "engine-cache.bin"
 
 @dataclass
 class EngineSnapshot:
-    """A serializable capture of one engine's cache layers."""
+    """A serializable capture of one engine's caches and key tables."""
 
     version: int = SNAPSHOT_VERSION
-    layers: Dict[str, List[Tuple[tuple, object]]] = field(
-        default_factory=dict)
+    layers: Dict[str, dict] = field(default_factory=dict)
+    graph_keys: Dict[tuple, int] = field(default_factory=dict)
+    version_codes: Dict[object, int] = field(default_factory=dict)
 
     @property
     def entry_count(self) -> int:
@@ -79,46 +81,56 @@ class EngineSnapshot:
 
 
 def snapshot_engine(engine: EvaluationEngine) -> EngineSnapshot:
-    """Capture *engine*'s current caches as a content-addressed snapshot."""
-    return EngineSnapshot(version=SNAPSHOT_VERSION,
-                          layers=engine.export_cache_state())
+    """Capture *engine*'s current caches and key tables."""
+    return EngineSnapshot(version=SNAPSHOT_VERSION, **engine.cache_state())
 
 
 def merge_snapshot(engine: EvaluationEngine,
                    snapshot: EngineSnapshot) -> int:
-    """Merge *snapshot* into *engine*; returns the entries adopted.
+    """Restore *snapshot* into the fresh *engine*; returns the entries
+    it holds afterwards.
 
-    Raises :class:`~repro.errors.CacheError` on a version mismatch, and
-    also when the layer payload turns out not to have the promised
-    shape mid-merge — a digest only proves the file round-tripped
-    intact, not that its writer produced well-formed layers, so shape
-    errors must surface as the same clean, catchable error.
+    Raises :class:`~repro.errors.CacheError` on a version mismatch,
+    when *engine* is not fresh, and when the payload turns out not to
+    have the promised shape — a digest only proves the file
+    round-tripped intact, not that its writer produced well-formed
+    layers, so shape errors must surface as the same clean, catchable
+    error.  A failed restore adopts nothing.
     """
     if snapshot.version != SNAPSHOT_VERSION:
         raise CacheError(
             f"engine cache snapshot has format version "
             f"{snapshot.version}, this build reads {SNAPSHOT_VERSION}")
     try:
-        return engine.merge_cache_state(snapshot.layers)
+        return engine.restore_cache_state(
+            {"graph_keys": snapshot.graph_keys,
+             "version_codes": snapshot.version_codes,
+             "layers": snapshot.layers})
     except CacheError:
         raise
     except Exception as exc:
-        # a malformed entry may have been adopted before the failure;
-        # drop everything rather than leave a half-merged cache behind
-        engine.clear()
         raise CacheError(
-            f"engine cache snapshot has malformed layer entries: "
-            f"{exc}") from exc
+            f"engine cache snapshot has malformed layers: {exc}") from exc
 
 
 def dumps(snapshot: EngineSnapshot) -> bytes:
     """Serialize *snapshot* to the versioned, digest-checked wire format."""
     payload = pickle.dumps(
-        {"version": snapshot.version, "layers": snapshot.layers},
+        {"version": snapshot.version, "graph_keys": snapshot.graph_keys,
+         "version_codes": snapshot.version_codes,
+         "layers": snapshot.layers},
         protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(payload).hexdigest().encode("ascii")
     header = MAGIC + b" v%d\n" % snapshot.version
     return header + digest + b"\n" + payload
+
+
+def _check_key_table(name: str, table: Mapping[object, int]) -> None:
+    """Raise :class:`CacheError` unless *table* maps its keys
+    one-to-one onto ``0..len(table)-1``, the ids its engine assigns."""
+    if sorted(table.values()) != list(range(len(table))):
+        raise CacheError(
+            f"engine cache snapshot has an inconsistent {name} table")
 
 
 def loads(data: bytes) -> EngineSnapshot:
@@ -128,7 +140,8 @@ def loads(data: bytes) -> EngineSnapshot:
     ------
     CacheError
         Wrong magic, unparsable or mismatched format version, digest
-        mismatch (truncation/corruption), or an undecodable payload.
+        mismatch (truncation/corruption), an undecodable payload, or a
+        key table that does not map one-to-one onto ``0..n-1``.
     """
     if not data.startswith(MAGIC + b" v"):
         raise CacheError("not an engine cache snapshot (bad magic)")
@@ -153,77 +166,18 @@ def loads(data: bytes) -> EngineSnapshot:
             "(corrupted or truncated file)")
     try:
         decoded = pickle.loads(payload)
-        layers = dict(decoded["layers"])
+        snapshot = EngineSnapshot(
+            version=version, layers=dict(decoded["layers"]),
+            graph_keys=dict(decoded["graph_keys"]),
+            version_codes=dict(decoded["version_codes"]))
+        _check_key_table("graph key", snapshot.graph_keys)
+        _check_key_table("version code", snapshot.version_codes)
+    except CacheError:
+        raise
     except Exception as exc:  # pickle raises a zoo of error types
         raise CacheError(
             f"engine cache snapshot payload is undecodable: {exc}") from exc
-    return EngineSnapshot(version=version, layers=layers)
-
-
-@dataclass
-class CompactionStats:
-    """What :func:`compact_snapshot` removed and why."""
-
-    entries_before: int = 0
-    entries_after: int = 0
-    pruned_density: int = 0    # bound-dominated density points dropped
-
-    @property
-    def removed(self) -> int:
-        return self.entries_before - self.entries_after
-
-
-def compact_snapshot(snapshot: EngineSnapshot
-                     ) -> Tuple[EngineSnapshot, CompactionStats]:
-    """Shrink *snapshot* without changing what loading it can compute.
-
-    Every cache layer is a pure memo, so dropping entries can only
-    cost future recomputation, never correctness — the property tests
-    assert cold ≡ warm ≡ compacted.  One reduction runs, bound
-    dominance: density entries share a key prefix of ``(graph,
-    allocation)`` and differ only in latency; every density scan walks
-    the same allocation's latencies in ascending order from the same
-    critical path and keeps the minimum-area point.  An entry whose
-    realized area does not *improve on* every feasible entry at a
-    strictly lower latency can therefore never be the scan's winner —
-    it is pruned (infeasible/``None`` markers are tiny and memoize
-    real work, so they stay).
-
-    Returns the compacted snapshot (a new object; the input is not
-    mutated) and a :class:`CompactionStats`.
-    """
-    layers = {name: list(entries)
-              for name, entries in snapshot.layers.items()}
-    stats = CompactionStats(
-        entries_before=sum(len(entries) for entries in layers.values()))
-
-    density = layers.get("density")
-    if density:
-        groups: Dict[tuple, list] = {}
-        for index, (key, value) in enumerate(density):
-            groups.setdefault(tuple(key[:-1]), []).append(
-                (key[-1], index, value))
-        doomed = set()
-        for group in groups.values():
-            best_area: Optional[int] = None
-            for _latency, index, value in sorted(
-                    group, key=lambda item: item[0]):
-                if value is None:
-                    continue  # infeasibility markers stay
-                area = value[1].area  # (schedule, binding) pair
-                if best_area is not None and area >= best_area:
-                    doomed.add(index)
-                else:
-                    best_area = area
-        if doomed:
-            stats.pruned_density = len(doomed)
-            layers["density"] = [entry for index, entry
-                                 in enumerate(density)
-                                 if index not in doomed]
-
-    compacted = EngineSnapshot(version=snapshot.version, layers=layers)
-    stats.entries_after = compacted.entry_count
-    return compacted, stats
+    return snapshot
 
 
 def snapshot_path(cache_dir: str) -> str:

@@ -61,11 +61,13 @@ Cache layers, from coarse to fine:
     are the graph's resource types with every library version of each,
     the only part of a library the walk reads, so every search on one
     graph and library — horizons, bound grids, sweeps — shares one
-    walk.  Keys and values are already in content form.
+    walk.
 
 Graphs are identified by *content* (name, operations, edges in
 insertion order), not object identity, so rebuilding a benchmark graph
-— as every experiment driver does — still hits the cache.  Allocations
+— as every experiment driver does — still hits the cache: the engine's
+*graph key table* gives each distinct content a small int id, the
+first element of every layer key.  Allocations
 and delay vectors are keyed by one compact ``bytes`` vector each, in
 compiled op order (:attr:`~repro.dfg.compiled.CompiledGraph.op_ids`,
 insertion order); ``bytes`` caches its hash, so a key is hashed once
@@ -81,25 +83,23 @@ reliability never collide; a code is never reassigned for the
 engine's lifetime, so keys held by callers stay valid across
 :meth:`~EvaluationEngine.clear`.
 
-Codes are process-local, so keys cross processes in *content* form
-only, translated at one boundary
-(:meth:`~EvaluationEngine._content_key` / ``_local_key``): the graph
-id becomes the graph's content tuple, an allocation key its
-:func:`allocation_signature`, a delays key
-``tuple(sorted(delays.items()))`` and a list probe's count vector
-``tuple(sorted(counts.items()))``.  Snapshots and merges go through
-it; values are content already.
+Graph ids and version codes mean something only next to the two
+tables that assigned them, so the caches leave an engine together with
+those tables: :meth:`~EvaluationEngine.cache_state` returns the layers
+in the engine's own key form plus the graph key table and the version
+code table, and :meth:`~EvaluationEngine.restore_cache_state` adopts
+such a capture into a *fresh* engine — one that has registered no
+graph and interned no version, so no id or code it hands out can
+clash with the adopted ones — without translating a single key.
+:mod:`repro.core.cache_store` wraps the capture in a versioned,
+digest-checked snapshot file, which CLI runs use to persist caches
+across invocations (``--cache-dir``).
 
 Every layer is a plain ``dict`` bounded by its share of
 ``max_entries`` (:attr:`EvaluationEngine.LAYER_SHARES`): a layer that
 reaches its capacity is cleared whole before the next insert — the
 policy the graph registry and the version id table use too — so a
-probe-heavy search can never wipe the exact memo.  Caches are also
-*portable*: :meth:`~EvaluationEngine.export_cache_state` /
-:meth:`~EvaluationEngine.merge_cache_state` re-key every entry by
-graph content, and :mod:`repro.core.cache_store` wraps them in a
-versioned, digest-checked snapshot file, which CLI runs use to persist
-caches across invocations (``--cache-dir``).
+probe-heavy search can never wipe the exact memo.
 
 The caching setting also picks the scheduling kernels.  A cached
 engine runs the compiled core (:mod:`repro.hls.fastsched` over
@@ -125,9 +125,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.dfg.compiled import DELAYS_TYPECODE, compile_graph
+from repro.dfg.compiled import compile_graph
 from repro.dfg.graph import DataFlowGraph
-from repro.errors import BindingError, ReproError, SchedulingError
+from repro.errors import BindingError, CacheError, ReproError, SchedulingError
 from repro.hls import fastsched
 from repro.hls.binding import Binding, left_edge_bind
 from repro.hls.density import density_schedule
@@ -147,35 +147,9 @@ from repro.core.evaluate import (
 )
 from repro.core.victims import select_latency_victim
 
-AllocationSignature = Tuple[Tuple[str, ResourceVersion], ...]
-
-#: Format character of allocation keys (``struct`` and ``memoryview``
-#: agree on it): one native unsigned int code per op.
+#: Format character of allocation keys: one native unsigned int code
+#: per op.
 _CODE_TYPECODE = "I"
-
-#: Layers whose key (second element) is a delays vector; the other
-#: layers key an allocation there.
-_DELAYS_LAYERS = frozenset(("schedules", "timing"))
-
-
-def allocation_signature(allocation: Mapping[str, ResourceVersion]
-                         ) -> AllocationSignature:
-    """Content form of an allocation: its sorted ``(op_id, version)``
-    pairs.
-
-    Includes the full version objects (area, delay, reliability), so
-    two libraries that reuse a version name cannot alias each other.
-    This is the form memo keys take in snapshots; inside one engine
-    allocations are keyed by the compact
-    :meth:`EvaluationEngine.allocation_key` instead.
-    """
-    return tuple(sorted(allocation.items()))
-
-
-def _pool_order(versions) -> Tuple[str, ...]:
-    """Version names in first-use order over *versions* (op order): the
-    key order of the count vectors a list realization probes."""
-    return tuple(dict.fromkeys(version.name for version in versions))
 
 
 def _scan_area(schedule: Schedule,
@@ -383,14 +357,12 @@ class EvaluationEngine:
         # (graph, allocation): ((graph id, allocation key), state)
         self._list_slot: Optional[tuple] = None
         self._graphs: Dict[int, _GraphRecord] = {}
+        # the graph key table: content -> id, ids 0..n-1
         self._graph_keys: Dict[tuple, int] = {}
-        # inverse of the above, with each graph's op ids in compiled order
-        self._graph_contents: Dict[int, Tuple[tuple, Tuple[str, ...]]] = {}
-        # the version code table: value -> code and code -> version,
-        # never reassigned; plus an id() fast path whose pins keep every
+        # the version code table: value -> code, codes 0..n-1, never
+        # reassigned; plus an id() fast path whose pins keep every
         # listed object alive, so no listed id can be reused
         self._version_codes: Dict[ResourceVersion, int] = {}
-        self._versions: List[ResourceVersion] = []
         self._id_codes: Dict[int, int] = {}
         self._id_pins: List[ResourceVersion] = []
         self._layers: Dict[str, dict] = {
@@ -435,19 +407,13 @@ class EvaluationEngine:
         content = (graph.name,
                    tuple((op.op_id, op.rtype) for op in graph),
                    tuple(graph.edges()))
-        record = _GraphRecord(graph, self._graph_id(content)[0])
+        record = _GraphRecord(graph, self._graph_id(content))
         self._graphs[id(graph)] = record
         return record
 
-    def _graph_id(self, content: tuple) -> Tuple[int, Tuple[str, ...]]:
-        """Process-local id of a graph *content* tuple (registering it
-        when new) and the graph's op ids in compiled order."""
-        key = self._graph_keys.setdefault(content, len(self._graph_keys))
-        entry = self._graph_contents.get(key)
-        if entry is None:
-            entry = self._graph_contents[key] = (
-                content, tuple(op_id for op_id, _ in content[1]))
-        return key, entry[1]
+    def _graph_id(self, content: tuple) -> int:
+        """Id of a graph *content* tuple, registering it when new."""
+        return self._graph_keys.setdefault(content, len(self._graph_keys))
 
     # ------------------------------------------------------------------
     # allocation keys
@@ -484,22 +450,14 @@ class EvaluationEngine:
         code = self._id_codes.get(id(version))
         if code is not None:
             return code
-        code = self._version_codes.get(version)
-        if code is None:
-            code = self._version_codes[version] = len(self._versions)
-            self._versions.append(version)
+        code = self._version_codes.setdefault(version,
+                                              len(self._version_codes))
         if len(self._id_codes) >= self.MAX_VERSION_IDS:
             self._id_codes.clear()
             self._id_pins.clear()
         self._id_codes[id(version)] = code
         self._id_pins.append(version)
         return code
-
-    def _key_versions(self, key: bytes) -> List[ResourceVersion]:
-        """Per-op versions of an allocation key."""
-        versions = self._versions
-        return [versions[code]
-                for code in memoryview(key).cast(_CODE_TYPECODE)]
 
     def __getstate__(self):
         # id() values mean nothing in another process: a copy drops the
@@ -509,100 +467,6 @@ class EvaluationEngine:
         state["_id_pins"] = []
         state["_list_slot"] = None  # derived, rebuilt on the next probe
         return state
-
-    # ------------------------------------------------------------------
-    # the content boundary: snapshots and merges
-    # ------------------------------------------------------------------
-    def _content_key(self, layer: str, key: tuple,
-                     memo: Optional[dict] = None) -> Optional[tuple]:
-        """Content form of a process-local *layer* key, or ``None`` when
-        the graph registry no longer knows its graph id.
-
-        The graph id becomes the graph's content tuple, an allocation
-        key its :func:`allocation_signature`, a delays key
-        ``tuple(sorted(delays.items()))`` and a probe's count vector
-        ``tuple(sorted(counts.items()))`` — byte for byte what snapshot
-        files have always held.  A path's version pools are content
-        already and pass through.  *memo* (one dict per export) shares
-        the translation of vectors repeated across entries.
-        """
-        entry = self._graph_contents.get(key[0])
-        if entry is None:
-            return None
-        if layer == "paths":
-            return (entry[0], key[1])
-        vector = self._content_vector(layer in _DELAYS_LAYERS, key[0],
-                                      key[1], memo)
-        if layer == "probes":
-            names = _pool_order(self._key_versions(key[1]))
-            return (entry[0], vector, tuple(sorted(zip(names, key[2]))))
-        return (entry[0], vector) + key[2:]
-
-    def _content_vector(self, delays: bool, graph_key: int, code: bytes,
-                        memo: Optional[dict]) -> tuple:
-        memo_key = (delays, graph_key, code)
-        if memo is not None and memo_key in memo:
-            return memo[memo_key]
-        values = memoryview(code).cast(DELAYS_TYPECODE) if delays \
-            else self._key_versions(code)
-        vector = tuple(sorted(zip(self._graph_contents[graph_key][1],
-                                  values)))
-        if memo is not None:
-            memo[memo_key] = vector
-        return vector
-
-    def _local_key(self, layer: str, content_key: tuple,
-                   memo: dict) -> Optional[tuple]:
-        """Inverse of :meth:`_content_key`, registering the graph; or
-        ``None`` when the entry does not fit its graph's operations.
-
-        *memo* (one dict per merge) remembers translations by object
-        identity: an export shares one tuple per graph and per vector,
-        and so does its unpickled copy.
-        """
-        graph = content_key[0]
-        hit = memo.get(id(graph))
-        if hit is None or hit[0] is not graph:
-            hit = memo[id(graph)] = (graph,) + self._graph_id(graph)
-        graph_key = hit[1]
-        if layer == "paths":
-            return (graph_key, content_key[1])
-        code = self._local_vector(layer in _DELAYS_LAYERS, graph_key,
-                                  content_key[1], memo)
-        if code is None:
-            return None
-        if layer == "probes":
-            counts = dict(content_key[2])
-            names = _pool_order(self._key_versions(code))
-            if len(counts) != len(names) \
-                    or not all(map(counts.__contains__, names)):
-                return None
-            return (graph_key, code, tuple(counts[name] for name in names))
-        return (graph_key, code) + content_key[2:]
-
-    def _local_vector(self, delays: bool, graph_key: int, vector: tuple,
-                      memo: Optional[dict]) -> Optional[bytes]:
-        memo_key = (id(vector), graph_key)
-        if memo is not None:
-            hit = memo.get(memo_key)
-            if hit is not None and hit[0] is vector:
-                return hit[1]
-        op_ids = self._graph_contents[graph_key][1]
-        mapping = dict(vector)
-        if len(mapping) != len(op_ids) \
-                or not all(map(mapping.__contains__, op_ids)):
-            code = None
-        else:
-            values = map(mapping.__getitem__, op_ids)
-            if delays:
-                code = struct.pack(f"{len(op_ids)}{DELAYS_TYPECODE}",
-                                   *values)
-            else:
-                code = struct.pack(f"{len(op_ids)}{_CODE_TYPECODE}",
-                                   *map(self._intern, values))
-        if memo is not None:
-            memo[memo_key] = (vector, code)
-        return code
 
     # ------------------------------------------------------------------
     # timing
@@ -1044,61 +908,47 @@ class EvaluationEngine:
         self._list_slot = None
         self._graphs.clear()
         self._graph_keys.clear()
-        self._graph_contents.clear()
 
     # ------------------------------------------------------------------
     # persistence (see repro.core.cache_store for the on-disk format)
     # ------------------------------------------------------------------
-    def export_cache_state(self) -> Dict[str, list]:
-        """Content-addressed snapshot of every cache layer.
+    def cache_state(self) -> Dict[str, dict]:
+        """Copies of every cache layer, keyed in this engine's own form,
+        and of the two tables that give those keys meaning: the graph
+        key table (content -> id) and the version code table (version
+        -> code).  :meth:`restore_cache_state` adopts the result."""
+        return {"graph_keys": dict(self._graph_keys),
+                "version_codes": dict(self._version_codes),
+                "layers": {name: dict(layer)
+                           for name, layer in self._layers.items()}}
 
-        Every process-local part of a key — the graph id, allocation
-        and delays keys, a probe's count vector — is translated to
-        content form (:meth:`_content_key`), so a snapshot merged into
-        another engine — a later CLI invocation, say — lands on the
-        same logical entries.  Values carry no
-        process-local part and pass through.  Entries are listed in
-        insertion order.
+    def restore_cache_state(self, state: Mapping[str, Mapping]) -> int:
+        """Adopt a :meth:`cache_state` capture; returns the entries held.
+
+        Keys are adopted as they are, so only a fresh engine can take
+        them: one that has registered a graph or interned a version
+        could already have handed out the ids and codes they use, and
+        raises :class:`~repro.errors.CacheError`.  The whole capture is
+        read before anything is adopted.  Entries go in through the
+        layer capacities; unknown layer names are skipped.  Nothing is
+        adopted when caching is disabled.
         """
-        memo: dict = {}
-        layers: Dict[str, list] = {}
-        for name, cache in self._layers.items():
-            entries = []
-            for key, value in cache.items():
-                content = self._content_key(name, key, memo)
-                if content is None:
-                    continue  # the graph registry was cleared under it
-                entries.append((content, value))
-            layers[name] = entries
-        return layers
-
-    def merge_cache_state(self, layers: Mapping[str, list]) -> int:
-        """Merge an :meth:`export_cache_state` snapshot into this engine.
-
-        Keys are translated into this engine's own version codes
-        (:meth:`_local_key`); an entry that does not fit its graph's
-        operations is skipped.  Entries already present locally win
-        (their schedules reference live graph objects); unknown layer
-        names are skipped, so snapshots remain forward-compatible
-        within a format version.  Returns the number of entries
-        adopted.  No-op when caching is disabled.
-        """
+        if self._graph_keys or self._version_codes:
+            raise CacheError("an engine cache snapshot restores only into "
+                             "a fresh engine")
         if not self.cache_enabled:
             return 0
-        merged = 0
-        memo: dict = {}
-        for name, entries in layers.items():
-            cache = self._layers.get(name)
-            if cache is None:
-                continue
-            for key, value in entries:
-                local_key = self._local_key(name, key, memo)
-                if local_key is None:
-                    continue  # does not fit its graph's operations
-                if local_key not in cache:
-                    self._store(name, local_key, value)
-                    merged += 1
-        return merged
+        graph_keys = dict(state["graph_keys"])
+        version_codes = dict(state["version_codes"])
+        layers = [(name, dict(entries))
+                  for name, entries in state["layers"].items()
+                  if name in self._layers]
+        self._graph_keys.update(graph_keys)
+        self._version_codes.update(version_codes)
+        for name, entries in layers:
+            for key, value in entries.items():
+                self._store(name, key, value)
+        return self.cache_size()
 
 
 _default_engine: Optional[EvaluationEngine] = None

@@ -1,4 +1,4 @@
-"""Snapshot-format tests: round-trip, rejection of bad files, merging.
+"""Snapshot-format tests: round-trip, rejection of bad files, restoring.
 
 The cache persistence layer's contract has two halves: a snapshot that
 loads must make the receiving engine behave *identically* to the donor
@@ -48,7 +48,7 @@ class TestRoundTrip:
     def test_probe_values_are_latencies(self, warm_engine):
         probes = snapshot_engine(warm_engine).layers["probes"]
         assert probes
-        assert all(type(value) is int for _, value in probes)
+        assert all(type(value) is int for value in probes.values())
 
     def test_file_round_trip(self, warm_engine, tmp_path):
         path = cache_store.snapshot_path(str(tmp_path))
@@ -81,13 +81,6 @@ class TestRoundTrip:
         find_design(diffeq(), lib, 6, 11, engine=fresh)
         assert fresh.stats.hits > 0
 
-    def test_merge_is_idempotent(self, warm_engine):
-        snapshot = snapshot_engine(warm_engine)
-        fresh = EvaluationEngine()
-        first = merge_snapshot(fresh, snapshot)
-        assert first > 0
-        assert merge_snapshot(fresh, snapshot) == 0  # locals win
-
     def test_merge_into_disabled_cache_is_a_noop(self, warm_engine):
         off = EvaluationEngine(cache=False)
         assert merge_snapshot(off, snapshot_engine(warm_engine)) == 0
@@ -95,7 +88,7 @@ class TestRoundTrip:
 
     def test_unknown_layers_are_skipped(self, warm_engine):
         snapshot = snapshot_engine(warm_engine)
-        snapshot.layers["hologram"] = [(("g",), object())]
+        snapshot.layers["hologram"] = {("g",): object()}
         fresh = EvaluationEngine()
         assert merge_snapshot(fresh, snapshot) > 0
         assert "hologram" not in fresh.layer_sizes()
@@ -147,106 +140,55 @@ class TestRejection:
         with pytest.raises(CacheError):
             merge_snapshot(EvaluationEngine(), snapshot)
 
+    @staticmethod
+    def _payload_bytes(**payload):
+        """A digest-valid file around an arbitrary pickled *payload*."""
+        import hashlib
+        import pickle
+
+        data = pickle.dumps({"version": cache_store.SNAPSHOT_VERSION,
+                             "graph_keys": {}, "version_codes": {},
+                             "layers": {}, **payload})
+        digest = hashlib.sha256(data).hexdigest().encode("ascii")
+        return (cache_store.MAGIC
+                + b" v%d\n" % cache_store.SNAPSHOT_VERSION
+                + digest + b"\n" + data)
+
     def test_malformed_layer_shapes_raise_cache_error(self):
         # a digest only proves the bytes round-tripped; a well-formed
         # *file* can still carry garbage layers, which must surface as
         # CacheError (catchable by the CLI/worker nets), not TypeError
-        import hashlib
-        import pickle
-
-        payload = pickle.dumps({
-            "version": cache_store.SNAPSHOT_VERSION,
-            "layers": {"density": [1, 2]},
-        })
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        data = (cache_store.MAGIC
-                + b" v%d\n" % cache_store.SNAPSHOT_VERSION
-                + digest + b"\n" + payload)
-        snapshot = cache_store.loads(data)  # file format itself is valid
+        snapshot = cache_store.loads(  # file format itself is valid
+            self._payload_bytes(layers={"density": [1, 2]}))
         with pytest.raises(CacheError, match="malformed layer"):
             merge_snapshot(EvaluationEngine(), snapshot)
 
+    @pytest.mark.parametrize("table", ["graph_keys", "version_codes"])
+    @pytest.mark.parametrize("ids", [[0, 0], [0, 2], [1, 2], [0, "1"]],
+                             ids=["duplicate", "gap", "offset", "not-int"])
+    def test_inconsistent_key_tables_are_rejected(self, table, ids):
+        data = self._payload_bytes(
+            **{table: {("a",): ids[0], ("b",): ids[1]}})
+        with pytest.raises(CacheError):
+            cache_store.loads(data)
+
     def test_half_merged_garbage_is_dropped(self, warm_engine):
-        # one well-formed entry followed by a malformed one: the merge
-        # must not leave the good-looking prefix behind
+        # one well-formed layer followed by a malformed one: the restore
+        # must not leave the good-looking layer behind, and the engine
+        # stays fresh enough to take a good snapshot afterwards
         snapshot = snapshot_engine(warm_engine)
-        name = next(layer for layer, entries in snapshot.layers.items()
-                    if entries)
-        snapshot.layers[name] = list(snapshot.layers[name]) + [42]
+        good = snapshot_engine(warm_engine)
+        snapshot.layers["probes"] = [42]
         engine = EvaluationEngine()
         with pytest.raises(CacheError):
             merge_snapshot(engine, snapshot)
         assert engine.cache_size() == 0
+        assert merge_snapshot(engine, good) == good.entry_count
 
     def test_cache_error_is_a_repro_error(self):
         # CLI / workers catch ReproError at the boundary; CacheError
         # must be inside that net
         assert issubclass(CacheError, ReproError)
-
-
-class TestCompaction:
-    """compact_snapshot shrinks files without changing behaviour."""
-
-    def _warm_snapshot(self, lib):
-        engine = EvaluationEngine()
-        find_design(diffeq(), lib, 7, 12, engine=engine)
-        return snapshot_engine(engine)
-
-    def test_dominance_pruning_keeps_the_area_envelope(self, lib):
-        from repro.core import compact_snapshot
-
-        snapshot = self._warm_snapshot(lib)
-        compacted, stats = compact_snapshot(snapshot)
-        assert stats.entries_before == snapshot.entry_count
-        assert stats.entries_after == compacted.entry_count
-        assert stats.pruned_density == stats.removed
-        # within every (graph, allocation) group, the surviving
-        # feasible density points must strictly improve in area as
-        # latency grows — anything else was dominated
-        groups = {}
-        for key, value in compacted.layers["density"]:
-            if value is not None:
-                groups.setdefault(key[:-1], []).append(
-                    (key[-1], value[1].area))
-        for entries in groups.values():
-            areas = [area for _, area in sorted(entries)]
-            assert all(a > b for a, b in zip(areas, areas[1:]))
-
-    def test_infeasibility_markers_survive(self, lib):
-        from repro.core import compact_snapshot
-
-        snapshot = self._warm_snapshot(lib)
-        nones_before = sum(1 for _, value in snapshot.layers["density"]
-                           if value is None)
-        compacted, _ = compact_snapshot(snapshot)
-        nones_after = sum(1 for _, value in compacted.layers["density"]
-                          if value is None)
-        assert nones_after == nones_before
-
-    def test_input_snapshot_is_not_mutated(self, lib):
-        from repro.core import compact_snapshot
-
-        snapshot = self._warm_snapshot(lib)
-        before = {name: list(entries)
-                  for name, entries in snapshot.layers.items()}
-        compact_snapshot(snapshot)
-        assert {name: list(entries)
-                for name, entries in snapshot.layers.items()} == before
-
-    def test_compacted_snapshot_still_loads_and_answers(self, lib):
-        from repro.core import compact_snapshot
-
-        snapshot = self._warm_snapshot(lib)
-        compacted, _ = compact_snapshot(snapshot)
-        restored = cache_store.loads(cache_store.dumps(compacted))
-        engine = EvaluationEngine()
-        assert merge_snapshot(engine, restored) == restored.entry_count
-        warm = find_design(diffeq(), lib, 7, 12, engine=engine)
-        off = find_design(diffeq(), lib, 7, 12,
-                          engine=EvaluationEngine(cache=False))
-        assert warm.area == off.area
-        assert warm.reliability == off.reliability
-        assert warm.schedule.starts == off.schedule.starts
 
 
 class TestContentAddressing:

@@ -209,38 +209,66 @@ class TestCacheDir:
         assert "ignoring engine cache" in captured.err
         assert "999" in captured.err
 
-    def test_v1_snapshot_is_ignored_and_rewritten(self, tmp_path, capsys):
-        """A snapshot from before probes held latencies (format v1),
-        before the latency-path layer (format v2) or before schedule
-        points dropped their bindings (format v3) is a version
-        mismatch: the run goes cold and saves a current file."""
+    @staticmethod
+    def _write_payload(path, version, payload):
+        """A digest-valid snapshot file of format *version*."""
         import hashlib
         import pickle
 
         from repro.core import cache_store
 
+        data = pickle.dumps({"version": version, **payload})
+        with open(path, "wb") as fh:
+            fh.write(cache_store.MAGIC + b" v%d\n" % version
+                     + hashlib.sha256(data).hexdigest().encode("ascii")
+                     + b"\n" + data)
+
+    def test_v1_snapshot_is_ignored_and_rewritten(self, tmp_path, capsys):
+        """A snapshot from before probes held latencies (format v1),
+        before the latency-path layer (format v2), before schedule
+        points dropped their bindings (format v3) or with keys in
+        content form (format v4) is a version mismatch: the run goes
+        cold and saves a current file."""
+        from repro.core import cache_store
+
         args = ["synth", "fir", "-l", "11", "-a", "8"]
         assert main(args) == 0
         cold = capsys.readouterr().out
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             cache_dir = tmp_path / f"v{version}"
             cache_dir.mkdir()
-            payload = pickle.dumps({"version": version,
-                                    "layers": {"probes": []}})
             path = self._snapshot_file(cache_dir)
-            with open(path, "wb") as fh:
-                fh.write(cache_store.MAGIC + b" v%d\n" % version
-                         + hashlib.sha256(payload).hexdigest().encode("ascii")
-                         + b"\n" + payload)
+            self._write_payload(path, version, {"layers": {"probes": []}})
             assert main(args + ["--cache-dir", str(cache_dir)]) == 0
             captured = capsys.readouterr()
             assert captured.out == cold
             assert "ignoring engine cache" in captured.err
             assert f"format version {version}" in captured.err
             with open(path, "rb") as fh:
-                assert fh.read().startswith(cache_store.MAGIC + b" v4\n")
+                assert fh.read().startswith(cache_store.MAGIC + b" v5\n")
             layers = cache_store.load(path).layers
             assert layers["probes"] and layers["paths"]
+
+    def test_inconsistent_key_tables_warn_and_run_cold(self, tmp_path,
+                                                       capsys):
+        """A digest-valid current-format file whose graph key table
+        gives two graphs one id is ignored, and a good file replaces
+        it."""
+        from repro.core import EvaluationEngine, cache_store, merge_snapshot
+
+        args = ["synth", "fir", "-l", "11", "-a", "8"]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        path = self._snapshot_file(tmp_path)
+        self._write_payload(path, cache_store.SNAPSHOT_VERSION, {
+            "graph_keys": {("a",): 0, ("b",): 0}, "version_codes": {},
+            "layers": {}})
+        assert main(args + ["--cache-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold
+        assert "ignoring engine cache" in captured.err
+        assert "inconsistent graph key table" in captured.err
+        assert merge_snapshot(EvaluationEngine(), cache_store.load(path)) > 0
 
     def test_explore_cache_dir_output_is_stable(self, tmp_path, capsys):
         args = ["explore", "diffeq", "--latencies", "5", "6",
@@ -285,6 +313,29 @@ class TestCacheDir:
         assert os.stat(path).st_mtime_ns == mtime
         with open(path, "rb") as fh:
             assert fh.read() == before
+
+    def test_checkpoints_skip_suites_run_in_workers(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """`experiment all --workers 2 --cache-dir` saves after each of
+        the six one-task suites run in-process, never after the four
+        suites sent out to workers, which leave the parent's engine as
+        it was.  Suite results are stubbed: only the saves count."""
+        from repro.core import cache_store
+        from repro.experiments import runner
+
+        class Table:
+            def as_text(self):
+                return "table"
+
+        monkeypatch.setattr(runner, "run_tasks",
+                            lambda tasks, workers=None: [Table()] * len(tasks))
+        saves = []
+        monkeypatch.setattr(cache_store, "save",
+                            lambda snapshot, path: saves.append(path))
+        assert main(["experiment", "all", "--workers", "2",
+                     "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(saves) == 6
 
     def test_experiment_all_flushes_between_tables(self, tmp_path,
                                                    monkeypatch, capsys):

@@ -13,7 +13,6 @@ from repro.dfg import DFGBuilder, random_dag
 from repro.errors import ReproError
 from repro.library import ResourceLibrary, ResourceVersion, paper_library
 from repro.core import EvaluationEngine, find_design, sweep_bounds
-from repro.core.engine import allocation_signature
 
 
 @pytest.fixture(scope="module")
@@ -328,8 +327,9 @@ class TestListTieBreak:
         assert results[0].schedule.starts == results[1].schedule.starts
         assert results[0].binding.op_to_instance == \
             results[1].binding.op_to_instance
-        assert allocation_signature(forward) == \
-            allocation_signature(backward)
+        engine = EvaluationEngine()
+        assert engine.allocation_key(graph, forward) == \
+            engine.allocation_key(graph, backward)
 
 
 class TestParallelSweep:

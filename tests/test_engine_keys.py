@@ -1,13 +1,12 @@
-"""Interned memo keys and the content boundary of the evaluation engine.
+"""Interned memo keys of the evaluation engine, and restoring them.
 
 Inside one engine an allocation is keyed by a ``bytes`` vector of
 per-engine version codes and a delay assignment by
-``CompiledGraph.delays_key``.  Codes are process-local, so these tests
-pin the two halves of the contract: equal-by-value allocations share
-one key (whatever object identity or dict order they arrive with), and
-everything that leaves an engine — exports, snapshots, merges —
-carries the historical content form, so engines whose code tables
-filled in different orders exchange entries losslessly.
+``CompiledGraph.delays_key``.  These tests pin the two halves of the
+contract: equal-by-value allocations share one key (whatever object
+identity or dict order they arrive with), and a snapshot carries those
+keys as they are, together with the graph key and version code tables
+that give them meaning, so only a fresh engine may adopt it.
 """
 
 import pickle
@@ -17,11 +16,10 @@ import pytest
 
 from repro.bench import diffeq, fir16
 from repro.core import EvaluationEngine, cache_store, find_design
-from repro.core.engine import allocation_signature
 from repro.dfg import compile_graph
+from repro.errors import CacheError
 from repro.hls import fastsched
-from repro.hls.schedule import Schedule
-from repro.library import ResourceLibrary, ResourceVersion, paper_library
+from repro.library import ResourceLibrary, paper_library
 
 
 @pytest.fixture(scope="module")
@@ -32,16 +30,6 @@ def lib():
 def uniform(graph, versions):
     """One version per resource type, from *versions* (rtype -> version)."""
     return {op.op_id: versions[op.rtype] for op in graph}
-
-
-def engine_interning(lib, graph, reverse):
-    """A fresh engine whose code table lists *lib*'s versions in sorted
-    order, or reversed (the key of a one-version allocation interns
-    that version; whether it fits each op's type does not matter)."""
-    engine = EvaluationEngine()
-    for version in sorted(lib, reverse=reverse):
-        engine.allocation_key(graph, {op.op_id: version for op in graph})
-    return engine
 
 
 def fingerprint(result):
@@ -108,7 +96,7 @@ class TestAllocationKeys:
             copy = pickle.loads(pickle.dumps(allocation))
             assert engine.allocation_key(graph, copy) == key
             assert len(engine._id_codes) <= 4
-        assert len(engine._versions) == len(set(allocation.values()))
+        assert len(engine._version_codes) == len(set(allocation.values()))
 
     def test_a_pickled_engine_keeps_codes_but_not_ids(self, lib):
         graph = diffeq()
@@ -116,78 +104,55 @@ class TestAllocationKeys:
         warm = find_design(graph, lib, 6, 11, engine=engine)
         copy = pickle.loads(pickle.dumps(engine))
         assert copy._id_codes == {} and copy._id_pins == []
-        assert copy._versions == engine._versions
+        assert copy._version_codes == engine._version_codes
         again = find_design(diffeq(), lib, 6, 11, engine=copy)
         assert fingerprint(again) == fingerprint(warm)
         assert copy.stats.schedules_run == engine.stats.schedules_run
 
 
-class TestContentBoundary:
-    def test_export_entries_have_the_content_form(self, lib):
+def restored(donor):
+    """A fresh engine restored from *donor*'s snapshot, round-tripped
+    through the wire format."""
+    engine = EvaluationEngine()
+    cache_store.merge_snapshot(engine, cache_store.loads(cache_store.dumps(
+        cache_store.snapshot_engine(donor))))
+    return engine
+
+
+class TestRestore:
+    def test_captured_keys_are_the_engines_own(self, lib):
         graph = diffeq()
         engine = EvaluationEngine()
         allocation = uniform(graph, {r: lib.smallest(r) for r in lib.rtypes()})
         bound = engine.min_latency(graph, allocation) + 1
         assert engine.evaluate(graph, allocation, bound) is not None
-        # the smallest versions are the most reliable ones, so the path
-        # starts from the same allocation and needs no step at *bound*
-        assert engine.latency_start(graph, lib, bound) == allocation
-        pools = tuple((rtype, tuple(lib.versions_of(rtype)))
-                      for rtype in graph.rtypes())
         content = (graph.name,
                    tuple((op.op_id, op.rtype) for op in graph),
                    tuple(graph.edges()))
-        layers = engine.export_cache_state()
-        delays = tuple(sorted((op, v.delay) for op, v in allocation.items()))
-        assert (content, allocation_signature(allocation), bound,
-                "instances", "auto", None) in [key for key, _ in layers["evaluations"]]
-        assert (content, delays) in [key for key, _ in layers["timing"]]
-        for name, entries in layers.items():
-            assert entries, f"layer {name} is empty"
-            for key, value in entries:
-                assert key[0] == content
-                if name in ("schedules", "timing"):
-                    assert key[1] == delays
-                elif name == "paths":
-                    assert key[1] == pools
-                    start, steps, complete = value
-                    assert isinstance(start, int)
-                    assert isinstance(complete, bool)
-                    for op_id, version, critical in steps:
-                        assert isinstance(op_id, str)
-                        assert isinstance(version, ResourceVersion)
-                        assert isinstance(critical, int)
-                else:
-                    assert key[1] == allocation_signature(allocation)
-                if name == "probes":
-                    counts = key[2]
-                    assert counts == tuple(sorted(counts))
-                    assert {n for n, _ in counts} == \
-                        {v.name for v in allocation.values()}
-                if name == "schedules":
-                    # the schedule alone: nothing process-local to translate
-                    assert value is None or isinstance(value, Schedule)
-                    if value is not None:
-                        assert tuple(sorted(value.delays.items())) == key[1]
+        state = engine.cache_state()
+        assert state["graph_keys"] == {content: 0}
+        assert sorted(state["version_codes"].values()) == \
+            list(range(len(set(allocation.values()))))
+        key = engine.allocation_key(graph, allocation)
+        delays = compile_graph(graph).delays_key(
+            {op: v.delay for op, v in allocation.items()})
+        assert (0, key, bound, "instances", "auto", None) in \
+            state["layers"]["evaluations"]
+        assert (0, delays) in state["layers"]["timing"]
 
-    def test_merge_between_opposite_code_orders(self, lib):
-        graph = fir16()
-        donor = engine_interning(lib, graph, reverse=False)
-        warm = find_design(graph, lib, 11, 8, engine=donor)
-        snapshot = cache_store.loads(cache_store.dumps(
-            cache_store.snapshot_engine(donor)))
-
-        receiver = engine_interning(lib, graph, reverse=True)
-        fastest = uniform(graph, {r: lib.fastest(r) for r in lib.rtypes()})
-        assert receiver.allocation_key(graph, fastest) != \
-            donor.allocation_key(graph, fastest)
-        assert receiver.merge_cache_state(snapshot.layers) == \
-            snapshot.entry_count
-        merged = find_design(fir16(), lib, 11, 8, engine=receiver)
+    def test_restored_engine_answers_a_rebuilt_graph(self, lib):
+        donor = EvaluationEngine()
+        warm = find_design(fir16(), lib, 11, 8, engine=donor)
+        receiver = restored(donor)
+        fastest = uniform(fir16(), {r: lib.fastest(r) for r in lib.rtypes()})
+        # the donor's codes came along with its keys
+        assert receiver.allocation_key(fir16(), fastest) == \
+            donor.allocation_key(fir16(), fastest)
+        rebuilt = find_design(fir16(), lib, 11, 8, engine=receiver)
         cold = find_design(fir16(), lib, 11, 8,
                            engine=EvaluationEngine(cache=False))
-        assert fingerprint(merged) == fingerprint(cold) == fingerprint(warm)
-        # the merged engine is exactly as warm as the donor itself
+        assert fingerprint(rebuilt) == fingerprint(cold) == fingerprint(warm)
+        # the restored engine is exactly as warm as the donor itself
         donor.stats.reset()
         find_design(fir16(), lib, 11, 8, engine=donor)
         assert receiver.stats.hits == donor.stats.hits > 0
@@ -195,31 +160,36 @@ class TestContentBoundary:
         assert receiver.stats.timing_hits == donor.stats.timing_hits
         assert receiver.stats.schedules_run == 0
 
-    def test_merge_then_export_round_trips_exactly(self, lib):
-        graph = diffeq()
-        donor = engine_interning(lib, graph, reverse=False)
-        find_design(graph, lib, 6, 11, engine=donor)
-        exported = donor.export_cache_state()
-        receiver = engine_interning(lib, graph, reverse=True)
-        receiver.merge_cache_state(exported)
-        again = receiver.export_cache_state()
-        for name, entries in exported.items():
-            assert [key for key, _ in again[name]] == \
-                [key for key, _ in entries]
-
-    def test_entry_that_does_not_fit_its_graph_is_skipped(self, lib):
-        graph = diffeq()
+    def test_restore_then_capture_round_trips_exactly(self, lib):
         donor = EvaluationEngine()
-        allocation = uniform(graph, {r: lib.smallest(r)
-                                     for r in lib.rtypes()})
-        donor.evaluate(graph, allocation,
-                       donor.min_latency(graph, allocation))
-        layers = donor.export_cache_state()
-        key, value = layers["evaluations"][0]
-        short = (key[0], key[1][1:]) + key[2:]  # one op missing
+        find_design(diffeq(), lib, 6, 11, engine=donor)
+        before = donor.cache_state()
+        after = restored(donor).cache_state()
+        assert after["graph_keys"] == before["graph_keys"]
+        assert after["version_codes"] == before["version_codes"]
+        # keys in insertion order; values are not all comparable
+        assert {name: list(layer) for name, layer in after["layers"].items()} \
+            == {name: list(layer) for name, layer in before["layers"].items()}
+
+    @pytest.mark.parametrize("used", ["graph", "version"])
+    def test_restore_into_a_non_fresh_engine_raises(self, lib, used):
+        graph = fir16()
+        donor = EvaluationEngine()
+        find_design(graph, lib, 11, 8, engine=donor)
+        snapshot = cache_store.snapshot_engine(donor)
         receiver = EvaluationEngine()
-        assert receiver.merge_cache_state(
-            {"evaluations": [(short, value)]}) == 0
+        fastest = uniform(graph, {r: lib.fastest(r) for r in lib.rtypes()})
+        if used == "graph":
+            receiver.min_latency(graph, fastest)  # registers the graph
+            assert not receiver._version_codes
+        else:
+            receiver.allocation_key(graph, fastest)
+            receiver.clear()  # drops the graph, keeps the codes
+            assert not receiver._graph_keys
+        size = receiver.cache_size()
+        with pytest.raises(CacheError, match="fresh engine"):
+            cache_store.merge_snapshot(receiver, snapshot)
+        assert receiver.cache_size() == size
 
 
 class TestDelaysKey:

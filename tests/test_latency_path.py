@@ -81,7 +81,7 @@ def _outcome(graph, library, latency, area, engine):
 
 
 def stored_paths(engine):
-    return engine.export_cache_state()["paths"]
+    return list(engine._layers["paths"].items())
 
 
 @pytest.mark.parametrize("lib_name", sorted(LIBRARIES))
@@ -177,7 +177,7 @@ def test_snapshot_round_trip_carries_the_paths():
     assert donor.stats.path_steps > 0
     snapshot = cache_store.loads(cache_store.dumps(
         cache_store.snapshot_engine(donor)))
-    assert snapshot.layers["paths"] == stored_paths(donor)
+    assert list(snapshot.layers["paths"].items()) == stored_paths(donor)
     receiver = EvaluationEngine()
     cache_store.merge_snapshot(receiver, snapshot)
     assert stored_paths(receiver) == stored_paths(donor)

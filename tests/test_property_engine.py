@@ -3,7 +3,7 @@
 Hypothesis drives random DFGs, random resource libraries (deliberately
 including same-delay version pairs, which exercise the delays-keyed
 schedule sharing), and random
-allocation sequences through five engines that must be observationally
+allocation sequences through four engines that must be observationally
 identical:
 
 * **off** — caching disabled: the reference kernels
@@ -12,12 +12,8 @@ identical:
   the compiled core (``hls/fastsched.py``);
 * **cold** — a fresh engine per request;
 * **warm** — one engine serving every request (intra-run reuse);
-* **reloaded** — a fresh engine pre-warmed from a snapshot of *warm*
-  round-tripped through the serialized wire format;
-* **compacted** — like *reloaded*, but through
-  :func:`repro.core.cache_store.compact_snapshot` (bound-dominance
-  pruning) — compaction may only ever cost hit rate, never change
-  results.
+* **reloaded** — a fresh engine restored from a snapshot of *warm*
+  round-tripped through the serialized wire format.
 
 The density latency scan skips latencies whose area lower bound
 cannot win, in every engine (the cache-disabled one included), so the
@@ -153,16 +149,6 @@ class TestEvaluateEquivalence:
         for index, (allocation, bound) in enumerate(resolved):
             assert evaluation_fingerprint(
                 reloaded.evaluate(graph, allocation, bound)) == \
-                expected[index]
-
-        # cold ≡ warm ≡ compacted: dominance pruning must never change
-        # what a pre-warmed engine answers
-        compacted_snapshot, _stats = cache_store.compact_snapshot(snapshot)
-        compacted = EvaluationEngine()
-        merge_snapshot(compacted, compacted_snapshot)
-        for index, (allocation, bound) in enumerate(resolved):
-            assert evaluation_fingerprint(
-                compacted.evaluate(graph, allocation, bound)) == \
                 expected[index]
 
     @given(evaluation_case())
