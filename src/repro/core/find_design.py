@@ -55,6 +55,7 @@ from repro.library.library import ResourceLibrary
 from repro.library.version import ResourceVersion
 from repro.core.design import DesignResult, check_area_model
 from repro.core.engine import EvaluationEngine, default_engine
+from repro.core.evaluate import _area_lower_bound, _pool_work
 from repro.core.victims import group_swaps
 
 REPAIR_POLICIES = ("generalized", "paper")
@@ -435,16 +436,36 @@ def search_achievements(graph: DataFlowGraph, library: ResourceLibrary,
                         latency_bound: int, area_model: str,
                         engine: Optional[EvaluationEngine] = None
                         ) -> Dict[str, int]:
-    """Best latency and area reachable independently (for diagnostics)."""
+    """Best latency and area reachable independently (for diagnostics).
+
+    ``"latency"`` is the critical path of the fastest version
+    everywhere.  ``"area"`` is the minimum area of the smallest-version
+    allocation at the loose bound ``max(latency_bound, latency) + |V|``,
+    as the engine's :meth:`~repro.core.engine.EvaluationEngine.evaluate`
+    reports it (absent when that allocation cannot meet the bound).
+
+    Under the ``"auto"`` and ``"list"`` schedulers the list realization
+    is evaluated first.  When its area is at most the work-conservation
+    lower bound at the loose bound, it is the answer and no density
+    point is scheduled: a density point at latency ``L`` costs at least
+    the bound at ``L``, which is at least the bound at the loose bound,
+    so it can only tie.  Otherwise, and always under ``"density"``, the
+    full :meth:`evaluate` runs.
+    """
     engine = engine if engine is not None else default_engine()
     fastest = {op.op_id: library.fastest(op.rtype) for op in graph}
     best_latency = engine.min_latency(graph, fastest)
-    evaluation = engine.evaluate(
-        graph,
-        {op.op_id: library.smallest(op.rtype) for op in graph},
-        max(latency_bound, best_latency) + len(graph),
-        area_model,
-    )
+    smallest = {op.op_id: library.smallest(op.rtype) for op in graph}
+    bound = max(latency_bound, best_latency) + len(graph)
+    evaluation = None
+    if engine.scheduler in ("auto", "list"):
+        evaluation = engine.evaluate(graph, smallest, bound, area_model,
+                                     scheduler="list")
+        if evaluation is not None and evaluation.area > _area_lower_bound(
+                _pool_work(graph, smallest), bound, area_model):
+            evaluation = None
+    if evaluation is None:
+        evaluation = engine.evaluate(graph, smallest, bound, area_model)
     report = {"latency": best_latency}
     if evaluation is not None:
         report["area"] = evaluation.area

@@ -22,11 +22,16 @@ speedups:
     warm-start bound ``L+1`` from bound ``L`` instead of paying a fresh
     ASAP/ALAP per bound.
 ``incremental density``
-    After each placement the scheduler updates only the affected
-    descendants' ASAP values and ancestors' ALAP values (a rank-ordered
-    worklist over the compiled adjacency), and patches the per-rtype
-    occupancy distribution in O(1) for exactly the operations whose
-    frames changed, instead of rebuilding it from scratch.
+    After each placement the scheduler raises descendants' ASAP values
+    and lowers ancestors' ALAP values by walking only the edges whose
+    far-end frame actually moves (a plain stack over the compiled
+    adjacency; a placement at the frame's own ASAP or ALAP step skips
+    that walk, and a zero-width frame skips both).  It patches the
+    per-rtype occupancy distribution in O(1) for exactly the operations
+    whose frames changed, instead of rebuilding it from scratch, and
+    costs the candidate starts straight from the occupancy density: a
+    slice for a delay-1 operation, a pairwise sum of two slices for a
+    delay-2 one, a windowed prefix sum otherwise.
 ``event-driven list scheduling``
     Ready sets are maintained with predecessor counters and per-version
     free-lane heaps; empty steps are skipped entirely.  Everything but
@@ -68,7 +73,7 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import accumulate, islice
-from operator import sub
+from operator import add, sub
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.dfg.compiled import DELAYS_TYPECODE, CompiledGraph, compile_graph
@@ -368,17 +373,14 @@ def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
     # Weighted by scale // w it adds scale times its density, so every
     # patch is four exact integer adds (zero-delay ops cancel to none).
     rows = [[0] * (latency + 2) for _ in cg.rtype_names]
-
-    def patch(r: int, lo_: int, hi_: int, d_: int, sign: int) -> None:
-        weight = sign * (scale // (hi_ - lo_ + 1))
-        row = rows[r]
-        row[lo_] += weight
-        row[lo_ + d_] -= weight
-        row[hi_ + 1] -= weight
-        row[hi_ + d_ + 1] += weight
-
     for i in range(n):
-        patch(rcode[i], lo[i], hi[i], d[i], +1)
+        lo_i, hi_i, d_i = lo[i], hi[i], d[i]
+        weight = scale // (hi_i - lo_i + 1)
+        row = rows[rcode[i]]
+        row[lo_i] += weight
+        row[lo_i + d_i] -= weight
+        row[hi_i + 1] -= weight
+        row[hi_i + d_i + 1] += weight
 
     # most-constrained first, topological order breaking ties: a heap
     # of (width, rank, op) entries.  Widths only shrink, so an op whose
@@ -391,73 +393,92 @@ def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
         width, _, i = heapq.heappop(queue)
         if pinned[i] or width != hi[i] - lo[i]:
             continue
+        pinned[i] = True
+        lo_i, hi_i, d_i = lo[i], hi[i], d[i]
+        if not width:
+            # a zero-width frame: its start is forced, its occupancy
+            # already final and no other frame can move
+            fixed[cg.op_ids[i]] = lo_i
+            continue
 
-        lo_i, hi_i, d_i, r_i = lo[i], hi[i], d[i], rcode[i]
-        if hi_i == lo_i:
-            start = lo_i
+        # the cost of a start is the scaled occupancy summed over the
+        # busy steps (the reference's cost less its constant own-weight
+        # term, times scale): second differences -> density, then the
+        # earliest strict minimum.  A delay-1 op's costs are a slice of
+        # the density, a delay-2 op's the pairwise sum of two slices;
+        # any other delay sums its window from prefix sums over
+        # [lo, hi + d) only (a zero-delay op costs 0 everywhere and
+        # keeps lo).
+        row = rows[rcode[i]]
+        density = list(accumulate(accumulate(islice(row, hi_i + d_i))))
+        if d_i == 1:
+            costs = density[lo_i:]
+        elif d_i == 2:
+            costs = list(map(add, density[lo_i:hi_i + 1],
+                             density[lo_i + 1:]))
         else:
-            # the cost of a start is the scaled occupancy summed over the
-            # busy steps (the reference's cost less its constant
-            # own-weight term, times scale): second differences ->
-            # density -> prefix sums, then the earliest strict minimum
-            # (a zero-delay op costs 0 everywhere and keeps lo)
-            csum = list(accumulate(accumulate(accumulate(
-                islice(rows[r_i], hi_i + d_i))), initial=0))
-            costs = list(map(sub, csum[lo_i + d_i:hi_i + d_i + 1],
-                             csum[lo_i:hi_i + 1]))
-            start = lo_i + costs.index(min(costs))
+            csum = list(accumulate(islice(density, lo_i, None), initial=0))
+            costs = list(map(sub, csum[d_i:], csum[:width + 1]))
+        start = lo_i + costs.index(min(costs))
         fixed[cg.op_ids[i]] = start
 
-        patch(r_i, lo_i, hi_i, d_i, -1)
-        patch(r_i, start, start, d_i, +1)
+        # move i's occupancy from its frame to its start
+        weight = scale // (width + 1)
+        row[lo_i] -= weight
+        row[lo_i + d_i] += weight
+        row[hi_i + 1] += weight
+        row[hi_i + d_i + 1] -= weight
+        row[start] += scale
+        row[start + d_i] -= scale
+        row[start + 1] -= scale
+        row[start + d_i + 1] += scale
         lo[i] = hi[i] = start
-        pinned[i] = True
 
-        # frames can only tighten: descendants' ASAP rises, ancestors'
-        # ALAP falls.  Rank-ordered worklists make one recompute per
-        # affected node exact.
+        # frames can only tighten, and only i's frame moved.  Every
+        # unpinned ASAP is the maximum of its predecessors' finishes, and
+        # those only rise, so a descendant's ASAP changes only through a
+        # predecessor whose ASAP rose (likewise ALAP, falling, through
+        # successors).  A plain stack walk that follows an edge only
+        # when it moves the frame at its far end therefore reaches the
+        # same fixpoint as a full recompute, touching only moved frames;
+        # a start at i's old ASAP (ALAP) moves no descendant (ancestor).
+        # Pinned frames are already consistent and are never touched.
         changed: Dict[int, Tuple[int, int]] = {}
-        heap = [(rank[j], j) for j in succs[i]]
-        heapq.heapify(heap)
-        seen = set()
-        while heap:
-            _, j = heapq.heappop(heap)
-            if j in seen or pinned[j]:
-                continue
-            seen.add(j)
-            new_lo = 0
-            for p in preds[j]:
-                finish = lo[p] + d[p]
-                if finish > new_lo:
-                    new_lo = finish
-            if new_lo != lo[j]:
-                changed.setdefault(j, (lo[j], hi[j]))
-                lo[j] = new_lo
-                for s in succs[j]:
-                    heapq.heappush(heap, (rank[s], s))
-        heap = [(-rank[j], j) for j in preds[i]]
-        heapq.heapify(heap)
-        seen = set()
-        while heap:
-            _, j = heapq.heappop(heap)
-            if j in seen or pinned[j]:
-                continue
-            seen.add(j)
-            new_hi = latency
-            for s in succs[j]:
-                if hi[s] < new_hi:
-                    new_hi = hi[s]
-            new_hi -= d[j]
-            if new_hi != hi[j]:
-                changed.setdefault(j, (lo[j], hi[j]))
-                hi[j] = new_hi
-                for p in preds[j]:
-                    heapq.heappush(heap, (-rank[p], p))
+        stack = [i] if start != lo_i else []
+        while stack:
+            p = stack.pop()
+            finish = lo[p] + d[p]
+            for j in succs[p]:
+                if finish > lo[j] and not pinned[j]:
+                    if j not in changed:
+                        changed[j] = (lo[j], hi[j])
+                    lo[j] = finish
+                    stack.append(j)
+        stack = [i] if start != hi_i else []
+        while stack:
+            s = stack.pop()
+            latest = hi[s]
+            for j in preds[s]:
+                if latest - d[j] < hi[j] and not pinned[j]:
+                    if j not in changed:
+                        changed[j] = (lo[j], hi[j])
+                    hi[j] = latest - d[j]
+                    stack.append(j)
 
         for j, (old_lo, old_hi) in changed.items():
-            patch(rcode[j], old_lo, old_hi, d[j], -1)
-            patch(rcode[j], lo[j], hi[j], d[j], +1)
-            heapq.heappush(queue, (hi[j] - lo[j], rank[j], j))
+            lo_j, hi_j, d_j = lo[j], hi[j], d[j]
+            row = rows[rcode[j]]
+            weight = scale // (old_hi - old_lo + 1)
+            row[old_lo] -= weight
+            row[old_lo + d_j] += weight
+            row[old_hi + 1] += weight
+            row[old_hi + d_j + 1] -= weight
+            weight = scale // (hi_j - lo_j + 1)
+            row[lo_j] += weight
+            row[lo_j + d_j] -= weight
+            row[hi_j + 1] -= weight
+            row[hi_j + d_j + 1] += weight
+            heapq.heappush(queue, (hi_j - lo_j, rank[j], j))
     return fixed
 
 

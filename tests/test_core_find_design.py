@@ -10,6 +10,7 @@ from repro.errors import NoSolutionError, ReproError
 from repro.hls.metrics import AREA_MODELS
 from repro.library import paper_library
 from repro.core import EvaluationEngine, find_design
+from repro.core.evaluate import _area_lower_bound, _pool_work
 from repro.core.find_design import search_achievements
 
 
@@ -142,6 +143,8 @@ class TestAreaFloor:
             "no design of 'fir16' meets latency <= 100 and area <= 2"
             " (area floor 3)")
         assert engine.stats.path_requests == 0  # no trajectory ran
+        # the list realization meets the work bound: no density point
+        assert engine.stats.density_schedules == 0
 
     def test_bound_at_the_floor_is_searched(self, lib):
         engine = EvaluationEngine()
@@ -165,6 +168,45 @@ class TestAreaFloor:
                 evaluation = engine.evaluate(graph, allocation, bound,
                                              area_model=area_model)
                 assert evaluation.area >= floor
+
+
+class TestSearchAchievements:
+    """The diagnostic's area is the full evaluation's, whether the list
+    realization answers it alone or the density scan runs too."""
+
+    ENGINES = [{"cache": cache, "scheduler": scheduler}
+               for cache in (True, False)
+               for scheduler in ("auto", "density", "list")]
+
+    def test_area_is_the_full_evaluation(self, lib):
+        graphs = [layered_dag(2 + seed % 4, 2 + seed % 3, seed=seed)
+                  if seed % 2 else random_dag(5 + seed % 12, seed=seed)
+                  for seed in range(24)]
+        # here a density point beats the list realization
+        graphs.append(layered_dag(4, 3, seed=117))
+        fallbacks = beaten = 0
+        for graph in graphs:
+            smallest = {op.op_id: lib.smallest(op.rtype) for op in graph}
+            for area_model in AREA_MODELS:
+                for settings in self.ENGINES:
+                    achieved = search_achievements(
+                        graph, lib, 1, area_model,
+                        engine=EvaluationEngine(**settings))
+                    bound = achieved["latency"] + len(graph)
+                    full = EvaluationEngine(**settings).evaluate(
+                        graph, smallest, bound, area_model)
+                    assert achieved["area"] == full.area, (graph.name,
+                                                           settings)
+                engine = EvaluationEngine()
+                listed = engine.evaluate(graph, smallest, bound, area_model,
+                                         scheduler="list")
+                if listed.area > _area_lower_bound(
+                        _pool_work(graph, smallest), bound, area_model):
+                    fallbacks += 1
+                    beaten += engine.evaluate(
+                        graph, smallest, bound, area_model).area < listed.area
+        # the density scan still runs, and sometimes wins
+        assert fallbacks >= 1 and beaten >= 1
 
 
 class TestPolicies:

@@ -208,6 +208,22 @@ class TestDensityEquivalence:
         assert fast_density_schedule(graph, delays, latency).starts == \
             density_schedule(graph, delays, latency).starts
 
+    @pytest.mark.parametrize("size, seed", [(48, 6), (40, 2)])
+    @pytest.mark.parametrize("slack", [0, 6, 12, 24, "ops"])
+    def test_search_shapes_match(self, size, seed, slack):
+        # the graphs of the perfbench ``loose`` searches, under delays
+        # 1-4 (so every cost path runs, not only the paper library's
+        # delays 1 and 2); slack |V| is the infeasible-search
+        # diagnostic's window
+        graph = random_dag(size, seed=seed)
+        delays = random_delays(graph, seed)
+        latency = asap_latency(graph, delays) + (
+            len(graph) if slack == "ops" else slack)
+        reference = density_schedule(graph, delays, latency)
+        fast = fast_density_schedule(graph, delays, latency)
+        assert list(fast.starts) == list(reference.starts)
+        assert fast.starts == reference.starts
+
     def test_schedule_range_shares_base_timing(self):
         graph = random_dag(18, seed=4)
         delays = random_delays(graph, 4)
