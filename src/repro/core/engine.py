@@ -22,8 +22,12 @@ Cache layers, from coarse to fine:
 ``density point``
     ``(graph, allocation, latency)`` → one density schedule + binding
     (``None`` when the latency is infeasible).  A scan costs the
-    latencies it visits with lane counts (:func:`_scan_area`) and binds
-    and stores only its winner.  Because the density realization at
+    latencies it visits with lane counts (:func:`_scan_area`); the list
+    realization is costed the same way from its probe's placements, and
+    a realization binds one design, the list-vs-density winner (density
+    on a tie).  A density winner is bound and stored here; a scan
+    whose best point loses to the list realization stores nothing.
+    Because the density realization at
     bound ``L`` is the min-area point of the scan over
     ``[critical, L]``, a winner found at a looser bound is reusable at
     any tighter bound it fits: the tighter scan is a prefix of the
@@ -45,8 +49,9 @@ Cache layers, from coarse to fine:
 ``probe``
     ``(graph, allocation, counts)`` → one list-schedule probe's latency
     (an int: the count-driven list realization reads nothing else from
-    a probe, and builds the schedule once, for the winning count
-    vector).  The count-increment loop re-probes overlapping count
+    a probe; the probe that meets the bound records its placements,
+    and the schedule is built from them only when the list realization
+    wins).  The count-increment loop re-probes overlapping count
     vectors constantly (the winning probe of one round *is* the first
     probe of the next); the probe cache makes both the intra- and
     inter-call repeats free.
@@ -123,7 +128,8 @@ import struct
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.dfg.compiled import compile_graph
 from repro.dfg.graph import DataFlowGraph
@@ -160,15 +166,16 @@ def _scan_area(schedule: Schedule,
 
     Left-edge packing is lane-minimal on interval graphs, so under the
     instance model each version pool occupies exactly (max step
-    overlap) instances.  That identity needs every interval non-empty:
-    a zero-delay operation's empty interval may or may not open a lane
-    depending on pack order, so its presence returns ``None`` and the
-    caller binds for real.  The version model is schedule-independent
-    (distinct versions used) and always answered.
+    overlap) instances (:func:`_peak_area`).  That identity needs every
+    interval non-empty: a zero-delay operation's empty interval may or
+    may not open a lane depending on pack order, so its presence
+    returns ``None`` and the caller binds for real.  The version model
+    is schedule-independent (distinct versions used) and always
+    answered.
 
-    The density scan uses this to cost its non-winning latencies in
-    O(pool size) instead of running a full binding per latency; only
-    the winner is bound.
+    The density scan costs the latencies it visits with this, and the
+    uncached engine its list realization, so a realization binds only
+    the one design it returns.
     """
     pools: Dict[str, List[str]] = {}
     versions: Dict[str, ResourceVersion] = {}
@@ -180,12 +187,23 @@ def _scan_area(schedule: Schedule,
         versions[version.name] = version
     if area_model == AREA_VERSIONS:
         return sum(version.area for version in versions.values())
+    starts, delays = schedule.starts, schedule.delays
+    return _peak_area(
+        (versions[name].area, [(starts[op_id], delays[op_id])
+                               for op_id in ops])
+        for name, ops in pools.items())
+
+
+def _peak_area(pools: Iterable[Tuple[int, List[Tuple[int, int]]]]
+               ) -> Optional[int]:
+    """Instance-model area of version *pools*, each a ``(unit area,
+    [(start, delay), ...])`` pair: unit area times the peak number of
+    overlapping busy intervals ``[start, start + delay)``, summed, or
+    ``None`` when a delay is zero (see :func:`_scan_area`)."""
     area = 0
-    for name, ops in pools.items():
+    for unit, spans in pools:
         events = []
-        for op_id in ops:
-            start = schedule.start(op_id)
-            delay = schedule.delays[op_id]
+        for start, delay in spans:
             if delay == 0:
                 return None
             events.append((start, 1))
@@ -196,7 +214,7 @@ def _scan_area(schedule: Schedule,
             running += change
             if running > lanes:
                 lanes = running
-        area += lanes * versions[name].area
+        area += lanes * unit
     return area
 
 
@@ -651,9 +669,10 @@ class EvaluationEngine:
                  stop_at_area, scheduler):
         """Minimum-area realization under *scheduler*.
 
-        The list realization runs first so that, under ``"auto"``, its
-        area caps the density scan; the density candidate still comes
-        first and wins ties.
+        Each side yields an unbound ``(area, realize)`` candidate; only
+        the winner's ``realize()`` runs, so a realization binds one
+        design.  The list realization runs first so that, under
+        ``"auto"``, its area caps the density scan; density wins ties.
         """
         density = listed = None
         if scheduler in ("auto", "list"):
@@ -663,23 +682,34 @@ class EvaluationEngine:
             density = self._density_best(
                 graph, record, signature, allocation, delays, delays_key,
                 critical, latency_bound, area_model, stop_at_area,
-                None if listed is None else listed.area)
-        feasible = [c for c in (density, listed) if c is not None]
-        return min(feasible, key=lambda e: e.area) if feasible else None
+                None if listed is None else listed[0])
+        winner = listed
+        if density is not None and (listed is None
+                                    or density[0] <= listed[0]):
+            winner = density
+        if winner is None:
+            return None
+        area, realize = winner
+        schedule, binding = realize()
+        return Evaluation(schedule, binding, schedule.latency, area)
 
     # -- density -------------------------------------------------------
     def _density_best(self, graph, record, signature, allocation, delays,
                       delays_key, critical, latency_bound, area_model,
                       stop_at_area, ceiling):
         """Slack exploitation (Figure 6, lines 15–21): the first
-        minimum-area density point over ``[critical, latency_bound]``.
+        minimum-area density point over ``[critical, latency_bound]``,
+        as an unbound ``(area, realize)`` candidate (``None`` when no
+        latency is feasible or none can reach *ceiling*).
 
         Scanned by :meth:`_scan`, capped by *ceiling* (the list
         realization's area), unless *stop_at_area* is set: then every
         latency is visited in order until an area at most
         *stop_at_area* turns up.  Visited points are costed by
-        :meth:`_density_point` without binding; only the winner is
-        bound, and cached for later scans at other bounds.
+        :meth:`_density_point` without binding.  ``realize()`` binds
+        the best point, if the point cache did not bring it bound, and
+        caches it for later scans at other bounds; it runs only when
+        density wins the realization.
         """
         def point(latency):
             return self._density_point(graph, record, signature, allocation,
@@ -702,14 +732,18 @@ class EvaluationEngine:
                     break
         if best is None:
             return None
-        area, latency, (schedule, binding) = best
-        if binding is None:
-            binding = self._bind(schedule, allocation)
-            assert total_area(binding, area_model) == area
+        area, latency, pair = best
+        if pair[1] is not None:
+            return area, lambda: pair
+
+        def realize():
+            bound = self._bound(pair[0], allocation, area, area_model)
             if self.cache_enabled:
                 self._store("density", (record.key, signature, latency),
-                            (schedule, binding))
-        return Evaluation(schedule, binding, schedule.latency, area)
+                            bound)
+            return bound
+
+        return area, realize
 
     def _scan(self, critical, latency_bound, pools, area_model, ceiling,
               point):
@@ -815,36 +849,41 @@ class EvaluationEngine:
         self.stats.bindings += 1
         return left_edge_bind(schedule, allocation)
 
+    def _bound(self, schedule, allocation, area, area_model
+               ) -> Tuple[Schedule, Binding]:
+        """``(schedule, binding)`` of a winner costed at *area*."""
+        binding = self._bind(schedule, allocation)
+        assert total_area(binding, area_model) == area
+        return schedule, binding
+
     # -- list ----------------------------------------------------------
     def _list_best(self, graph, record, signature, allocation, latency_bound,
                    area_model):
-        pair = self._run_list_realization(graph, record, signature,
-                                          allocation, latency_bound)
-        if pair is None:
-            return None
-        schedule, binding = pair
-        return Evaluation(schedule, binding, schedule.latency,
-                          total_area(binding, area_model))
+        """Count-driven list realization (see evaluate.py's docstring)
+        as an unbound ``(area, realize)`` candidate, or ``None``.
 
-    def _run_list_realization(self, graph, record, signature, allocation,
-                              latency_bound):
-        """Count-driven list realization (see evaluate.py's docstring),
-        with every list-schedule probe served through the probe cache.
-        Probes yield latencies only; the schedule and binding are built
-        once, for the count vector that meets the bound."""
+        Every probe is served through the probe cache and yields a
+        latency only; the top-of-loop probe, the only one that can
+        become final, also records its placements (re-run with
+        recording when the probe cache answered it).  The area is the
+        per-pool peak overlap of those placements (:func:`_peak_area`,
+        the identity :func:`_scan_area` uses), and ``realize()`` builds
+        the schedule (:func:`~repro.hls.fastsched.placed_schedule`) and
+        binds it, so a realization that density wins builds neither.
+        The uncached engine runs the reference :func:`list_schedule`
+        for the final counts and costs it with :func:`_scan_area`.  A
+        zero-delay operation leaves the area unanswered; the schedule
+        is then bound at once.
+        """
         unit_area = {allocation[op.op_id].name: allocation[op.op_id].area
                      for op in graph}
         counts = _count_lower_bounds(graph, allocation, latency_bound)
         max_rounds = sum(counts.values()) + len(graph)
         for _ in range(max_rounds):
+            placed: List[Tuple[int, int]] = []
             if self._list_probe(graph, record, signature, allocation,
-                                counts) <= latency_bound:
-                if self.cache_enabled:
-                    schedule = fastsched.fast_list_schedule(
-                        graph, allocation, counts)
-                else:
-                    schedule = list_schedule(graph, allocation, counts)
-                return (schedule, self._bind(schedule, allocation))
+                                counts, placed) <= latency_bound:
+                break
             best_name = None
             best_key = None
             for name in counts:
@@ -857,11 +896,59 @@ class EvaluationEngine:
                     best_key = key
                     best_name = name
             counts[best_name] += 1
-        return None
+        else:
+            return None
+        return self._list_candidate(graph, record, signature, allocation,
+                                    counts, placed, unit_area, area_model)
+
+    def _list_candidate(self, graph, record, signature, allocation, counts,
+                        placed, unit_area, area_model):
+        """The ``(area, realize)`` candidate of the list schedule under
+        the final *counts*, whose probe recorded *placed* (empty after
+        a probe-cache hit, and always on the uncached engine)."""
+        if self.cache_enabled:
+            state = self._list_state(graph, record, signature, allocation)
+            if not placed:  # a probe-cache hit recorded nothing
+                fastsched.list_probe_latency(state, tuple(counts.values()),
+                                             placed=placed)
+            if area_model == AREA_VERSIONS:
+                area = sum(unit_area.values())
+            else:
+                spans: List[List[Tuple[int, int]]] = [[] for _ in state.pools]
+                pool, d = state.pool, state.d
+                for r, start in placed:
+                    spans[pool[r]].append((start, d[r]))
+                area = _peak_area(zip(map(unit_area.__getitem__,
+                                          state.pools), spans))
+            build = partial(fastsched.placed_schedule, graph, state, placed)
+        else:
+            reference = list_schedule(graph, allocation, counts)
+            area = _scan_area(reference, allocation, area_model)
+            build = lambda: reference
+        if area is None:  # a zero-delay op: bind now for the true area
+            schedule = build()
+            binding = self._bind(schedule, allocation)
+            return (total_area(binding, area_model),
+                    lambda: (schedule, binding))
+        return area, lambda: self._bound(build(), allocation, area,
+                                         area_model)
+
+    def _list_state(self, graph, record, signature, allocation
+                    ) -> fastsched.ListState:
+        """The prepared list-scheduling state of *allocation*: one slot
+        serves every probe of a realization, since the state depends on
+        the allocation only."""
+        slot_key = (record.key, signature)
+        if self._list_slot is None or self._list_slot[0] != slot_key:
+            self._list_slot = (slot_key, fastsched.prepare_list_state(
+                graph, allocation))
+        return self._list_slot[1]
 
     def _list_probe(self, graph, record, signature, allocation,
-                    counts) -> int:
-        """Latency of the list schedule under *counts*."""
+                    counts, placed=None) -> int:
+        """Latency of the list schedule under *counts*; a probe run on
+        the compiled core appends its ``(rank, start)`` placements to
+        *placed* when given (a probe-cache hit appends nothing)."""
         # counts keep _count_lower_bounds' key order (first use in op
         # order), which the allocation key already determines
         key = (record.key, signature, tuple(counts.values()))
@@ -872,18 +959,12 @@ class EvaluationEngine:
                 return cached
         self.stats.list_schedules += 1
         if self.cache_enabled:
-            # the prepared state depends on the allocation only, so one
-            # slot serves every probe of a realization
-            slot_key = key[:2]
-            if self._list_slot is None or self._list_slot[0] != slot_key:
-                self._list_slot = (slot_key, fastsched.prepare_list_state(
-                    graph, allocation))
-            latency = fastsched.list_probe_latency(self._list_slot[1],
-                                                   key[2])
+            latency = fastsched.list_probe_latency(
+                self._list_state(graph, record, signature, allocation),
+                key[2], placed=placed)
+            self._store("probes", key, latency)
         else:
             latency = list_schedule(graph, allocation, counts).latency
-        if self.cache_enabled:
-            self._store("probes", key, latency)
         return latency
 
     # ------------------------------------------------------------------

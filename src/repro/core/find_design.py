@@ -450,7 +450,8 @@ def search_achievements(graph: DataFlowGraph, library: ResourceLibrary,
     point is scheduled: a density point at latency ``L`` costs at least
     the bound at ``L``, which is at least the bound at the loose bound,
     so it can only tie.  Otherwise, and always under ``"density"``, the
-    full :meth:`evaluate` runs.
+    full :meth:`evaluate` runs; it binds only its winner, so the list
+    design is never bound twice.
     """
     engine = engine if engine is not None else default_engine()
     fastest = {op.op_id: library.fastest(op.rtype) for op in graph}

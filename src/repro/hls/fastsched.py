@@ -39,7 +39,9 @@ speedups:
     integer ranks — is prepared once per (graph, allocation)
     (:func:`prepare_list_state`), so a count-increment search probes
     budget after budget with :func:`list_probe_latency`, which returns
-    the latency alone and builds no schedule.
+    the latency alone and builds no schedule; the probe that meets the
+    bound records its placements, and :func:`placed_schedule` builds
+    the schedule from them only when it is needed.
 
 The ``batched_*`` entry points run the same per-item kernels over a
 list of requests, so there is one implementation of each kernel.
@@ -547,16 +549,20 @@ def prepare_list_state(graph: DataFlowGraph, allocation) -> ListState:
 
 
 def list_probe_latency(state: ListState, counts,
-                       max_steps: int = 100_000) -> int:
+                       max_steps: int = 100_000,
+                       placed: Optional[List[Tuple[int, int]]] = None
+                       ) -> int:
     """Latency of the list schedule of a prepared *state* under the
     instance *counts*, one per :attr:`ListState.pools` entry, in that
-    order.  Builds no schedule: the count-increment search only reads
-    this number from every probe but the last."""
+    order.  Builds no schedule: a count-increment search reads only
+    this number from a probe, and asks the probe that may become final
+    to record its ``(rank, start)`` placements in *placed*, which
+    :func:`placed_schedule` turns into the schedule."""
     for name, count in zip(state.pools, counts):
         if count < 1:
             raise SchedulingError(
                 f"no instances budgeted for version {name!r}")
-    return _run_list(state, counts, max_steps, None)
+    return _run_list(state, counts, max_steps, placed)
 
 
 def _run_list(state: ListState, counts, max_steps: int,
@@ -625,14 +631,28 @@ def _run_list(state: ListState, counts, max_steps: int,
             ready.sort()
 
 
+def placed_schedule(graph: DataFlowGraph, state: ListState,
+                    placed: List[Tuple[int, int]]) -> Schedule:
+    """The :class:`Schedule` of the ``(rank, start)`` pairs a list run
+    on *state* *placed*: starts in placement order (the order the
+    reference builds them in), delays in op order."""
+    ids, order = compile_graph(graph).op_ids, state.order
+    starts = {ids[order[r]]: step for r, step in placed}
+    delays = [0] * len(ids)
+    for i, delay in zip(order, state.d):
+        delays[i] = delay
+    return schedule_from_starts(graph, starts, dict(zip(ids, delays)))
+
+
 def fast_list_schedule(graph: DataFlowGraph, allocation,
                        instance_counts: Mapping[str, int],
                        max_steps: int = 100_000) -> Schedule:
     """Drop-in, schedule-identical :func:`repro.hls.listsched.
     list_schedule` over the compiled graph: :func:`prepare_list_state`,
-    then the event loop, recording starts in placement order (the order
-    the reference builds them in)."""
-    delays: Dict[str, int] = {}
+    the event loop recording placements, then :func:`placed_schedule`.
+    A cached engine does not call it: it records the placements of the
+    probe that meets its bound and builds this schedule only when the
+    list realization wins."""
     for op in graph:
         version = allocation.get(op.op_id)
         if version is None:
@@ -640,14 +660,11 @@ def fast_list_schedule(graph: DataFlowGraph, allocation,
         if instance_counts.get(version.name, 0) < 1:
             raise SchedulingError(
                 f"no instances budgeted for version {version.name!r}")
-        delays[op.op_id] = version.delay
     state = prepare_list_state(graph, allocation)
     placed: List[Tuple[int, int]] = []
     _run_list(state, [instance_counts[name] for name in state.pools],
               max_steps, placed)
-    ids, order = compile_graph(graph).op_ids, state.order
-    starts = {ids[order[r]]: step for r, step in placed}
-    return schedule_from_starts(graph, starts, delays)
+    return placed_schedule(graph, state, placed)
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,15 @@ algorithms, across benchmarks, bounds, and schedulers — while doing
 strictly less scheduling work.
 """
 
+import random
+from dataclasses import dataclass
+
 import pytest
 
 from repro.bench import diffeq, ewf, fir16
-from repro.dfg import DFGBuilder, random_dag
+from repro.dfg import DFGBuilder, layered_dag, random_dag
 from repro.errors import ReproError
+from repro.hls.metrics import AREA_MODELS, total_area
 from repro.library import ResourceLibrary, ResourceVersion, paper_library
 from repro.core import EvaluationEngine, find_design, sweep_bounds
 
@@ -299,10 +303,11 @@ class TestListTieBreak:
                 self.probed = []
 
             def _list_probe(self, graph, record, signature, allocation,
-                            counts):
+                            counts, *args, **kwargs):
                 self.probed.append(dict(counts))
                 return super()._list_probe(graph, record, signature,
-                                           allocation, counts)
+                                           allocation, counts, *args,
+                                           **kwargs)
 
         engine = RecordingEngine()
         evaluation = engine.evaluate(graph, allocation, 2, scheduler="list")
@@ -330,6 +335,149 @@ class TestListTieBreak:
         engine = EvaluationEngine()
         assert engine.allocation_key(graph, forward) == \
             engine.allocation_key(graph, backward)
+
+
+def evaluation_fingerprint(evaluation):
+    """Every observable field of an Evaluation, in dict order too."""
+    if evaluation is None:
+        return None
+    return {
+        "starts": list(evaluation.schedule.starts.items()),
+        "delays": list(evaluation.schedule.delays.items()),
+        "instances": [(i.name, i.version.name, i.ops)
+                      for i in evaluation.binding.instances],
+        "latency": evaluation.latency,
+        "area": evaluation.area,
+    }
+
+
+@dataclass(frozen=True)
+class BareVersion:
+    """The fields the engine reads from a version, without
+    :class:`ResourceVersion`'s positive-delay check, so an operation
+    can have zero delay."""
+
+    name: str
+    area: int
+    delay: int
+    reliability: float = 0.99
+
+
+def zero_delay_case():
+    """A graph whose operation ``x`` takes zero cycles: its empty busy
+    interval leaves the lane-count area unanswered."""
+    builder = DFGBuilder("zero")
+    x = builder.adder(op_id="x")
+    y = builder.adder(op_id="y")
+    z = builder.mul(deps=[x, y], op_id="z")
+    builder.adder(deps=[z], op_id="w")
+    builder.mul(deps=[x], op_id="u")
+    graph = builder.build()
+    add, mul = BareVersion("add", 2, 1), BareVersion("mul", 4, 2)
+    allocation = {"x": BareVersion("wire", 1, 0), "y": add, "z": mul,
+                  "w": add, "u": mul}
+    return graph, allocation
+
+
+class TestOneBindingPerRealization:
+    """A realization binds only the list-vs-density winner (density
+    wins ties), and the cached engine's winner is the uncached
+    oracle's."""
+
+    SCHEDULERS = ("auto", "density", "list")
+    GRAPHS = [random_dag(6 + seed % 9, seed=seed) if seed % 2
+              else layered_dag(2 + seed % 3, 2 + seed % 4, seed=seed)
+              for seed in range(10)]
+
+    @staticmethod
+    def requests(graph, seed):
+        """Distinct seeded allocations of *graph*, each with one bound
+        between its critical path and a loose ``critical + |V|``, plus
+        the smallest-version allocation at the loose bound."""
+        library = paper_library()
+        rng = random.Random(seed)
+        engine = EvaluationEngine()
+        requests, keys = [], set()
+        for _ in range(5):
+            allocation = {op.op_id: rng.choice(library.versions_of(op.rtype))
+                          for op in graph}
+            key = engine.allocation_key(graph, allocation)
+            if key not in keys:
+                keys.add(key)
+                slack = rng.choice((0, 1, 3, len(graph)))
+                requests.append(
+                    (allocation,
+                     engine.min_latency(graph, allocation) + slack))
+        smallest = {op.op_id: library.smallest(op.rtype) for op in graph}
+        if engine.allocation_key(graph, smallest) not in keys:
+            requests.append(
+                (smallest,
+                 engine.min_latency(graph, smallest) + len(graph)))
+        return requests
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("area_model", AREA_MODELS)
+    def test_one_binding_per_realization(self, area_model, scheduler):
+        for index, graph in enumerate(self.GRAPHS):
+            requests = self.requests(graph, index)
+            cached = EvaluationEngine(area_model=area_model,
+                                      scheduler=scheduler)
+            reference = EvaluationEngine(area_model=area_model,
+                                         scheduler=scheduler, cache=False)
+            realized = 0
+            for allocation, bound in requests:
+                got = cached.evaluate(graph, allocation, bound)
+                assert evaluation_fingerprint(got) == evaluation_fingerprint(
+                    reference.evaluate(graph, allocation, bound)), graph.name
+                realized += got is not None
+            for allocation, bound in requests:  # memo hits bind nothing
+                cached.evaluate(graph, allocation, bound)
+            assert cached.stats.hits == len(requests)
+            # one bound per allocation: no density point is reused
+            assert cached.stats.density_hits == 0
+            assert cached.stats.bindings == realized, graph.name
+
+    # layered_dag(4, 3, seed=117) under its smallest versions, critical
+    # path 8: list 6 vs density 6 at 10, list 4 vs density 6 at 14,
+    # list 4 vs density 3 at 16 (instance model)
+    @pytest.mark.parametrize("bound,winner", [(10, "density"),
+                                              (14, "list"),
+                                              (16, "density")],
+                             ids=["exact-tie", "list-wins", "density-wins"])
+    def test_auto_binds_only_the_winner(self, bound, winner):
+        library = paper_library()
+        graph = layered_dag(4, 3, seed=117)
+        smallest = {op.op_id: library.smallest(op.rtype) for op in graph}
+        sides = {scheduler: EvaluationEngine(scheduler=scheduler).evaluate(
+                     graph, smallest, bound)
+                 for scheduler in ("list", "density")}
+        loser = "list" if winner == "density" else "density"
+        assert sides[winner].area <= sides[loser].area
+        assert (sides[winner].area == sides[loser].area) == \
+            (bound == 10)
+        # the two sides are different designs, so the pick is visible
+        assert sides[winner].schedule.starts != sides[loser].schedule.starts
+        for cache in (True, False):
+            engine = EvaluationEngine(cache=cache)
+            got = engine.evaluate(graph, smallest, bound)
+            assert evaluation_fingerprint(got) == \
+                evaluation_fingerprint(sides[winner])
+            assert engine.stats.bindings == 1
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("area_model", AREA_MODELS)
+    def test_zero_delay_op_matches_the_reference(self, area_model,
+                                                  scheduler):
+        graph, allocation = zero_delay_case()
+        for slack in (0, 1, 3):
+            cached = EvaluationEngine(scheduler=scheduler)
+            reference = EvaluationEngine(scheduler=scheduler, cache=False)
+            bound = cached.min_latency(graph, allocation) + slack
+            got = cached.evaluate(graph, allocation, bound, area_model)
+            assert got is not None
+            assert evaluation_fingerprint(got) == evaluation_fingerprint(
+                reference.evaluate(graph, allocation, bound, area_model))
+            assert got.area == total_area(got.binding, area_model)
 
 
 class TestParallelSweep:

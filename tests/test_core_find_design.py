@@ -7,7 +7,7 @@ import pytest
 from repro.bench import diffeq, ewf, fir16
 from repro.dfg import DFGBuilder, layered_dag, random_dag
 from repro.errors import NoSolutionError, ReproError
-from repro.hls.metrics import AREA_MODELS
+from repro.hls.metrics import AREA_INSTANCES, AREA_MODELS
 from repro.library import paper_library
 from repro.core import EvaluationEngine, find_design
 from repro.core.evaluate import _area_lower_bound, _pool_work
@@ -207,6 +207,19 @@ class TestSearchAchievements:
                         graph, smallest, bound, area_model).area < listed.area
         # the density scan still runs, and sometimes wins
         assert fallbacks >= 1 and beaten >= 1
+
+    def test_fallback_binds_each_design_once(self, lib):
+        # the list realization is above the work bound here, so the
+        # full evaluation runs after the list-only one: the list
+        # design is bound once (by the list-only call) and the density
+        # winner once, and the full evaluation binds nothing it drops
+        graph = layered_dag(4, 3, seed=117)
+        engine = EvaluationEngine()
+        achieved = search_achievements(graph, lib, 1, AREA_INSTANCES,
+                                       engine=engine)
+        assert engine.stats.requests == 2
+        assert engine.stats.bindings == 2
+        assert achieved["area"] == 3
 
 
 class TestPolicies:

@@ -418,7 +418,8 @@ class TestEngineImplEquivalence:
 
         for name in ("base_timing", "fast_density_schedule",
                      "fast_list_schedule", "prepare_list_state",
-                     "list_probe_latency", "fast_time_frames",
+                     "list_probe_latency", "placed_schedule",
+                     "fast_time_frames",
                      "fast_asap_latency"):
             monkeypatch.setattr(fastsched, name, forbidden)
         # the latency loop runs victim selection too: Ld 6 is below
