@@ -13,39 +13,34 @@ work is answered from memory, while staying *behaviourally identical*
 to the uncached algorithms (the test suite asserts byte-identical
 ``DesignResult``\\ s with the cache on and off).
 
+A realization is costed one way.  The allocation's version pools are
+grouped once (:class:`_Pools`), and every candidate schedule — each
+latency the density scan visits, and the list schedule from its
+probe's placements — is priced by one exact lane count
+(:func:`_lane_area`, the left-edge binder's lane count without the
+binder).  Only the list-vs-density winner (density on a tie) is built
+and bound, so a realization binds one design.  The scan
+(:meth:`EvaluationEngine._scan`) visits only latencies that can still
+win: it skips a latency whose work-conservation area bound is strictly
+above the best area so far or, under ``"auto"``, the list
+realization's area (computed first), and stops once the best area is
+at most the bound at the latency bound.  Ascending order and "first
+minimum wins" are kept.  Skipped latencies count in
+``EngineStats.density_pruned``.
+
 Cache layers, from coarse to fine:
 
 ``evaluation``
     ``(graph, allocation, bound, area model, scheduler, stop_at_area)``
     → the final :class:`~repro.core.evaluate.Evaluation`.  Exact-key
     memo; hits skip all scheduling.
-``density point``
-    ``(graph, allocation, latency)`` → one density schedule + binding
-    (``None`` when the latency is infeasible).  A scan costs the
-    latencies it visits with lane counts (:func:`_scan_area`); the list
-    realization is costed the same way from its probe's placements, and
-    a realization binds one design, the list-vs-density winner (density
-    on a tie).  A density winner is bound and stored here; a scan
-    whose best point loses to the list realization stores nothing.
-    Because the density realization at
-    bound ``L`` is the min-area point of the scan over
-    ``[critical, L]``, a winner found at a looser bound is reusable at
-    any tighter bound it fits: the tighter scan is a prefix of the
-    looser one.
-    The scan (:meth:`EvaluationEngine._scan`) visits only latencies
-    that can still win: it skips a latency whose work-conservation
-    area bound is strictly above the best area so far or, under
-    ``"auto"``, the list realization's area (computed first), and
-    stops once the best area is at most the bound at ``L``.  Ascending
-    order and "first minimum wins" are kept, so a density-only scan
-    at a tighter bound still visits a prefix of the looser one's
-    points.  Skipped latencies count in ``EngineStats.density_pruned``.
 ``schedule point``
     ``(graph, delays, latency)`` → one density schedule (``None`` when
     the latency is infeasible).  Schedules depend only on the
     per-operation delays, so allocations that differ only in area or
-    reliability share them; each allocation is bound onto a shared
-    schedule with a full left-edge pass.
+    reliability share them, and a scan at one bound reuses the points
+    a scan at another bound visited; each allocation is costed on a
+    shared schedule by its own lane count.
 ``probe``
     ``(graph, allocation, counts)`` → one list-schedule probe's latency
     (an int: the count-driven list realization reads nothing else from
@@ -128,12 +123,12 @@ import struct
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from heapq import heappush, heapreplace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dfg.compiled import compile_graph
 from repro.dfg.graph import DataFlowGraph
-from repro.errors import BindingError, CacheError, ReproError, SchedulingError
+from repro.errors import CacheError, ReproError, SchedulingError
 from repro.hls import fastsched
 from repro.hls.binding import Binding, left_edge_bind
 from repro.hls.density import density_schedule
@@ -149,7 +144,6 @@ from repro.core.evaluate import (
     Evaluation,
     _area_lower_bound,
     _count_lower_bounds,
-    _pool_work,
 )
 from repro.core.victims import select_latency_victim
 
@@ -158,63 +152,61 @@ from repro.core.victims import select_latency_victim
 _CODE_TYPECODE = "I"
 
 
-def _scan_area(schedule: Schedule,
-               allocation: Mapping[str, ResourceVersion],
-               area_model: str) -> Optional[int]:
+class _Pools:
+    """The version pools of one allocation, grouped once per
+    realization: every operation allocated one version name, as the
+    binder groups them, in first-use (compiled op) order."""
+
+    __slots__ = ("work", "lanes", "delays")
+
+    def __init__(self, record: _GraphRecord,
+                 allocation: Mapping[str, ResourceVersion]):
+        versions = record.compiled.gather(allocation)
+        ids = record.compiled.op_ids
+        members: Dict[str, List[int]] = {}
+        busy: Dict[str, int] = {}
+        unit: Dict[str, int] = {}
+        for i, version in enumerate(versions):
+            members.setdefault(version.name, []).append(i)
+            busy[version.name] = busy.get(version.name, 0) + version.delay
+            unit[version.name] = version.area  # the last one in op order
+        #: name -> (busy cycles, unit area): the form of
+        #: :func:`~repro.core.evaluate._pool_work`
+        self.work: Dict[str, Tuple[int, int]] = {
+            name: (cycles, unit[name]) for name, cycles in busy.items()}
+        #: (unit area, op indices in op id order) per pool
+        self.lanes: List[Tuple[int, List[int]]] = [
+            (unit[name], sorted(ops, key=ids.__getitem__))
+            for name, ops in members.items()]
+        self.delays: Tuple[int, ...] = tuple(v.delay for v in versions)
+
+
+def _lane_area(pools: _Pools, starts: Sequence[int], area_model: str) -> int:
     """``total_area(left_edge_bind(schedule, allocation), area_model)``
-    without running the binder.
+    of the schedule with *starts* (in compiled op order), without
+    running the binder.
 
-    Left-edge packing is lane-minimal on interval graphs, so under the
-    instance model each version pool occupies exactly (max step
-    overlap) instances (:func:`_peak_area`).  That identity needs every
-    interval non-empty: a zero-delay operation's empty interval may or
-    may not open a lane depending on pack order, so its presence
-    returns ``None`` and the caller binds for real.  The version model
-    is schedule-independent (distinct versions used) and always
-    answered.
-
-    The density scan costs the latencies it visits with this, and the
-    uncached engine its list realization, so a realization binds only
-    the one design it returns.
+    Each pool is packed in the binder's ``(start, op id)`` order onto a
+    min-heap of lane finish steps: an operation takes a lane when the
+    earliest finish is at most its start, and opens one otherwise.  A
+    lane free at one start is free at every later start, so which free
+    lane the binder picks never changes a later decision, and the lane
+    count is the binder's exactly, zero-delay operations included.  The
+    version model sums the pools' unit areas, whatever the schedule.
     """
-    pools: Dict[str, List[str]] = {}
-    versions: Dict[str, ResourceVersion] = {}
-    for op in schedule.graph:
-        version = allocation.get(op.op_id)
-        if version is None:
-            raise BindingError(f"operation {op.op_id!r} has no allocation")
-        pools.setdefault(version.name, []).append(op.op_id)
-        versions[version.name] = version
     if area_model == AREA_VERSIONS:
-        return sum(version.area for version in versions.values())
-    starts, delays = schedule.starts, schedule.delays
-    return _peak_area(
-        (versions[name].area, [(starts[op_id], delays[op_id])
-                               for op_id in ops])
-        for name, ops in pools.items())
-
-
-def _peak_area(pools: Iterable[Tuple[int, List[Tuple[int, int]]]]
-               ) -> Optional[int]:
-    """Instance-model area of version *pools*, each a ``(unit area,
-    [(start, delay), ...])`` pair: unit area times the peak number of
-    overlapping busy intervals ``[start, start + delay)``, summed, or
-    ``None`` when a delay is zero (see :func:`_scan_area`)."""
+        return sum(unit for unit, _ in pools.lanes)
+    delays = pools.delays
     area = 0
-    for unit, spans in pools:
-        events = []
-        for start, delay in spans:
-            if delay == 0:
-                return None
-            events.append((start, 1))
-            events.append((start + delay, -1))
-        events.sort()  # at equal steps, departures (-1) precede arrivals
-        lanes = running = 0
-        for _, change in events:
-            running += change
-            if running > lanes:
-                lanes = running
-        area += lanes * unit
+    for unit, ops in pools.lanes:
+        finish: List[int] = []
+        for i in sorted(ops, key=starts.__getitem__):  # stable: op ids
+            start = starts[i]
+            if finish and finish[0] <= start:
+                heapreplace(finish, start + delays[i])
+            else:
+                heappush(finish, start + delays[i])
+        area += unit * len(finish)
     return area
 
 
@@ -225,7 +217,6 @@ class EngineStats:
     requests: int = 0             # evaluate() calls
     hits: int = 0                 # exact evaluation-memo hits
     density_points: int = 0       # density latencies examined
-    density_hits: int = 0         # ... served from the point cache
     density_pruned: int = 0       # density latencies the bound skipped
     density_schedules: int = 0    # density_schedule executions
     schedule_reuses: int = 0      # density schedules shared via delays key
@@ -279,8 +270,7 @@ class EngineStats:
             f"  schedules run         : {self.schedules_run}"
             f" (density {self.density_schedules}, list {self.list_schedules})",
             f"  density points        : {self.density_points}"
-            f" (cache hits {self.density_hits},"
-            f" pruned {self.density_pruned})",
+            f" (pruned {self.density_pruned})",
             f"  list probes cached    : {self.list_probe_hits} hits",
             f"  bindings run          : {self.bindings}"
             f" (schedules shared {self.schedule_reuses})",
@@ -351,7 +341,6 @@ class EvaluationEngine:
     #: Fraction of ``max_entries`` each cache layer may hold.
     LAYER_SHARES: Dict[str, float] = {
         "evaluations": 0.15,   # exact evaluate() memo
-        "density": 0.25,       # per-(allocation, latency) density points
         "schedules": 0.10,     # delays-keyed density schedules
         "probes": 0.29,        # list-schedule probes
         "timing": 0.10,        # ASAP starts / critical-path latencies
@@ -389,7 +378,6 @@ class EvaluationEngine:
             name: max(1, int(max_entries * share))
             for name, share in self.LAYER_SHARES.items()}
         self._evaluations = self._layers["evaluations"]
-        self._density = self._layers["density"]
         self._schedules = self._layers["schedules"]
         self._list_probes = self._layers["probes"]
         self._timing_cache = self._layers["timing"]
@@ -608,6 +596,7 @@ class EvaluationEngine:
         """
         area_model = area_model if area_model is not None else self.area_model
         scheduler = scheduler if scheduler is not None else self.scheduler
+        check_area_model(area_model)
         if scheduler not in SCHEDULERS:
             raise ReproError(
                 f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}")
@@ -669,19 +658,22 @@ class EvaluationEngine:
                  stop_at_area, scheduler):
         """Minimum-area realization under *scheduler*.
 
-        Each side yields an unbound ``(area, realize)`` candidate; only
-        the winner's ``realize()`` runs, so a realization binds one
+        The allocation's version pools are grouped once (:class:`_Pools`)
+        and every candidate is costed from them by :func:`_lane_area`.
+        Each side yields an ``(area, build)`` candidate; only the
+        winner's schedule is built and bound, so a realization binds one
         design.  The list realization runs first so that, under
         ``"auto"``, its area caps the density scan; density wins ties.
         """
+        pools = _Pools(record, allocation)
         density = listed = None
         if scheduler in ("auto", "list"):
             listed = self._list_best(graph, record, signature, allocation,
-                                     latency_bound, area_model)
+                                     pools, latency_bound, area_model)
         if scheduler in ("auto", "density"):
             density = self._density_best(
-                graph, record, signature, allocation, delays, delays_key,
-                critical, latency_bound, area_model, stop_at_area,
+                graph, record, delays, delays_key, pools, critical,
+                latency_bound, area_model, stop_at_area,
                 None if listed is None else listed[0])
         winner = listed
         if density is not None and (listed is None
@@ -689,37 +681,39 @@ class EvaluationEngine:
             winner = density
         if winner is None:
             return None
-        area, realize = winner
-        schedule, binding = realize()
+        area, build = winner
+        schedule = build()
+        binding = self._bind(schedule, allocation)
+        assert total_area(binding, area_model) == area
         return Evaluation(schedule, binding, schedule.latency, area)
 
     # -- density -------------------------------------------------------
-    def _density_best(self, graph, record, signature, allocation, delays,
-                      delays_key, critical, latency_bound, area_model,
-                      stop_at_area, ceiling):
+    def _density_best(self, graph, record, delays, delays_key, pools,
+                      critical, latency_bound, area_model, stop_at_area,
+                      ceiling):
         """Slack exploitation (Figure 6, lines 15–21): the first
         minimum-area density point over ``[critical, latency_bound]``,
-        as an unbound ``(area, realize)`` candidate (``None`` when no
-        latency is feasible or none can reach *ceiling*).
+        as an ``(area, build)`` candidate (``None`` when no latency is
+        feasible or none can reach *ceiling*).
 
         Scanned by :meth:`_scan`, capped by *ceiling* (the list
         realization's area), unless *stop_at_area* is set: then every
         latency is visited in order until an area at most
-        *stop_at_area* turns up.  Visited points are costed by
-        :meth:`_density_point` without binding.  ``realize()`` binds
-        the best point, if the point cache did not bring it bound, and
-        caches it for later scans at other bounds; it runs only when
-        density wins the realization.
+        *stop_at_area* turns up.  Each visited point is a schedule from
+        the delays-keyed layer, costed by :func:`_lane_area`.
         """
         def point(latency):
-            return self._density_point(graph, record, signature, allocation,
-                                       delays, delays_key, latency,
-                                       area_model)
+            self.stats.density_points += 1
+            schedule = self._schedule(graph, record, delays, delays_key,
+                                      latency)
+            if schedule is None:
+                return None
+            starts = record.compiled.gather(schedule.starts)
+            return _lane_area(pools, starts, area_model), schedule
 
         if stop_at_area is None:
-            best = self._scan(critical, latency_bound,
-                              _pool_work(graph, allocation), area_model,
-                              ceiling, point)
+            best = self._scan(critical, latency_bound, pools.work,
+                              area_model, ceiling, point)
         else:
             best = None
             for latency in range(critical, latency_bound + 1):
@@ -732,26 +726,17 @@ class EvaluationEngine:
                     break
         if best is None:
             return None
-        area, latency, pair = best
-        if pair[1] is not None:
-            return area, lambda: pair
-
-        def realize():
-            bound = self._bound(pair[0], allocation, area, area_model)
-            if self.cache_enabled:
-                self._store("density", (record.key, signature, latency),
-                            bound)
-            return bound
-
-        return area, realize
+        area, _, schedule = best
+        return area, lambda: schedule
 
     def _scan(self, critical, latency_bound, pools, area_model, ceiling,
               point):
         """The ascending latency scan, pruned by the area lower bound.
 
-        Returns the first minimum-area ``(area, latency, payload)`` of
-        ``point(latency) -> (area, payload)`` (``None`` when the latency
-        is infeasible) over ``[critical, latency_bound]``, or ``None``.
+        Returns the first minimum-area ``(area, latency, schedule)`` of
+        ``point(latency) -> (area, schedule)`` (``None`` when the
+        latency is infeasible) over ``[critical, latency_bound]``, or
+        ``None``.
         A latency whose :func:`~repro.core.evaluate._area_lower_bound`
         is strictly above the cap — the best area so far, or the
         *ceiling* when smaller — is skipped: its point could neither
@@ -781,39 +766,6 @@ class EvaluationEngine:
                 best = (costed[0], latency, costed[1])
                 cap = min(cap, costed[0])
         return best
-
-    def _density_point(self, graph, record, signature, allocation, delays,
-                       delays_key, latency, area_model
-                       ) -> Optional[Tuple[int, Tuple[Schedule,
-                                                      Optional[Binding]]]]:
-        """``(area, (schedule, binding))`` of the density point at
-        *latency*, or ``None`` when the latency is infeasible.
-
-        A cached point comes bound.  A fresh schedule is costed with
-        :func:`_scan_area` and its binding left ``None`` (the scan binds
-        its winner only); when that cannot answer (a zero-delay
-        operation) the point is bound now, and the pair cached.
-        """
-        self.stats.density_points += 1
-        key = (record.key, signature, latency)
-        pair = _MISSING
-        if self.cache_enabled:
-            pair = self._density.get(key, _MISSING)
-            if pair is not _MISSING:
-                self.stats.density_hits += 1
-        if pair is _MISSING:
-            schedule = self._schedule(graph, record, delays, delays_key,
-                                      latency)
-            if schedule is not None:
-                area = _scan_area(schedule, allocation, area_model)
-                if area is not None:
-                    return area, (schedule, None)
-            pair = None if schedule is None \
-                else (schedule, self._bind(schedule, allocation))
-            if self.cache_enabled:
-                self._store("density", key, pair)
-        return None if pair is None \
-            else (total_area(pair[1], area_model), pair)
 
     def _schedule(self, graph, record, delays, delays_key, latency
                   ) -> Optional[Schedule]:
@@ -849,35 +801,24 @@ class EvaluationEngine:
         self.stats.bindings += 1
         return left_edge_bind(schedule, allocation)
 
-    def _bound(self, schedule, allocation, area, area_model
-               ) -> Tuple[Schedule, Binding]:
-        """``(schedule, binding)`` of a winner costed at *area*."""
-        binding = self._bind(schedule, allocation)
-        assert total_area(binding, area_model) == area
-        return schedule, binding
-
     # -- list ----------------------------------------------------------
-    def _list_best(self, graph, record, signature, allocation, latency_bound,
-                   area_model):
+    def _list_best(self, graph, record, signature, allocation, pools,
+                   latency_bound, area_model):
         """Count-driven list realization (see evaluate.py's docstring)
-        as an unbound ``(area, realize)`` candidate, or ``None``.
+        as an ``(area, build)`` candidate, or ``None``.
 
         Every probe is served through the probe cache and yields a
         latency only; the top-of-loop probe, the only one that can
         become final, also records its placements (re-run with
-        recording when the probe cache answered it).  The area is the
-        per-pool peak overlap of those placements (:func:`_peak_area`,
-        the identity :func:`_scan_area` uses), and ``realize()`` builds
-        the schedule (:func:`~repro.hls.fastsched.placed_schedule`) and
-        binds it, so a realization that density wins builds neither.
-        The uncached engine runs the reference :func:`list_schedule`
-        for the final counts and costs it with :func:`_scan_area`.  A
-        zero-delay operation leaves the area unanswered; the schedule
-        is then bound at once.
+        recording when the probe cache answered it).  Those placements
+        are costed by :func:`_lane_area`, and ``build()`` turns them
+        into the schedule (:func:`~repro.hls.fastsched.placed_schedule`),
+        so a realization that density wins builds none.  The uncached
+        engine runs the reference :func:`list_schedule` for the final
+        counts and costs that.
         """
-        unit_area = {allocation[op.op_id].name: allocation[op.op_id].area
-                     for op in graph}
-        counts = _count_lower_bounds(graph, allocation, latency_bound)
+        unit_area = {name: unit for name, (_, unit) in pools.work.items()}
+        counts = _count_lower_bounds(pools.work, latency_bound)
         max_rounds = sum(counts.values()) + len(graph)
         for _ in range(max_rounds):
             placed: List[Tuple[int, int]] = []
@@ -898,40 +839,20 @@ class EvaluationEngine:
             counts[best_name] += 1
         else:
             return None
-        return self._list_candidate(graph, record, signature, allocation,
-                                    counts, placed, unit_area, area_model)
-
-    def _list_candidate(self, graph, record, signature, allocation, counts,
-                        placed, unit_area, area_model):
-        """The ``(area, realize)`` candidate of the list schedule under
-        the final *counts*, whose probe recorded *placed* (empty after
-        a probe-cache hit, and always on the uncached engine)."""
         if self.cache_enabled:
             state = self._list_state(graph, record, signature, allocation)
             if not placed:  # a probe-cache hit recorded nothing
                 fastsched.list_probe_latency(state, tuple(counts.values()),
                                              placed=placed)
-            if area_model == AREA_VERSIONS:
-                area = sum(unit_area.values())
-            else:
-                spans: List[List[Tuple[int, int]]] = [[] for _ in state.pools]
-                pool, d = state.pool, state.d
-                for r, start in placed:
-                    spans[pool[r]].append((start, d[r]))
-                area = _peak_area(zip(map(unit_area.__getitem__,
-                                          state.pools), spans))
+            starts = [0] * record.n_ops
+            for r, step in placed:
+                starts[state.order[r]] = step
             build = partial(fastsched.placed_schedule, graph, state, placed)
         else:
             reference = list_schedule(graph, allocation, counts)
-            area = _scan_area(reference, allocation, area_model)
+            starts = record.compiled.gather(reference.starts)
             build = lambda: reference
-        if area is None:  # a zero-delay op: bind now for the true area
-            schedule = build()
-            binding = self._bind(schedule, allocation)
-            return (total_area(binding, area_model),
-                    lambda: (schedule, binding))
-        return area, lambda: self._bound(build(), allocation, area,
-                                         area_model)
+        return _lane_area(pools, starts, area_model), build
 
     def _list_state(self, graph, record, signature, allocation
                     ) -> fastsched.ListState:

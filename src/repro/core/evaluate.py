@@ -82,12 +82,12 @@ def _pool_work(graph: DataFlowGraph,
     return {name: (cycles, unit_area[name]) for name, cycles in busy.items()}
 
 
-def _count_lower_bounds(graph: DataFlowGraph,
-                        allocation: Mapping[str, ResourceVersion],
+def _count_lower_bounds(pools: Mapping[str, Tuple[int, int]],
                         latency_bound: int) -> Dict[str, int]:
-    """Work-conservation lower bound on instances per version."""
+    """Work-conservation lower bound on instances per version, from
+    :func:`_pool_work`'s *pools*."""
     return {name: max(1, math.ceil(cycles / latency_bound))
-            for name, (cycles, _) in _pool_work(graph, allocation).items()}
+            for name, (cycles, _) in pools.items()}
 
 
 def _area_lower_bound(pools: Mapping[str, Tuple[int, int]], latency: int,

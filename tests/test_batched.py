@@ -13,8 +13,10 @@ paths and assert exact agreement.
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import diffeq, ewf, fir16, get_benchmark
 from repro.dfg import random_dag
@@ -33,8 +35,9 @@ from repro.hls import (
 from repro.hls import fastsched
 from repro.hls.fastsched import base_timing
 from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS
+from repro.hls.schedule import Schedule
 from repro.core import EvaluationEngine, evaluate_allocations, find_design
-from repro.core.engine import _scan_area
+from repro.core.engine import _GraphRecord, _lane_area, _Pools
 from repro.experiments import paper_data
 from repro.library import paper_library
 
@@ -289,7 +292,46 @@ class TestEvaluateBatch:
             == [None, None, None]
 
 
+@dataclass(frozen=True)
+class LaneVersion:
+    """The fields binding and the lane count read from a version,
+    without :class:`ResourceVersion`'s positive-delay check."""
+
+    name: str
+    area: int
+    delay: int
+
+
+@st.composite
+def lane_pools(draw):
+    """A graph of independent ops, one allocation and their starts:
+    few pools and steps, so equal starts are common, zero delays
+    allowed, same-named versions of different areas, and op ids whose
+    order is not the insertion order (``"op10" < "op2"``)."""
+    n = draw(st.integers(1, 14))
+    graph = DataFlowGraph("lanes")
+    allocation, starts = {}, {}
+    for i in draw(st.permutations(range(n))):
+        op_id = f"op{i}"
+        graph.add_operation(Operation(op_id, "add", "add"))
+        allocation[op_id] = LaneVersion(
+            f"v{draw(st.integers(0, 2))}", draw(st.integers(1, 5)),
+            draw(st.integers(0, 3)))
+        starts[op_id] = draw(st.integers(0, 4))
+    return graph, allocation, starts
+
+
+def lane_area_of(graph, schedule, allocation, model):
+    """:func:`_lane_area` of *schedule*, through the engine's pools."""
+    record = _GraphRecord(graph, 0)
+    return _lane_area(_Pools(record, allocation),
+                      record.compiled.gather(schedule.starts), model)
+
+
 class TestScanArea:
+    """The area scan of a realization: the lane count on benchmark
+    schedules and on zero-delay operations."""
+
     def test_matches_binder_on_benches(self):
         for bench in BENCHES:
             graph = bench()
@@ -300,21 +342,40 @@ class TestScanArea:
                 schedule = fast_density_schedule(graph, delays, latency)
                 binding = left_edge_bind(schedule, allocation)
                 for model in (AREA_INSTANCES, AREA_VERSIONS):
-                    assert _scan_area(schedule, allocation, model) \
+                    assert lane_area_of(graph, schedule, allocation, model) \
                         == total_area(binding, model), (graph.name, model)
 
     def test_zero_delay_returns_none_under_instances(self):
-        # library versions always have positive delay, but schedules
-        # from other frontends may carry zero-delay operations; the
-        # scan must refuse the lane-count identity there
+        # schedules from other frontends may carry zero-delay
+        # operations; the scan once refused them under instances with
+        # None, and the lane count now answers them exactly: a
+        # zero-delay op still takes a lane, as the binder gives it one
         graph = DataFlowGraph("z")
         graph.add_operation(Operation("a", "read", "add"))
-        version = paper_library().versions_of("add")[0]
-        allocation = {"a": version}
-        schedule = fast_density_schedule(graph, {"a": 0}, 1)
-        assert _scan_area(schedule, allocation, AREA_INSTANCES) is None
-        assert _scan_area(schedule, allocation, AREA_VERSIONS) \
-            == version.area
+        graph.add_operation(Operation("b", "read", "add"))
+        version = LaneVersion("add0", 3, 0)
+        allocation = {"a": version, "b": version}
+        schedule = Schedule(graph, {"a": 0, "b": 0}, {"a": 0, "b": 0})
+        binding = left_edge_bind(schedule, allocation)
+        for model in (AREA_INSTANCES, AREA_VERSIONS):
+            area = lane_area_of(graph, schedule, allocation, model)
+            assert area is not None
+            assert area == total_area(binding, model) == version.area
+
+
+class TestLaneArea:
+    @settings(max_examples=300, deadline=None)
+    @given(case=lane_pools())
+    def test_matches_the_binder(self, case):
+        graph, allocation, starts = case
+        schedule = Schedule(graph, starts,
+                            {o: v.delay for o, v in allocation.items()})
+        binding = left_edge_bind(schedule, allocation)
+        record = _GraphRecord(graph, 0)
+        pools = _Pools(record, allocation)
+        for model in (AREA_INSTANCES, AREA_VERSIONS):
+            assert _lane_area(pools, record.compiled.gather(starts), model) \
+                == total_area(binding, model), model
 
 
 class TestFindDesignBatchedParity:

@@ -87,11 +87,14 @@ class TestRoundTrip:
         assert off.cache_size() == 0
 
     def test_unknown_layers_are_skipped(self, warm_engine):
-        snapshot = snapshot_engine(warm_engine)
-        snapshot.layers["hologram"] = {("g",): object()}
-        fresh = EvaluationEngine()
-        assert merge_snapshot(fresh, snapshot) > 0
-        assert "hologram" not in fresh.layer_sizes()
+        # "density": a layer that older snapshots carry and the engine
+        # no longer has
+        for name in ("hologram", "density"):
+            snapshot = snapshot_engine(warm_engine)
+            snapshot.layers[name] = {("g",): object()}
+            fresh = EvaluationEngine()
+            assert merge_snapshot(fresh, snapshot) > 0
+            assert name not in fresh.layer_sizes()
 
 
 class TestRejection:
@@ -159,7 +162,7 @@ class TestRejection:
         # *file* can still carry garbage layers, which must surface as
         # CacheError (catchable by the CLI/worker nets), not TypeError
         snapshot = cache_store.loads(  # file format itself is valid
-            self._payload_bytes(layers={"density": [1, 2]}))
+            self._payload_bytes(layers={"schedules": [1, 2]}))
         with pytest.raises(CacheError, match="malformed layer"):
             merge_snapshot(EvaluationEngine(), snapshot)
 

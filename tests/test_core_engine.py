@@ -267,6 +267,18 @@ class TestCacheBehaviour:
         with pytest.raises(ReproError):
             EvaluationEngine(area_model="magic")
 
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_unknown_area_model_fails_before_any_work(self, lib, cache):
+        graph = diffeq()
+        allocation = {op.op_id: lib.fastest_smallest(op.rtype)
+                      for op in graph}
+        engine = EvaluationEngine(cache=cache)
+        with pytest.raises(ReproError, match="area model"):
+            engine.evaluate(graph, allocation, 7, area_model="bogus")
+        stats = engine.stats
+        assert stats.density_schedules == stats.list_schedules \
+            == stats.bindings == 0
+
 
 class TestListTieBreak:
     """The count-increment loop breaks probe ties by
@@ -433,8 +445,6 @@ class TestOneBindingPerRealization:
             for allocation, bound in requests:  # memo hits bind nothing
                 cached.evaluate(graph, allocation, bound)
             assert cached.stats.hits == len(requests)
-            # one bound per allocation: no density point is reused
-            assert cached.stats.density_hits == 0
             assert cached.stats.bindings == realized, graph.name
 
     # layered_dag(4, 3, seed=117) under its smallest versions, critical

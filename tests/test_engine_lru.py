@@ -49,7 +49,7 @@ class TestEngineLayerBounds:
         assert engine._layers["paths"][0] == "extended"
 
     def test_none_values_are_cacheable(self, lib):
-        # evaluation/density/schedules layers legitimately memoize None
+        # evaluation/schedules layers legitimately memoize None
         # (infeasible): a cached None must answer without recomputation
         engine = EvaluationEngine()
         graph = diffeq()
