@@ -18,15 +18,22 @@ grouped once (:class:`_Pools`), and every candidate schedule — each
 latency the density scan visits, and the list schedule from its
 probe's placements — is priced by one exact lane count
 (:func:`_lane_area`, the left-edge binder's lane count without the
-binder).  Only the list-vs-density winner (density on a tie) is built
-and bound, so a realization binds one design.  The scan
-(:meth:`EvaluationEngine._scan`) visits only latencies that can still
-win: it skips a latency whose work-conservation area bound is strictly
-above the best area so far or, under ``"auto"``, the list
+binder).  Only the list-vs-density winner (density on a tie) is built,
+and it is bound only when its binding is first read
+(:class:`~repro.core.evaluate.Evaluation`): a search reads the area of
+almost every candidate and the binding of its incumbents alone.  The
+scan (:meth:`EvaluationEngine._scan`) visits only latencies that can
+still win: it skips a latency whose work-conservation area bound is
+strictly above the best area so far or, under ``"auto"``, the list
 realization's area (computed first), and stops once the best area is
 at most the bound at the latency bound.  Ascending order and "first
 minimum wins" are kept.  Skipped latencies count in
-``EngineStats.density_pruned``.
+``EngineStats.density_pruned``.  On a cached engine under the
+instances model, a visited point's solve is also *capped* by that
+cap: it stops as soon as the lanes its pinned operations already
+force (:func:`~repro.hls.fastsched.pinned_area`) are strictly above
+it, since such a point could neither be the scan's minimum nor beat
+the list realization.  Stopped solves count in ``EngineStats.density_aborts``.
 
 Cache layers, from coarse to fine:
 
@@ -36,11 +43,15 @@ Cache layers, from coarse to fine:
     memo; hits skip all scheduling.
 ``schedule point``
     ``(graph, delays, latency)`` → one density schedule (``None`` when
-    the latency is infeasible).  Schedules depend only on the
-    per-operation delays, so allocations that differ only in area or
-    reliability share them, and a scan at one bound reuses the points
-    a scan at another bound visited; each allocation is costed on a
-    shared schedule by its own lane count.
+    the latency is infeasible), or the placement prefix (op id →
+    start) of a capped solve that stopped.  Schedules depend only on
+    the per-operation delays, so allocations that differ only in area
+    or reliability share them, and a scan at one bound reuses the
+    points a scan at another bound visited; each allocation is costed
+    on a shared schedule by its own lane count.  A prefix answers a
+    later capped request when its pinned lanes, on that request's
+    pools, exceed that request's cap; otherwise the point is solved
+    again and the entry replaced.  Snapshots leave prefixes out.
 ``probe``
     ``(graph, allocation, counts)`` → one list-schedule probe's latency
     (an int: the count-driven list realization reads nothing else from
@@ -130,10 +141,9 @@ from repro.dfg.compiled import compile_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import CacheError, ReproError, SchedulingError
 from repro.hls import fastsched
-from repro.hls.binding import Binding, left_edge_bind
 from repro.hls.density import density_schedule
 from repro.hls.listsched import list_schedule
-from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS, total_area
+from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS
 from repro.hls.schedule import Schedule
 from repro.hls.timing import asap_starts
 from repro.library.library import ResourceLibrary
@@ -157,27 +167,34 @@ class _Pools:
     realization: every operation allocated one version name, as the
     binder groups them, in first-use (compiled op) order."""
 
-    __slots__ = ("work", "lanes", "delays")
+    __slots__ = ("work", "lanes", "pool", "units", "versions", "delays")
 
     def __init__(self, record: _GraphRecord,
                  allocation: Mapping[str, ResourceVersion]):
         versions = record.compiled.gather(allocation)
         ids = record.compiled.op_ids
-        members: Dict[str, List[int]] = {}
-        busy: Dict[str, int] = {}
-        unit: Dict[str, int] = {}
-        for i, version in enumerate(versions):
-            members.setdefault(version.name, []).append(i)
-            busy[version.name] = busy.get(version.name, 0) + version.delay
-            unit[version.name] = version.area  # the last one in op order
+        index: Dict[str, int] = {}
+        #: the pool index of every op
+        self.pool: List[int] = [index.setdefault(version.name, len(index))
+                                for version in versions]
+        members: List[List[int]] = [[] for _ in index]
+        busy = [0] * len(index)
+        #: the unit area of every pool: its last version in op order
+        self.units: List[int] = [0] * len(index)
+        for i, (p, version) in enumerate(zip(self.pool, versions)):
+            members[p].append(i)
+            busy[p] += version.delay
+            self.units[p] = version.area
         #: name -> (busy cycles, unit area): the form of
         #: :func:`~repro.core.evaluate._pool_work`
         self.work: Dict[str, Tuple[int, int]] = {
-            name: (cycles, unit[name]) for name, cycles in busy.items()}
+            name: (busy[p], self.units[p]) for name, p in index.items()}
         #: (unit area, op indices in op id order) per pool
         self.lanes: List[Tuple[int, List[int]]] = [
-            (unit[name], sorted(ops, key=ids.__getitem__))
-            for name, ops in members.items()]
+            (unit, sorted(ops, key=ids.__getitem__))
+            for unit, ops in zip(self.units, members)]
+        #: the allocated version of every op
+        self.versions: Tuple[ResourceVersion, ...] = versions
         self.delays: Tuple[int, ...] = tuple(v.delay for v in versions)
 
 
@@ -218,7 +235,8 @@ class EngineStats:
     hits: int = 0                 # exact evaluation-memo hits
     density_points: int = 0       # density latencies examined
     density_pruned: int = 0       # density latencies the bound skipped
-    density_schedules: int = 0    # density_schedule executions
+    density_schedules: int = 0    # density solves started
+    density_aborts: int = 0       # ... stopped by the scan's area cap
     schedule_reuses: int = 0      # density schedules shared via delays key
     list_schedules: int = 0       # list-schedule probes run
     list_probe_hits: int = 0      # probes served from the probe cache
@@ -270,7 +288,8 @@ class EngineStats:
             f"  schedules run         : {self.schedules_run}"
             f" (density {self.density_schedules}, list {self.list_schedules})",
             f"  density points        : {self.density_points}"
-            f" (pruned {self.density_pruned})",
+            f" (pruned {self.density_pruned},"
+            f" solves capped {self.density_aborts})",
             f"  list probes cached    : {self.list_probe_hits} hits",
             f"  bindings run          : {self.bindings}"
             f" (schedules shared {self.schedule_reuses})",
@@ -661,9 +680,11 @@ class EvaluationEngine:
         The allocation's version pools are grouped once (:class:`_Pools`)
         and every candidate is costed from them by :func:`_lane_area`.
         Each side yields an ``(area, build)`` candidate; only the
-        winner's schedule is built and bound, so a realization binds one
-        design.  The list realization runs first so that, under
-        ``"auto"``, its area caps the density scan; density wins ties.
+        winner's schedule is built, and the
+        :class:`~repro.core.evaluate.Evaluation` binds it only when its
+        binding is first read.  The list realization runs first so that,
+        under ``"auto"``, its area caps the density scan; density wins
+        ties.
         """
         pools = _Pools(record, allocation)
         density = listed = None
@@ -683,9 +704,9 @@ class EvaluationEngine:
             return None
         area, build = winner
         schedule = build()
-        binding = self._bind(schedule, allocation)
-        assert total_area(binding, area_model) == area
-        return Evaluation(schedule, binding, schedule.latency, area)
+        return Evaluation(schedule, None, schedule.latency, area,
+                          versions=pools.versions, area_model=area_model,
+                          stats=self.stats)
 
     # -- density -------------------------------------------------------
     def _density_best(self, graph, record, delays, delays_key, pools,
@@ -700,12 +721,18 @@ class EvaluationEngine:
         realization's area), unless *stop_at_area* is set: then every
         latency is visited in order until an area at most
         *stop_at_area* turns up.  Each visited point is a schedule from
-        the delays-keyed layer, costed by :func:`_lane_area`.
+        the delays-keyed layer, costed by :func:`_lane_area`.  A cached
+        engine under the instances model hands the scan's finite cap to
+        the solve, which stops once the point cannot reach it.
         """
-        def point(latency):
+        capped = self.cache_enabled and area_model == AREA_INSTANCES
+
+        def point(latency, cap=math.inf):
             self.stats.density_points += 1
-            schedule = self._schedule(graph, record, delays, delays_key,
-                                      latency)
+            schedule = self._schedule(
+                graph, record, delays, delays_key, latency,
+                (pools.pool, pools.units, cap)
+                if capped and cap != math.inf else None)
             if schedule is None:
                 return None
             starts = record.compiled.gather(schedule.starts)
@@ -734,16 +761,18 @@ class EvaluationEngine:
         """The ascending latency scan, pruned by the area lower bound.
 
         Returns the first minimum-area ``(area, latency, schedule)`` of
-        ``point(latency) -> (area, schedule)`` (``None`` when the
-        latency is infeasible) over ``[critical, latency_bound]``, or
-        ``None``.
-        A latency whose :func:`~repro.core.evaluate._area_lower_bound`
-        is strictly above the cap — the best area so far, or the
-        *ceiling* when smaller — is skipped: its point could neither
-        become the first minimum nor beat the list realization, which
-        density replaces only on a tie or better.  The bound never
-        grows with the latency, so once the best area is at most the
-        bound at *latency_bound* no later point can beat it and the
+        ``point(latency, cap) -> (area, schedule)`` over ``[critical,
+        latency_bound]``, or ``None``.  The cap is the best area so far,
+        or the *ceiling* when smaller (``math.inf`` before either
+        exists).  A latency whose
+        :func:`~repro.core.evaluate._area_lower_bound` is strictly above
+        the cap is skipped: its point could neither become the first
+        minimum nor beat the list realization, which density replaces
+        only on a tie or better.  For the same reason *point* may answer
+        ``None`` for a point it can tell lies strictly above the cap (a
+        capped solve), as it does for an infeasible latency.  The bound
+        never grows with the latency, so once the best area is at most
+        the bound at *latency_bound* no later point can beat it and the
         scan stops; when even the *ceiling* is below that bound, no
         point is visited.  Every latency not visited counts in
         ``EngineStats.density_pruned``.
@@ -761,45 +790,56 @@ class EvaluationEngine:
             if _area_lower_bound(pools, latency, area_model) > cap:
                 self.stats.density_pruned += 1
                 continue
-            costed = point(latency)
+            costed = point(latency, cap)
             if costed is not None and (best is None or costed[0] < best[0]):
                 best = (costed[0], latency, costed[1])
                 cap = min(cap, costed[0])
         return best
 
-    def _schedule(self, graph, record, delays, delays_key, latency
-                  ) -> Optional[Schedule]:
+    def _schedule(self, graph, record, delays, delays_key, latency,
+                  cap=None) -> Optional[Schedule]:
         """The delays-keyed density schedule at *latency* (memoized), or
-        ``None`` when the latency is infeasible.
+        ``None`` when the latency is infeasible or the point cannot fit
+        *cap*.
 
-        On the compiled core the latency-range scan warm-starts
-        across bounds for free: every bound's frames derive from one
-        memoized ASAP/tail pass (:func:`repro.hls.fastsched.
-        base_timing`), so only the placement loop runs per latency.
+        A *cap* (:data:`~repro.hls.fastsched.LaneCap`: the allocation's
+        pools and an area) lets the solve stop once its pinned lanes
+        exceed the area.  A stopped solve stores its placement prefix
+        under the same key; a later request replays the prefix's pinned
+        lanes on its own pools and cap, and solves again only when the
+        prefix fits them (an uncapped request always does).  On the
+        compiled core the latency-range scan warm-starts across bounds
+        for free: every bound's frames derive from one memoized
+        ASAP/tail pass (:func:`repro.hls.fastsched.base_timing`), so only
+        the placement loop runs per latency.
         """
         key = (record.key, delays_key, latency)
         if self.cache_enabled:
             cached = self._schedules.get(key, _MISSING)
-            if cached is not _MISSING:
+            if type(cached) is dict:  # a stopped solve's placement prefix
+                if cap is not None and fastsched.pinned_area(
+                        record.compiled, record.compiled.gather(delays),
+                        cached, cap[0], cap[1]) > cap[2]:
+                    self.stats.schedule_reuses += 1
+                    return None
+            elif cached is not _MISSING:
                 self.stats.schedule_reuses += 1
                 return cached
         try:
             self.stats.density_schedules += 1
             if self.cache_enabled:
-                schedule: Optional[Schedule] = \
-                    fastsched.fast_density_schedule(graph, delays, latency)
+                schedule = fastsched.fast_density_schedule(graph, delays,
+                                                           latency, cap)
             else:
                 schedule = density_schedule(graph, delays, latency)
         except SchedulingError:
             schedule = None
         if self.cache_enabled:
             self._store("schedules", key, schedule)
+        if type(schedule) is dict:
+            self.stats.density_aborts += 1
+            return None
         return schedule
-
-    def _bind(self, schedule: Schedule, allocation) -> Binding:
-        """Left-edge binding of *allocation* onto *schedule*."""
-        self.stats.bindings += 1
-        return left_edge_bind(schedule, allocation)
 
     # -- list ----------------------------------------------------------
     def _list_best(self, graph, record, signature, allocation, pools,
@@ -918,11 +958,17 @@ class EvaluationEngine:
         """Copies of every cache layer, keyed in this engine's own form,
         and of the two tables that give those keys meaning: the graph
         key table (content -> id) and the version code table (version
-        -> code).  :meth:`restore_cache_state` adopts the result."""
+        -> code).  :meth:`restore_cache_state` adopts the result.  The
+        placement prefixes of stopped density solves are left out: they
+        only spare a solve that a later request may run anyway."""
+        layers = {name: dict(layer) for name, layer in self._layers.items()
+                  if layer is not self._schedules}
+        layers["schedules"] = {key: schedule for key, schedule
+                               in self._schedules.items()
+                               if type(schedule) is not dict}
         return {"graph_keys": dict(self._graph_keys),
                 "version_codes": dict(self._version_codes),
-                "layers": {name: dict(layer)
-                           for name, layer in self._layers.items()}}
+                "layers": layers}
 
     def restore_cache_state(self, state: Mapping[str, Mapping]) -> int:
         """Adopt a :meth:`cache_state` capture; returns the entries held.
@@ -932,8 +978,9 @@ class EvaluationEngine:
         could already have handed out the ids and codes they use, and
         raises :class:`~repro.errors.CacheError`.  The whole capture is
         read before anything is adopted.  Entries go in through the
-        layer capacities; unknown layer names are skipped.  Nothing is
-        adopted when caching is disabled.
+        layer capacities; unknown layer names are skipped.  Adopted
+        evaluations count the bindings they build in this engine's
+        statistics.  Nothing is adopted when caching is disabled.
         """
         if self._graph_keys or self._version_codes:
             raise CacheError("an engine cache snapshot restores only into "
@@ -950,6 +997,9 @@ class EvaluationEngine:
         for name, entries in layers:
             for key, value in entries.items():
                 self._store(name, key, value)
+        for evaluation in self._evaluations.values():
+            if evaluation is not None:
+                evaluation.stats = self.stats
         return self.cache_size()
 
 

@@ -28,12 +28,12 @@ engine, or to an explicit ``engine=``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dfg.graph import DataFlowGraph
-from repro.hls.binding import Binding
-from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS
+from repro.hls.binding import Binding, left_edge_bind
+from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS, total_area
 from repro.hls.schedule import Schedule
 from repro.hls.timing import asap_latency
 from repro.library.version import ResourceVersion
@@ -41,14 +41,42 @@ from repro.library.version import ResourceVersion
 SCHEDULERS = ("auto", "density", "list")
 
 
-@dataclass
 class Evaluation:
-    """One realized allocation: schedule, binding and measurements."""
+    """One realized allocation: schedule, binding and measurements.
 
-    schedule: Schedule
-    binding: Binding
-    latency: int
-    area: int
+    The engine knows a realization's area before it binds it, and a
+    search reads only the area of almost every candidate, so the
+    binding is built on read: pass ``binding=None`` with the allocated
+    *versions* (in the graph's op order) and the first read of
+    :attr:`binding` runs the left-edge binder, checks that its area
+    under *area_model* is :attr:`area`, counts it in *stats*
+    (``EngineStats.bindings``, when given) and keeps it.
+    """
+
+    def __init__(self, schedule: Schedule, binding: Optional[Binding],
+                 latency: int, area: int, *,
+                 versions: Sequence[ResourceVersion] = (),
+                 area_model: str = AREA_INSTANCES, stats=None):
+        self.schedule = schedule
+        self.latency = latency
+        self.area = area
+        self.versions = versions
+        self.area_model = area_model
+        self.stats = stats
+        if binding is not None:
+            self.binding = binding
+
+    @cached_property
+    def binding(self) -> Binding:
+        """The left-edge binding of :attr:`versions` onto
+        :attr:`schedule`, built on first read."""
+        ops = (op.op_id for op in self.schedule.graph)
+        binding = left_edge_bind(self.schedule,
+                                 dict(zip(ops, self.versions)))
+        if self.stats is not None:
+            self.stats.bindings += 1
+        assert total_area(binding, self.area_model) == self.area
+        return binding
 
 
 def delays_of(allocation: Mapping[str, ResourceVersion]) -> Dict[str, int]:

@@ -53,9 +53,10 @@ from repro.errors import NoSolutionError, ReproError
 from repro.hls.metrics import AREA_INSTANCES
 from repro.library.library import ResourceLibrary
 from repro.library.version import ResourceVersion
+from repro.reliability.composition import design_reliability
 from repro.core.design import DesignResult, check_area_model
 from repro.core.engine import EvaluationEngine, default_engine
-from repro.core.evaluate import _area_lower_bound, _pool_work
+from repro.core.evaluate import Evaluation, _area_lower_bound, _pool_work
 from repro.core.victims import group_swaps
 
 REPAIR_POLICIES = ("generalized", "paper")
@@ -83,6 +84,8 @@ class _Search:
         self.method = method
         self.engine = engine
         self.best: Optional[DesignResult] = None
+        #: reliability of :attr:`best`, kept for the comparisons
+        self.best_reliability = 0.0
         #: realized area per allocation already considered this search
         #: (None = latency-infeasible) — the dominance-pruning record,
         #: keyed by the engine's allocation key.
@@ -105,9 +108,9 @@ class _Search:
         return self.realized.get(key, _UNSEEN)
 
     def consider(self, allocation: Dict[str, ResourceVersion], key: bytes
-                 ) -> Optional[DesignResult]:
+                 ) -> Optional[Evaluation]:
         """Realize *allocation* (keyed *key*); record it if feasible;
-        return the result."""
+        return the engine's evaluation."""
         evaluation = self.engine.evaluate(
             self.graph, allocation, self.latency_bound,
             area_model=self.area_model)
@@ -129,26 +132,33 @@ class _Search:
                 in zip(allocations, keys, evaluations)]
 
     def _absorb(self, allocation: Dict[str, ResourceVersion], key: bytes,
-                evaluation) -> Optional[DesignResult]:
-        """Record one engine evaluation into the search state."""
+                evaluation: Optional[Evaluation]) -> Optional[Evaluation]:
+        """Record one engine evaluation into the search state.
+
+        The trajectories read only the area, so only a new incumbent
+        becomes a :class:`DesignResult` (and is bound).  Its reliability
+        is :attr:`DesignResult.reliability`'s float: no instance of a
+        search design is replicated.
+        """
         if evaluation is None:
             self.realized[key] = None
             return None
         self.realized[key] = evaluation.area
-        result = DesignResult(
-            graph=self.graph,
-            allocation=dict(allocation),
-            schedule=evaluation.schedule,
-            binding=evaluation.binding,
-            latency_bound=self.latency_bound,
-            area_bound=self.area_bound,
-            area_model=self.area_model,
-            method=self.method,
-        )
-        if result.area <= self.area_bound:
-            if self.best is None or result.reliability > self.best.reliability:
-                self.best = result
-        return result
+        if evaluation.area <= self.area_bound:
+            reliability = design_reliability(self.graph, allocation)
+            if self.best is None or reliability > self.best_reliability:
+                self.best_reliability = reliability
+                self.best = DesignResult(
+                    graph=self.graph,
+                    allocation=dict(allocation),
+                    schedule=evaluation.schedule,
+                    binding=evaluation.binding,
+                    latency_bound=self.latency_bound,
+                    area_bound=self.area_bound,
+                    area_model=self.area_model,
+                    method=self.method,
+                )
+        return evaluation
 
 
 def find_design(graph: DataFlowGraph,

@@ -14,7 +14,6 @@ from repro.hls.fastsched import (
     batched_density_schedules,
     batched_time_frames,
     batched_timing,
-    density_schedule_range,
     fast_alap_starts,
     fast_asap_latency,
     fast_asap_starts,
@@ -69,7 +68,6 @@ __all__ = [
     "fast_time_frames",
     "fast_density_schedule",
     "fast_list_schedule",
-    "density_schedule_range",
     "batched_timing",
     "batched_time_frames",
     "batched_density_schedules",

@@ -31,7 +31,10 @@ speedups:
     whose frames changed, instead of rebuilding it from scratch, and
     costs the candidate starts straight from the occupancy density: a
     slice for a delay-1 operation, a pairwise sum of two slices for a
-    delay-2 one, a windowed prefix sum otherwise.
+    delay-2 one, a windowed prefix sum otherwise.  A solve can be
+    *capped*: it then also keeps the pinned lanes (:func:`pinned_area`,
+    a lower bound on the bound area of any completion) and stops once
+    they exceed the cap, returning its placement prefix.
 ``event-driven list scheduling``
     Ready sets are maintained with predecessor counters and per-version
     free-lane heaps; empty steps are skipped entirely.  Everything but
@@ -75,8 +78,8 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import accumulate, islice
-from operator import add, sub
-from typing import Dict, List, Mapping, Optional, Tuple
+from operator import add, mul, sub
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.dfg.compiled import DELAYS_TYPECODE, CompiledGraph, compile_graph
 from repro.dfg.graph import DataFlowGraph
@@ -315,18 +318,25 @@ def _check_alap(cg: CompiledGraph, alap: List[int], latency: int) -> None:
 # ----------------------------------------------------------------------
 def fast_density_schedule(graph: DataFlowGraph,
                           delays: Mapping[str, int],
-                          latency: Optional[int] = None) -> Schedule:
+                          latency: Optional[int] = None,
+                          cap: Optional[LaneCap] = None
+                          ) -> Union[Schedule, Dict[str, int]]:
     """Drop-in, schedule-identical :func:`repro.hls.density.
-    density_schedule` over the compiled graph."""
+    density_schedule` over the compiled graph.
+
+    With a *cap* (see :func:`_solve_density`) the solve may stop early:
+    it then returns the placements made so far, op id -> start in
+    placement order, instead of a schedule."""
     if len(graph) == 0:
         raise SchedulingError("cannot schedule an empty graph")
     return _density_schedule(graph, compile_graph(graph), delays, latency,
-                             base_timing(graph, delays))
+                             base_timing(graph, delays), cap)
 
 
 def _density_schedule(graph: DataFlowGraph, cg: CompiledGraph,
                       delays: Mapping[str, int], latency: Optional[int],
-                      timing: _BaseTiming) -> Schedule:
+                      timing: _BaseTiming, cap: Optional[LaneCap] = None
+                      ) -> Union[Schedule, Dict[str, int]]:
     """One density schedule from its ready-made base *timing*."""
     minimum = timing.critical
     if latency is None:
@@ -334,18 +344,10 @@ def _density_schedule(graph: DataFlowGraph, cg: CompiledGraph,
     if latency < minimum:
         raise SchedulingError(
             f"latency {latency} is below the critical path length {minimum}")
-    fixed = _solve_density(cg, cg.delays_array(delays), timing, latency)
+    fixed = _solve_density(cg, cg.delays_array(delays), timing, latency, cap)
+    if len(fixed) < cg.n_ops:
+        return fixed
     return schedule_from_starts(graph, fixed, delays)
-
-
-def density_schedule_range(graph: DataFlowGraph,
-                           delays: Mapping[str, int],
-                           latencies) -> Dict[int, Schedule]:
-    """Density schedules at several latency bounds, sharing one base
-    timing pass (every bound's frames derive from the same ASAP/tail
-    arrays — the warm start across adjacent bounds)."""
-    return {latency: fast_density_schedule(graph, delays, latency)
-            for latency in latencies}
 
 
 def _window_scale(lo: List[int], hi: List[int]) -> int:
@@ -356,9 +358,50 @@ def _window_scale(lo: List[int], hi: List[int]) -> int:
     return math.lcm(*range(1, w0max + 1))
 
 
+#: ``(pool, unit, area)``: the version pool index of every op (compiled
+#: op order), the unit area of every pool, and the area a capped
+#: density solve may not exceed.
+LaneCap = Tuple[Sequence[int], Sequence[int], int]
+
+
+def pinned_area(cg: CompiledGraph, d: Sequence[int],
+                placed: Mapping[str, int], pool: Sequence[int],
+                unit: Sequence[int]) -> int:
+    """The pinned lanes of *placed* (op id -> start): the sum over
+    version pools of the unit area times the peak overlap of the
+    pool's intervals ``[start, start + delay)``.
+
+    The left-edge binder opens at least that many lanes per pool, and
+    zero-delay operations only ever add lanes, so under the instances
+    model no completion of *placed* costs less.  The sum never falls as
+    placements are added, so a prefix a capped solve stopped at exceeds
+    a cap of the same pools exactly when this sum does.
+    """
+    busy: Dict[Tuple[int, int], int] = {}
+    peaks = [0] * len(unit)
+    index = cg.index
+    for op_id, start in placed.items():
+        i = index[op_id]
+        p = pool[i]
+        for t in range(start, start + d[i]):
+            count = busy[p, t] = busy.get((p, t), 0) + 1
+            if count > peaks[p]:
+                peaks[p] = count
+    return sum(map(mul, unit, peaks))
+
+
 def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
-                   latency: int) -> Dict[str, int]:
-    """The placement loop; returns start steps in placement order."""
+                   latency: int, cap: Optional[LaneCap] = None
+                   ) -> Dict[str, int]:
+    """The placement loop; returns start steps in placement order.
+
+    A *cap* keeps the running :func:`pinned_area` of the placements and
+    stops the loop after the placement that lifts it strictly above the
+    cap's area: the result is then a prefix of the uncapped one, short
+    of the last placement unless that one tipped it.  Pinned starts are
+    final, so no completion of a stopped solve fits the cap under the
+    instances model.
+    """
     n = cg.n_ops
     preds, succs = cg.preds, cg.succs
     rank = cg.topo_rank
@@ -384,6 +427,12 @@ def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
         row[hi_i + 1] -= weight
         row[hi_i + d_i + 1] += weight
 
+    if cap is not None:
+        pool, unit, limit = cap
+        busy = [[0] * latency for _ in unit]
+        peaks = [0] * len(unit)
+        lanes = 0
+
     # most-constrained first, topological order breaking ties: a heap
     # of (width, rank, op) entries.  Widths only shrink, so an op whose
     # frame moved gets a fresh entry and its older, wider ones are
@@ -400,87 +449,105 @@ def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
         if not width:
             # a zero-width frame: its start is forced, its occupancy
             # already final and no other frame can move
-            fixed[cg.op_ids[i]] = lo_i
-            continue
-
-        # the cost of a start is the scaled occupancy summed over the
-        # busy steps (the reference's cost less its constant own-weight
-        # term, times scale): second differences -> density, then the
-        # earliest strict minimum.  A delay-1 op's costs are a slice of
-        # the density, a delay-2 op's the pairwise sum of two slices;
-        # any other delay sums its window from prefix sums over
-        # [lo, hi + d) only (a zero-delay op costs 0 everywhere and
-        # keeps lo).
-        row = rows[rcode[i]]
-        density = list(accumulate(accumulate(islice(row, hi_i + d_i))))
-        if d_i == 1:
-            costs = density[lo_i:]
-        elif d_i == 2:
-            costs = list(map(add, density[lo_i:hi_i + 1],
-                             density[lo_i + 1:]))
+            start = lo_i
         else:
-            csum = list(accumulate(islice(density, lo_i, None), initial=0))
-            costs = list(map(sub, csum[d_i:], csum[:width + 1]))
-        start = lo_i + costs.index(min(costs))
+            # the cost of a start is the scaled occupancy summed over
+            # the busy steps (the reference's cost less its constant
+            # own-weight term, times scale): second differences ->
+            # density, then the earliest strict minimum.  A delay-1 op's
+            # costs are a slice of the density, a delay-2 op's the
+            # pairwise sum of two slices; any other delay sums its
+            # window from prefix sums over [lo, hi + d) only (a
+            # zero-delay op costs 0 everywhere and keeps lo).
+            row = rows[rcode[i]]
+            density = list(accumulate(accumulate(
+                islice(row, hi_i + d_i))))
+            if d_i == 1:
+                costs = density[lo_i:]
+            elif d_i == 2:
+                costs = list(map(add, density[lo_i:hi_i + 1],
+                                 density[lo_i + 1:]))
+            else:
+                csum = list(accumulate(islice(density, lo_i, None),
+                                       initial=0))
+                costs = list(map(sub, csum[d_i:], csum[:width + 1]))
+            start = lo_i + costs.index(min(costs))
+
+            # move i's occupancy from its frame to its start
+            weight = scale // (width + 1)
+            row[lo_i] -= weight
+            row[lo_i + d_i] += weight
+            row[hi_i + 1] += weight
+            row[hi_i + d_i + 1] -= weight
+            row[start] += scale
+            row[start + d_i] -= scale
+            row[start + 1] -= scale
+            row[start + d_i + 1] += scale
+            lo[i] = hi[i] = start
+
+            # frames can only tighten, and only i's frame moved.  Every
+            # unpinned ASAP is the maximum of its predecessors'
+            # finishes, and those only rise, so a descendant's ASAP
+            # changes only through a predecessor whose ASAP rose
+            # (likewise ALAP, falling, through successors).  A plain
+            # stack walk that follows an edge only when it moves the
+            # frame at its far end therefore reaches the same fixpoint
+            # as a full recompute, touching only moved frames; a start
+            # at i's old ASAP (ALAP) moves no descendant (ancestor).
+            # Pinned frames are already consistent and are never
+            # touched.
+            changed: Dict[int, Tuple[int, int]] = {}
+            stack = [i] if start != lo_i else []
+            while stack:
+                p = stack.pop()
+                finish = lo[p] + d[p]
+                for j in succs[p]:
+                    if finish > lo[j] and not pinned[j]:
+                        if j not in changed:
+                            changed[j] = (lo[j], hi[j])
+                        lo[j] = finish
+                        stack.append(j)
+            stack = [i] if start != hi_i else []
+            while stack:
+                s = stack.pop()
+                latest = hi[s]
+                for j in preds[s]:
+                    if latest - d[j] < hi[j] and not pinned[j]:
+                        if j not in changed:
+                            changed[j] = (lo[j], hi[j])
+                        hi[j] = latest - d[j]
+                        stack.append(j)
+
+            for j, (old_lo, old_hi) in changed.items():
+                lo_j, hi_j, d_j = lo[j], hi[j], d[j]
+                row = rows[rcode[j]]
+                weight = scale // (old_hi - old_lo + 1)
+                row[old_lo] -= weight
+                row[old_lo + d_j] += weight
+                row[old_hi + 1] += weight
+                row[old_hi + d_j + 1] -= weight
+                weight = scale // (hi_j - lo_j + 1)
+                row[lo_j] += weight
+                row[lo_j + d_j] -= weight
+                row[hi_j + 1] -= weight
+                row[hi_j + d_j + 1] += weight
+                heapq.heappush(queue, (hi_j - lo_j, rank[j], j))
         fixed[cg.op_ids[i]] = start
-
-        # move i's occupancy from its frame to its start
-        weight = scale // (width + 1)
-        row[lo_i] -= weight
-        row[lo_i + d_i] += weight
-        row[hi_i + 1] += weight
-        row[hi_i + d_i + 1] -= weight
-        row[start] += scale
-        row[start + d_i] -= scale
-        row[start + 1] -= scale
-        row[start + d_i + 1] += scale
-        lo[i] = hi[i] = start
-
-        # frames can only tighten, and only i's frame moved.  Every
-        # unpinned ASAP is the maximum of its predecessors' finishes, and
-        # those only rise, so a descendant's ASAP changes only through a
-        # predecessor whose ASAP rose (likewise ALAP, falling, through
-        # successors).  A plain stack walk that follows an edge only
-        # when it moves the frame at its far end therefore reaches the
-        # same fixpoint as a full recompute, touching only moved frames;
-        # a start at i's old ASAP (ALAP) moves no descendant (ancestor).
-        # Pinned frames are already consistent and are never touched.
-        changed: Dict[int, Tuple[int, int]] = {}
-        stack = [i] if start != lo_i else []
-        while stack:
-            p = stack.pop()
-            finish = lo[p] + d[p]
-            for j in succs[p]:
-                if finish > lo[j] and not pinned[j]:
-                    if j not in changed:
-                        changed[j] = (lo[j], hi[j])
-                    lo[j] = finish
-                    stack.append(j)
-        stack = [i] if start != hi_i else []
-        while stack:
-            s = stack.pop()
-            latest = hi[s]
-            for j in preds[s]:
-                if latest - d[j] < hi[j] and not pinned[j]:
-                    if j not in changed:
-                        changed[j] = (lo[j], hi[j])
-                    hi[j] = latest - d[j]
-                    stack.append(j)
-
-        for j, (old_lo, old_hi) in changed.items():
-            lo_j, hi_j, d_j = lo[j], hi[j], d[j]
-            row = rows[rcode[j]]
-            weight = scale // (old_hi - old_lo + 1)
-            row[old_lo] -= weight
-            row[old_lo + d_j] += weight
-            row[old_hi + 1] += weight
-            row[old_hi + d_j + 1] -= weight
-            weight = scale // (hi_j - lo_j + 1)
-            row[lo_j] += weight
-            row[lo_j + d_j] -= weight
-            row[hi_j + 1] -= weight
-            row[hi_j + d_j + 1] += weight
-            heapq.heappush(queue, (hi_j - lo_j, rank[j], j))
+        if cap is not None and d_i:
+            # the pinned lanes, kept per pool as the overlap count of
+            # every step and its peak
+            p = pool[i]
+            row = busy[p]
+            peak = peaks[p]
+            for t in range(start, start + d_i):
+                row[t] += 1
+                if row[t] > peak:
+                    peak = row[t]
+            if peak > peaks[p]:
+                lanes += unit[p] * (peak - peaks[p])
+                peaks[p] = peak
+                if lanes > limit:
+                    break
     return fixed
 
 

@@ -490,6 +490,205 @@ class TestOneBindingPerRealization:
             assert got.area == total_area(got.binding, area_model)
 
 
+def same_delay_pools(seed):
+    """``random_dag(16 + seed % 10, seed)`` with every op on a delay-1
+    version, twice: once in one pool per resource type, and once with
+    a seeded half of the adders moved to another delay-1 adder."""
+    library = paper_library()
+    versions = {v.name: v for rtype in ("add", "mul")
+                for v in library.versions_of(rtype)}
+    graph = random_dag(16 + seed % 10, seed=seed)
+    rng = random.Random(seed)
+    pooled = {op.op_id: versions["adder2" if op.rtype == "add" else "mult2"]
+              for op in graph}
+    split = {op.op_id: (versions["adder3"] if rng.random() < 0.5
+                        else versions["adder2"])
+             if op.rtype == "add" else versions["mult2"]
+             for op in graph}
+    return graph, pooled, split
+
+
+def prefixes(engine):
+    """Keys of the placement prefixes of stopped density solves."""
+    return {key for key, value in engine._schedules.items()
+            if type(value) is dict}
+
+
+class TestCappedSolves:
+    """A cached engine stops a density solve once its pinned lanes
+    exceed the scan's cap, and keeps the placement prefix for the next
+    allocation with the same delays."""
+
+    # seed 37: the split pools' cap is tight enough that the stored
+    # prefix answers them; seed 5: it fits the prefix, so they re-solve
+    @pytest.mark.parametrize("seed,replayed", [(37, True), (5, False)],
+                             ids=["tighter-cap-replays", "looser-cap-solves"])
+    def test_a_stored_prefix_serves_other_pools(self, seed, replayed):
+        graph, pooled, split = same_delay_pools(seed)
+        engine = EvaluationEngine()
+        bound = engine.min_latency(graph, pooled) + 2
+        reference = EvaluationEngine(cache=False)
+        got = engine.evaluate(graph, pooled, bound)
+        stopped = prefixes(engine)
+        assert stopped and engine.stats.density_aborts == len(stopped)
+        solves = engine.stats.density_schedules
+        reuses = engine.stats.schedule_reuses
+        assert evaluation_fingerprint(got) == evaluation_fingerprint(
+            reference.evaluate(graph, pooled, bound))
+
+        got = engine.evaluate(graph, split, bound)
+        assert evaluation_fingerprint(got) == evaluation_fingerprint(
+            reference.evaluate(graph, split, bound))
+        if replayed:
+            assert engine.stats.density_schedules == solves
+            assert engine.stats.schedule_reuses == reuses + len(stopped)
+            assert prefixes(engine) == stopped
+        else:
+            assert engine.stats.density_schedules > solves
+            assert not stopped <= prefixes(engine)
+
+    def test_no_cap_without_an_instance_area(self, lib):
+        graph, pooled, _ = same_delay_pools(37)
+        bound = EvaluationEngine().min_latency(graph, pooled) + 2
+        for engine, area_model in ((EvaluationEngine(), "versions"),
+                                   (EvaluationEngine(cache=False),
+                                    "instances")):
+            engine.evaluate(graph, pooled, bound, area_model)
+            assert engine.stats.density_schedules > 0
+            assert engine.stats.density_aborts == 0
+
+    def test_an_uncapped_request_completes_a_prefix(self):
+        graph, pooled, _ = same_delay_pools(37)
+        engine = EvaluationEngine()
+        bound = engine.min_latency(graph, pooled) + 2
+        engine.evaluate(graph, pooled, bound)
+        (key,) = prefixes(engine)
+        # stop_at_area scans without a cap: the prefix is solved in full
+        got = engine.evaluate(graph, pooled, bound, stop_at_area=0)
+        assert not prefixes(engine)
+        assert engine._schedules[key] is not None
+        assert evaluation_fingerprint(got) == evaluation_fingerprint(
+            EvaluationEngine(cache=False).evaluate(graph, pooled, bound,
+                                                   stop_at_area=0))
+
+    def test_snapshots_leave_prefixes_out(self):
+        from repro.core import cache_store, merge_snapshot, snapshot_engine
+
+        graph, pooled, split = same_delay_pools(37)
+        donor = EvaluationEngine()
+        bound = donor.min_latency(graph, pooled) + 2
+        donor.evaluate(graph, pooled, bound)
+        assert prefixes(donor)
+        snapshot = cache_store.loads(cache_store.dumps(
+            snapshot_engine(donor)))
+        assert not any(type(value) is dict
+                       for value in snapshot.layers["schedules"].values())
+        reloaded = EvaluationEngine()
+        merge_snapshot(reloaded, snapshot)
+        assert evaluation_fingerprint(
+            reloaded.evaluate(graph, split, bound)) == \
+            evaluation_fingerprint(EvaluationEngine(cache=False).evaluate(
+                graph, split, bound))
+
+    # ten 20-40-op searches, half of them infeasible; an uncached
+    # engine runs each in ~0.1-1.3 s
+    SEARCHES = [
+        (random_dag, (20,), 0, 11, 12),
+        (layered_dag, (5, 4), 1, 11, 10),
+        (random_dag, (24,), 2, 5, 3),
+        (layered_dag, (4, 6), 3, 9, 10),
+        (random_dag, (28,), 4, 12, 8),
+        (layered_dag, (6, 5), 5, 8, 5),
+        (random_dag, (32,), 6, 16, 12),
+        (random_dag, (36,), 8, 6, 5),
+        (layered_dag, (4, 9), 9, 9, 10),
+        (random_dag, (40,), 10, 10, 8),
+    ]
+
+    @staticmethod
+    def search(graph, latency_bound, area_bound, engine):
+        from repro.errors import NoSolutionError
+
+        try:
+            return result_fingerprint(find_design(
+                graph, paper_library(), latency_bound, area_bound,
+                engine=engine))
+        except NoSolutionError as exc:
+            return (str(exc), exc.latency, exc.area)
+
+    @pytest.mark.parametrize("make,shape,seed,latency_bound,area_bound",
+                             SEARCHES, ids=lambda v: getattr(v, "__name__",
+                                                             str(v)))
+    def test_find_design_equals_the_uncached_engine(
+            self, make, shape, seed, latency_bound, area_bound):
+        graph = make(*shape, seed=seed)
+        cached, uncached = EvaluationEngine(), EvaluationEngine(cache=False)
+        got = self.search(graph, latency_bound, area_bound, cached)
+        assert got == self.search(graph, latency_bound, area_bound,
+                                  uncached)
+        assert cached.stats.density_aborts > 0
+        assert uncached.stats.density_aborts == 0
+        if isinstance(got, tuple):  # an infeasible search binds nothing
+            assert cached.stats.bindings == uncached.stats.bindings == 0
+
+
+class TestBindOnRead:
+    """An evaluation is bound the first time its binding is read, and
+    only then."""
+
+    def test_a_returned_design_is_the_left_edge_binding(self, lib):
+        from repro.hls.binding import left_edge_bind
+
+        engine = EvaluationEngine()
+        result = find_design(fir16(), lib, 10, 9, engine=engine)
+        expected = left_edge_bind(result.schedule, result.allocation)
+        assert result.binding.instances == expected.instances
+        assert result.binding.op_to_instance == expected.op_to_instance
+        # one binding per incumbent, far fewer than realizations
+        assert 0 < engine.stats.bindings < engine.stats.requests
+
+    def test_an_infeasible_search_binds_nothing(self, lib):
+        from repro.errors import NoSolutionError
+
+        engine = EvaluationEngine()
+        with pytest.raises(NoSolutionError):
+            find_design(fir16(), lib, 8, 4, engine=engine)
+        assert engine.stats.requests > 0
+        assert engine.stats.bindings == 0
+
+    def test_binds_once_and_keeps_it(self, lib):
+        graph = fir16()
+        allocation = {op.op_id: lib.smallest(op.rtype) for op in graph}
+        engine = EvaluationEngine()
+        bound = engine.min_latency(graph, allocation) + 2
+        evaluation = engine.evaluate(graph, allocation, bound)
+        assert engine.stats.bindings == 0
+        binding = evaluation.binding
+        assert evaluation.binding is binding
+        assert engine.evaluate(graph, allocation, bound).binding is binding
+        assert engine.stats.bindings == 1
+
+    def test_an_unbound_evaluation_survives_a_snapshot(self, lib):
+        from repro.core import cache_store, merge_snapshot, snapshot_engine
+        from repro.hls.binding import left_edge_bind
+
+        graph = fir16()
+        allocation = {op.op_id: lib.smallest(op.rtype) for op in graph}
+        donor = EvaluationEngine()
+        bound = donor.min_latency(graph, allocation) + 2
+        donor.evaluate(graph, allocation, bound)
+        reloaded = EvaluationEngine()
+        merge_snapshot(reloaded, cache_store.loads(cache_store.dumps(
+            snapshot_engine(donor))))
+        evaluation = reloaded.evaluate(graph, allocation, bound)
+        assert reloaded.stats.hits == 1
+        assert "binding" not in vars(evaluation)
+        expected = left_edge_bind(evaluation.schedule, allocation)
+        assert evaluation.binding.instances == expected.instances
+        assert evaluation.binding.op_to_instance == expected.op_to_instance
+        assert (donor.stats.bindings, reloaded.stats.bindings) == (0, 1)
+
+
 class TestParallelSweep:
     def test_workers_match_serial(self, lib):
         serial = sweep_bounds(fir16(), lib, [10, 11], [8, 9],

@@ -224,15 +224,57 @@ class TestDensityEquivalence:
         assert list(fast.starts) == list(reference.starts)
         assert fast.starts == reference.starts
 
-    def test_schedule_range_shares_base_timing(self):
-        graph = random_dag(18, seed=4)
-        delays = random_delays(graph, 4)
-        critical = asap_latency(graph, delays)
-        bounds = range(critical, critical + 5)
-        ranged = fastsched.density_schedule_range(graph, delays, bounds)
-        for latency in bounds:
-            assert ranged[latency].starts == \
-                density_schedule(graph, delays, latency).starts
+
+def brute_pinned_area(placed, delays, pool, unit):
+    """The pinned lanes by definition: per pool, the most intervals
+    ``[start, start + delay)`` sharing one step, times the unit area."""
+    area = 0
+    for p, unit_area in enumerate(unit):
+        steps = [t for op_id, start in placed
+                 if pool[op_id] == p
+                 for t in range(start, start + delays[op_id])]
+        area += unit_area * max((steps.count(t) for t in steps), default=0)
+    return area
+
+
+class TestCappedDensity:
+    @given(graph_params, st.integers(0, 8), st.integers(1, 4),
+           st.integers(0, 60), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_of_the_uncapped_solve(self, params, slack, pools, limit,
+                                          zero_delays):
+        graph = build(params)
+        rng = random.Random(params[1])
+        delays = {op.op_id: rng.randint(0 if zero_delays else 1, 4)
+                  for op in graph}
+        cg = fastsched.compile_graph(graph)
+        d = cg.delays_array(delays)
+        timing = fastsched.base_timing(graph, delays)
+        latency = timing.critical + slack
+        pool = [rng.randrange(pools) for _ in range(cg.n_ops)]
+        unit = [rng.randint(1, 9) for _ in range(pools)]
+        full = list(fastsched._solve_density(cg, d, timing, latency).items())
+        capped = list(fastsched._solve_density(
+            cg, d, timing, latency, (pool, unit, limit)).items())
+        assert capped == full[:len(capped)]
+
+        by_id = dict(zip(cg.op_ids, pool))
+        lanes = [brute_pinned_area(capped[:k], delays, by_id, unit)
+                 for k in range(len(capped) + 1)]
+        # the solve runs on while the pinned lanes fit, and stops at
+        # the first placement that lifts them above the cap
+        assert all(area <= limit for area in lanes[:-1])
+        assert lanes[-1] > limit or len(capped) == len(full)
+        assert lanes == sorted(lanes)
+        assert fastsched.pinned_area(cg, d, dict(capped), pool, unit) == \
+            lanes[-1]
+
+        result = fast_density_schedule(graph, delays, latency,
+                                       (pool, unit, limit))
+        if len(capped) < len(full):
+            assert result == dict(capped)
+        else:
+            assert list(result.starts.items()) == full
 
 
 class TestListEquivalence:
