@@ -53,7 +53,9 @@ from repro.core.engine import EvaluationEngine
 #: Version 4: ``schedules`` values are the schedule alone (or ``None``),
 #: and the ``list`` realization layer is gone.  Version 5: keys in the
 #: engine's own form, with its graph key and version code tables.
-SNAPSHOT_VERSION = 5
+#: Version 6: ``evaluations`` keys lose their ``stop_at_area`` slot,
+#: and ``timing`` values are the critical-path latency alone (an int).
+SNAPSHOT_VERSION = 6
 
 MAGIC = b"REPROCACHE"
 

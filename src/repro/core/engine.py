@@ -38,7 +38,7 @@ the list realization.  Stopped solves count in ``EngineStats.density_aborts``.
 Cache layers, from coarse to fine:
 
 ``evaluation``
-    ``(graph, allocation, bound, area model, scheduler, stop_at_area)``
+    ``(graph, allocation, bound, area model, scheduler)``
     → the final :class:`~repro.core.evaluate.Evaluation`.  Exact-key
     memo; hits skip all scheduling.
 ``schedule point``
@@ -62,7 +62,7 @@ Cache layers, from coarse to fine:
     probe of the next); the probe cache makes both the intra- and
     inter-call repeats free.
 ``timing``
-    ``(graph, delays)`` → ASAP starts and the critical-path latency.
+    ``(graph, delays)`` → the critical-path latency (an int).
 ``paths``
     ``(graph, version pools)`` → the latency path of Figure 6's
     latency loop (lines 7–12): the critical path of the most reliable
@@ -145,7 +145,7 @@ from repro.hls.density import density_schedule
 from repro.hls.listsched import list_schedule
 from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS
 from repro.hls.schedule import Schedule
-from repro.hls.timing import asap_starts
+from repro.hls.timing import asap_latency
 from repro.library.library import ResourceLibrary
 from repro.library.version import ResourceVersion
 from repro.core.design import check_area_model
@@ -334,9 +334,6 @@ class EvaluationEngine:
 
     Parameters
     ----------
-    area_model:
-        Default area accounting for :meth:`evaluate` (overridable per
-        call).
     scheduler:
         Default realization scheduler (``"auto"``, ``"density"`` or
         ``"list"``); overridable per call.
@@ -362,19 +359,16 @@ class EvaluationEngine:
         "evaluations": 0.15,   # exact evaluate() memo
         "schedules": 0.10,     # delays-keyed density schedules
         "probes": 0.29,        # list-schedule probes
-        "timing": 0.10,        # ASAP starts / critical-path latencies
+        "timing": 0.10,        # critical-path latencies
         "paths": 0.01,         # latency-loop paths per (graph, pools)
     }
 
-    def __init__(self, *, area_model: str = AREA_INSTANCES,
-                 scheduler: str = "auto",
+    def __init__(self, *, scheduler: str = "auto",
                  cache: bool = True,
                  max_entries: int = 200_000):
-        check_area_model(area_model)
         if scheduler not in SCHEDULERS:
             raise ReproError(
                 f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}")
-        self.area_model = area_model
         self.scheduler = scheduler
         self.cache_enabled = cache
         self.max_entries = max_entries
@@ -496,18 +490,17 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # timing
     # ------------------------------------------------------------------
-    def _timing(self, graph: DataFlowGraph, delays: Mapping[str, int]
-                ) -> Tuple[Dict[str, int], int]:
-        """Cached ASAP starts and critical-path latency for *delays*."""
+    def latency(self, graph: DataFlowGraph,
+                delays: Mapping[str, int]) -> int:
+        """Critical-path (ASAP) latency of *graph* under *delays*."""
         record = self._record(graph)
         key = (record.key, record.compiled.delays_key(delays))
-        return self._timing_for(graph, record, key, delays)
+        return self._latency_for(graph, key, delays)
 
-    def _timing_for(self, graph, record, key, delays
-                    ) -> Tuple[Dict[str, int], int]:
+    def _latency_for(self, graph, key, delays) -> int:
         self.stats.timing_requests += 1
-        cached = self._timing_cache.get(key, _MISSING)
-        if cached is not _MISSING:
+        cached = self._timing_cache.get(key)
+        if cached is not None:
             self.stats.timing_hits += 1
             return cached
         # a cache-disabled engine is the reference oracle: it must not
@@ -515,21 +508,12 @@ class EvaluationEngine:
         # keying bug there would corrupt both sides of an equivalence
         # comparison identically
         if self.cache_enabled and len(graph):
-            timing = fastsched.base_timing(graph, delays)
-            ids = record.compiled.op_ids
-            starts = dict(zip(ids, timing.asap))
-            latency = timing.critical
+            latency = fastsched.base_timing(graph, delays).critical
         else:
-            starts = asap_starts(graph, delays)
-            latency = max(starts[op] + delays[op] for op in starts)
+            latency = asap_latency(graph, delays)
         if self.cache_enabled:
-            self._store("timing", key, (starts, latency))
-        return starts, latency
-
-    def latency(self, graph: DataFlowGraph,
-                delays: Mapping[str, int]) -> int:
-        """Critical-path (ASAP) latency of *graph* under *delays*."""
-        return self._timing(graph, delays)[1]
+            self._store("timing", key, latency)
+        return latency
 
     def min_latency(self, graph: DataFlowGraph,
                     allocation: Mapping[str, ResourceVersion]) -> int:
@@ -603,8 +587,7 @@ class EvaluationEngine:
     def evaluate(self, graph: DataFlowGraph,
                  allocation: Mapping[str, ResourceVersion],
                  latency_bound: int,
-                 area_model: Optional[str] = None,
-                 stop_at_area: Optional[int] = None,
+                 area_model: str = AREA_INSTANCES,
                  scheduler: Optional[str] = None):
         """Best (minimum-area) realization of an allocation within a bound.
 
@@ -613,7 +596,6 @@ class EvaluationEngine:
         :class:`~repro.core.evaluate.Evaluation` or ``None`` when even
         the critical path exceeds the bound.
         """
-        area_model = area_model if area_model is not None else self.area_model
         scheduler = scheduler if scheduler is not None else self.scheduler
         check_area_model(area_model)
         if scheduler not in SCHEDULERS:
@@ -623,15 +605,14 @@ class EvaluationEngine:
         self.stats.requests += 1
         try:
             return self._evaluate(graph, allocation, latency_bound,
-                                  area_model, stop_at_area, scheduler)
+                                  area_model, scheduler)
         finally:
             self.stats.wall_time += time.perf_counter() - started
 
     def evaluate_batch(self, graph: DataFlowGraph,
                        allocations: Sequence[Mapping[str, ResourceVersion]],
                        latency_bound: int,
-                       area_model: Optional[str] = None,
-                       stop_at_area: Optional[int] = None,
+                       area_model: str = AREA_INSTANCES,
                        scheduler: Optional[str] = None
                        ) -> List[Optional["Evaluation"]]:
         """``[self.evaluate(graph, a, latency_bound, ...) for a in
@@ -642,23 +623,20 @@ class EvaluationEngine:
         and validated by :meth:`evaluate`; ``[]`` returns ``[]``.
         """
         return [self.evaluate(graph, allocation, latency_bound,
-                              area_model=area_model,
-                              stop_at_area=stop_at_area,
-                              scheduler=scheduler)
+                              area_model=area_model, scheduler=scheduler)
                 for allocation in allocations]
 
     def _evaluate(self, graph, allocation, latency_bound, area_model,
-                  stop_at_area, scheduler):
+                  scheduler):
         delays = {op_id: v.delay for op_id, v in allocation.items()}
         record = self._record(graph)
         delays_key = record.compiled.delays_key(delays)
-        _, critical = self._timing_for(graph, record,
-                                       (record.key, delays_key), delays)
+        critical = self._latency_for(graph, (record.key, delays_key), delays)
         if critical > latency_bound:
             return None
         signature = self._allocation_key(record, allocation)
         memo_key = (record.key, signature, latency_bound, area_model,
-                    scheduler, stop_at_area)
+                    scheduler)
         if self.cache_enabled:
             memoized = self._evaluations.get(memo_key, _MISSING)
             if memoized is not _MISSING:
@@ -667,14 +645,13 @@ class EvaluationEngine:
 
         result = self._realize(graph, record, signature, allocation, delays,
                                delays_key, critical, latency_bound,
-                               area_model, stop_at_area, scheduler)
+                               area_model, scheduler)
         if self.cache_enabled:
             self._store("evaluations", memo_key, result)
         return result
 
     def _realize(self, graph, record, signature, allocation, delays,
-                 delays_key, critical, latency_bound, area_model,
-                 stop_at_area, scheduler):
+                 delays_key, critical, latency_bound, area_model, scheduler):
         """Minimum-area realization under *scheduler*.
 
         The allocation's version pools are grouped once (:class:`_Pools`)
@@ -694,7 +671,7 @@ class EvaluationEngine:
         if scheduler in ("auto", "density"):
             density = self._density_best(
                 graph, record, delays, delays_key, pools, critical,
-                latency_bound, area_model, stop_at_area,
+                latency_bound, area_model,
                 None if listed is None else listed[0])
         winner = listed
         if density is not None and (listed is None
@@ -710,24 +687,21 @@ class EvaluationEngine:
 
     # -- density -------------------------------------------------------
     def _density_best(self, graph, record, delays, delays_key, pools,
-                      critical, latency_bound, area_model, stop_at_area,
-                      ceiling):
+                      critical, latency_bound, area_model, ceiling):
         """Slack exploitation (Figure 6, lines 15–21): the first
         minimum-area density point over ``[critical, latency_bound]``,
         as an ``(area, build)`` candidate (``None`` when no latency is
         feasible or none can reach *ceiling*).
 
         Scanned by :meth:`_scan`, capped by *ceiling* (the list
-        realization's area), unless *stop_at_area* is set: then every
-        latency is visited in order until an area at most
-        *stop_at_area* turns up.  Each visited point is a schedule from
-        the delays-keyed layer, costed by :func:`_lane_area`.  A cached
+        realization's area).  Each visited point is a schedule from the
+        delays-keyed layer, costed by :func:`_lane_area`.  A cached
         engine under the instances model hands the scan's finite cap to
         the solve, which stops once the point cannot reach it.
         """
         capped = self.cache_enabled and area_model == AREA_INSTANCES
 
-        def point(latency, cap=math.inf):
+        def point(latency, cap):
             self.stats.density_points += 1
             schedule = self._schedule(
                 graph, record, delays, delays_key, latency,
@@ -738,19 +712,8 @@ class EvaluationEngine:
             starts = record.compiled.gather(schedule.starts)
             return _lane_area(pools, starts, area_model), schedule
 
-        if stop_at_area is None:
-            best = self._scan(critical, latency_bound, pools.work,
-                              area_model, ceiling, point)
-        else:
-            best = None
-            for latency in range(critical, latency_bound + 1):
-                costed = point(latency)
-                if costed is None:
-                    continue
-                if best is None or costed[0] < best[0]:
-                    best = (costed[0], latency, costed[1])
-                if costed[0] <= stop_at_area:
-                    break
+        best = self._scan(critical, latency_bound, pools.work, area_model,
+                          ceiling, point)
         if best is None:
             return None
         area, _, schedule = best

@@ -140,7 +140,6 @@ def evaluate_allocation(graph: DataFlowGraph,
                         allocation: Mapping[str, ResourceVersion],
                         latency_bound: int,
                         area_model: str = AREA_INSTANCES,
-                        stop_at_area: Optional[int] = None,
                         scheduler: str = "auto",
                         engine=None) -> Optional[Evaluation]:
     """Best (minimum-area) realization of an allocation within a bound.
@@ -156,8 +155,6 @@ def evaluate_allocation(graph: DataFlowGraph,
         budgets from the work-conservation lower bound;
         ``"auto"`` (default) — run both and keep the smaller area
         (ties: the density result, matching the paper's flow).
-    stop_at_area:
-        Optional early-exit threshold for the density latency scan.
     engine:
         The :class:`~repro.core.engine.EvaluationEngine` answering the
         request; defaults to the process-wide shared engine.  A
@@ -169,8 +166,7 @@ def evaluate_allocation(graph: DataFlowGraph,
 
     engine = engine if engine is not None else default_engine()
     return engine.evaluate(graph, allocation, latency_bound,
-                           area_model=area_model, stop_at_area=stop_at_area,
-                           scheduler=scheduler)
+                           area_model=area_model, scheduler=scheduler)
 
 
 def evaluate_allocations(graph: DataFlowGraph,

@@ -68,17 +68,15 @@ _WORKER_ENGINES: Dict[tuple, EvaluationEngine] = {}
 def _engine_settings(engine: EvaluationEngine) -> tuple:
     """What a worker needs to rebuild *engine*'s behaviour: its
     constructor settings, never its caches."""
-    return (engine.area_model, engine.scheduler, engine.cache_enabled,
-            engine.max_entries)
+    return (engine.scheduler, engine.cache_enabled, engine.max_entries)
 
 
 def _worker_engine(settings: tuple) -> EvaluationEngine:
     engine = _WORKER_ENGINES.get(settings)
     if engine is None:
-        area_model, scheduler, cache, max_entries = settings
+        scheduler, cache, max_entries = settings
         engine = _WORKER_ENGINES[settings] = EvaluationEngine(
-            area_model=area_model, scheduler=scheduler, cache=cache,
-            max_entries=max_entries)
+            scheduler=scheduler, cache=cache, max_entries=max_entries)
     return engine
 
 
@@ -122,8 +120,8 @@ def sweep_bounds(graph: DataFlowGraph,
         startup.
     engine:
         Engine for the serial path (default: the process-wide one).
-        With *workers* parallelism only its settings (area model,
-        scheduler, caching, ``max_entries``) reach the workers, never
+        With *workers* parallelism only its settings (scheduler,
+        caching, ``max_entries``) reach the workers, never
         its caches: each worker evaluates through its own engine built
         with those settings, and *engine* is left untouched.
     """

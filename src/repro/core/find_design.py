@@ -110,36 +110,16 @@ class _Search:
     def consider(self, allocation: Dict[str, ResourceVersion], key: bytes
                  ) -> Optional[Evaluation]:
         """Realize *allocation* (keyed *key*); record it if feasible;
-        return the engine's evaluation."""
-        evaluation = self.engine.evaluate(
-            self.graph, allocation, self.latency_bound,
-            area_model=self.area_model)
-        return self._absorb(allocation, key, evaluation)
-
-    def consider_batch(self, allocations, keys) -> list:
-        """:meth:`consider` for each of *allocations*, in order, through
-        one :meth:`~repro.core.engine.EvaluationEngine.evaluate_batch`
-        call.  Used by the neighbor-generation scans of the area-repair
-        and group-refinement loops, whose candidate sets within one
-        round are pairwise distinct and judged only after the whole
-        round.
-        """
-        evaluations = self.engine.evaluate_batch(
-            self.graph, allocations, self.latency_bound,
-            area_model=self.area_model)
-        return [self._absorb(allocation, key, evaluation)
-                for allocation, key, evaluation
-                in zip(allocations, keys, evaluations)]
-
-    def _absorb(self, allocation: Dict[str, ResourceVersion], key: bytes,
-                evaluation: Optional[Evaluation]) -> Optional[Evaluation]:
-        """Record one engine evaluation into the search state.
+        return the engine's evaluation.
 
         The trajectories read only the area, so only a new incumbent
         becomes a :class:`DesignResult` (and is bound).  Its reliability
         is :attr:`DesignResult.reliability`'s float: no instance of a
         search design is replicated.
         """
+        evaluation = self.engine.evaluate(
+            self.graph, allocation, self.latency_bound,
+            area_model=self.area_model)
         if evaluation is None:
             self.realized[key] = None
             return None
@@ -308,10 +288,8 @@ def _trajectory(search: _Search, horizon: int, repair: str,
             guard += 1
             if guard > 10 * max(1, len(library)) * len(graph):
                 raise ReproError("area repair loop failed to terminate")
-            # one round's candidate swaps are pairwise-distinct
-            # allocations judged only after the whole scan, so the
-            # non-pruned ones batch into a single engine evaluation
-            candidates = []
+            chosen = None
+            chosen_key = None
             for swap in group_swaps(library, allocation,
                                     smaller_only=(repair == "paper")):
                 trial_alloc = swap.apply(allocation)
@@ -322,13 +300,7 @@ def _trajectory(search: _Search, horizon: int, repair: str,
                     # dominance prune: already realized this search and
                     # cannot beat the current area — skip re-evaluation
                     continue
-                candidates.append((swap, trial_alloc, trial_key))
-            trials = search.consider_batch(
-                [trial_alloc for _, trial_alloc, _ in candidates],
-                [trial_key for _, _, trial_key in candidates])
-            chosen = None
-            chosen_key = None
-            for (swap, trial_alloc, _), trial in zip(candidates, trials):
+                trial = search.consider(trial_alloc, trial_key)
                 if trial is None:     # violates the latency bound
                     continue
                 if trial.area >= current.area:
@@ -350,10 +322,8 @@ def _trajectory(search: _Search, horizon: int, repair: str,
         improved = True
         while improved:
             improved = False
-            # the gain filter is constant per swap (it never depends on
-            # earlier trials in the round), so the surviving candidates
-            # batch into one engine evaluation like the repair loop's
-            candidates = []
+            chosen = None
+            chosen_gain = 0.0
             for swap in group_swaps(library, allocation):
                 gain = (len(swap.ops)
                         * (math.log(swap.new_version.reliability)
@@ -366,13 +336,7 @@ def _trajectory(search: _Search, horizon: int, repair: str,
                 if known is not _UNSEEN and (known is None
                                              or known > area_bound):
                     continue  # dominance prune: known infeasible
-                candidates.append((swap, gain, trial_alloc, trial_key))
-            trials = search.consider_batch(
-                [trial_alloc for _, _, trial_alloc, _ in candidates],
-                [trial_key for _, _, _, trial_key in candidates])
-            chosen = None
-            chosen_gain = 0.0
-            for (swap, gain, _, _), trial in zip(candidates, trials):
+                trial = search.consider(trial_alloc, trial_key)
                 if trial is None or trial.area > area_bound:
                     continue
                 if gain > chosen_gain:
@@ -392,12 +356,6 @@ def _refine_per_op(search: _Search,
     largest reliability gain is applied; the climb stops when no
     single change both improves reliability and stays within bounds.
     Feasible intermediate states are recorded in *search* as usual.
-
-    Deliberately *not* batched: the ``gain <= chosen_gain + 1e-12``
-    filter tightens as the scan progresses, so which candidates get
-    evaluated depends on earlier results within the same round —
-    batching would evaluate (and record in ``search.realized``) a
-    different candidate set than the sequential reference.
     """
     while True:
         chosen = None

@@ -20,7 +20,7 @@ Complexity is exponential; guarded by ``max_operations``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import NoSolutionError, ReproError
@@ -79,8 +79,7 @@ def optimal_design(graph: DataFlowGraph,
             return
         if index == len(op_ids):
             evaluation = evaluate_allocation(graph, state, latency_bound,
-                                             area_model,
-                                             stop_at_area=area_bound)
+                                             area_model)
             if evaluation is None or evaluation.area > area_bound:
                 return
             best["log_r"] = log_r

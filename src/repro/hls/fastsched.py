@@ -157,18 +157,13 @@ def _keyed_timing(cg: CompiledGraph, key: bytes) -> _BaseTiming:
 # drop-in timing queries (dict-in, dict-out)
 # ----------------------------------------------------------------------
 def fast_asap_starts(graph: DataFlowGraph,
-                     delays: Mapping[str, int],
-                     fixed: Optional[Mapping[str, int]] = None
-                     ) -> Dict[str, int]:
+                     delays: Mapping[str, int]) -> Dict[str, int]:
     """Array-based :func:`repro.hls.timing.asap_starts` equivalent."""
     cg = compile_graph(graph)
-    if not fixed:
-        starts = base_timing(graph, delays).asap
-    else:
-        starts = _asap_with_fixed(cg, cg.delays_array(delays), fixed)
+    starts = base_timing(graph, delays).asap
     # key order matches the reference (built along the topo walk)
     ids = cg.op_ids
-    return {ids[i]: int(starts[i]) for i in cg.topo_order}
+    return {ids[i]: starts[i] for i in cg.topo_order}
 
 
 def fast_asap_latency(graph: DataFlowGraph,
@@ -182,125 +177,37 @@ def fast_asap_latency(graph: DataFlowGraph,
 
 def fast_alap_starts(graph: DataFlowGraph,
                      delays: Mapping[str, int],
-                     latency: int,
-                     fixed: Optional[Mapping[str, int]] = None
-                     ) -> Dict[str, int]:
+                     latency: int) -> Dict[str, int]:
     """Array-based :func:`repro.hls.timing.alap_starts` equivalent."""
     cg = compile_graph(graph)
-    if not fixed:
-        tail = base_timing(graph, delays).tail
-        starts = [latency - t for t in tail]
-        _check_alap(cg, starts, latency)
-    else:
-        starts = _alap_with_fixed(cg, cg.delays_array(delays), latency,
-                                  fixed)
+    starts = [latency - t for t in base_timing(graph, delays).tail]
+    _check_alap(cg, starts, latency)
     # key order matches the reference (built along the reversed walk)
     ids = cg.op_ids
-    return {ids[i]: int(starts[i]) for i in reversed(cg.topo_order)}
+    return {ids[i]: starts[i] for i in reversed(cg.topo_order)}
 
 
 def fast_time_frames(graph: DataFlowGraph,
                      delays: Mapping[str, int],
-                     latency: int,
-                     fixed: Optional[Mapping[str, int]] = None
-                     ) -> Dict[str, Tuple[int, int]]:
-    """Array-based :func:`repro.hls.timing.time_frames` equivalent."""
+                     latency: int) -> Dict[str, Tuple[int, int]]:
+    """Array-based :func:`repro.hls.timing.time_frames` equivalent.
+
+    No frame is ever empty: ``asap + tail`` is at most the critical
+    path, so at a feasible latency every ALAP start is at least its
+    ASAP start, and below the critical path the path's source gets a
+    negative ALAP start, which :func:`_check_alap` reports as the
+    reference's ALAP pass does."""
     cg = compile_graph(graph)
-    if not fixed:
-        timing = base_timing(graph, delays)
-        asap, tail = timing.asap, timing.tail
-        alap = [latency - t for t in tail]
-        _check_alap(cg, alap, latency)
-    else:
-        d = cg.delays_array(delays)
-        asap = _asap_with_fixed(cg, d, fixed)
-        alap = _alap_with_fixed(cg, d, latency, fixed)
-    frames: Dict[str, Tuple[int, int]] = {}
-    ids = cg.op_ids
-    for i in cg.topo_order:  # first empty frame in topo order wins
-        if asap[i] > alap[i]:
-            raise SchedulingError(
-                f"operation {ids[i]!r} has an empty time frame "
-                f"[{asap[i]}, {alap[i]}] at latency {latency}")
-        frames[ids[i]] = (int(asap[i]), int(alap[i]))
-    return frames
-
-
-def _asap_with_fixed(cg: CompiledGraph, d: List[int],
-                     fixed: Mapping[str, int]) -> List[int]:
-    """ASAP honouring fixed placements; reference-identical errors."""
-    n = cg.n_ops
-    starts = [0] * n
-    preds = cg.preds
-    fixed_idx: Dict[int, int] = {cg.index[op]: s for op, s in fixed.items()
-                                 if op in cg.index}
-    violator = None
-    rank = cg.topo_rank
-    for i in cg.topo_order:
-        earliest = 0
-        for p in preds[i]:
-            finish = starts[p] + d[p]
-            if finish > earliest:
-                earliest = finish
-        pinned = fixed_idx.get(i)
-        if pinned is not None:
-            if pinned < earliest and (violator is None
-                                      or rank[i] < rank[violator[0]]):
-                violator = (i, earliest)
-            starts[i] = pinned
-        else:
-            starts[i] = earliest
-    if violator is not None:
-        i, earliest = violator
-        raise SchedulingError(
-            f"fixed start {fixed_idx[i]} of {cg.op_ids[i]!r} violates a "
-            f"dependency (earliest feasible is {earliest})")
-    return starts
-
-
-def _alap_with_fixed(cg: CompiledGraph, d: List[int], latency: int,
-                     fixed: Mapping[str, int]) -> List[int]:
-    """ALAP honouring fixed placements; reference-identical errors."""
-    n = cg.n_ops
-    starts = [0] * n
-    succs = cg.succs
-    fixed_idx: Dict[int, int] = {cg.index[op]: s for op, s in fixed.items()
-                                 if op in cg.index}
-    # the reference walks reversed(topo) and raises at the *first*
-    # violation it meets — i.e. the violator with the highest rank
-    violator = None
-    rank = cg.topo_rank
-    for i in reversed(cg.topo_order):
-        latest = latency
-        for s in succs[i]:
-            if starts[s] < latest:
-                latest = starts[s]
-        latest -= d[i]
-        pinned = fixed_idx.get(i)
-        if pinned is not None:
-            if pinned > latest and (violator is None
-                                    or rank[i] > rank[violator[0]]):
-                violator = (i, "fixed", latest)
-            starts[i] = pinned
-        else:
-            starts[i] = latest
-        if starts[i] < 0 and (violator is None
-                              or rank[i] > rank[violator[0]]):
-            violator = (i, "negative", starts[i])
-    if violator is not None:
-        i, kind, value = violator
-        if kind == "fixed":
-            raise SchedulingError(
-                f"fixed start {fixed_idx[i]} of {cg.op_ids[i]!r} exceeds "
-                f"the latest feasible step {value} for latency {latency}")
-        raise SchedulingError(
-            f"latency {latency} is infeasible: operation "
-            f"{cg.op_ids[i]!r} would need to start at step {value}")
-    return starts
+    timing = base_timing(graph, delays)
+    alap = [latency - t for t in timing.tail]
+    _check_alap(cg, alap, latency)
+    ids, asap = cg.op_ids, timing.asap
+    return {ids[i]: (asap[i], alap[i]) for i in cg.topo_order}
 
 
 def _check_alap(cg: CompiledGraph, alap: List[int], latency: int) -> None:
-    """Negative-start check for the no-fixed ALAP fast path."""
+    """The reference ALAP's negative-start error: it walks the reversed
+    topological order, so the violator of highest rank is named."""
     violator = None
     rank = cg.topo_rank
     for i, start in enumerate(alap):
@@ -749,19 +656,14 @@ def batched_timing(graph: DataFlowGraph,
 
 def batched_time_frames(graph: DataFlowGraph,
                         delays_list: List[Mapping[str, int]],
-                        latencies: List[int],
-                        fixed_list: Optional[List[Optional[
-                            Mapping[str, int]]]] = None
+                        latencies: List[int]
                         ) -> List[Dict[str, Tuple[int, int]]]:
-    """``[fast_time_frames(g, d, L, f) for d, L, f in zip(...)]``; the
-    first failing item raises its own error."""
-    if fixed_list is None:
-        fixed_list = [None] * len(delays_list)
-    if not (len(delays_list) == len(latencies) == len(fixed_list)):
+    """``[fast_time_frames(g, d, L) for d, L in zip(...)]``; the first
+    failing item raises its own error."""
+    if len(delays_list) != len(latencies):
         raise ValueError("batched_time_frames arguments differ in length")
-    return [fast_time_frames(graph, delays, latency, fixed)
-            for delays, latency, fixed in zip(delays_list, latencies,
-                                              fixed_list)]
+    return [fast_time_frames(graph, delays, latency)
+            for delays, latency in zip(delays_list, latencies)]
 
 
 def batched_density_schedules(graph: DataFlowGraph,

@@ -108,29 +108,14 @@ class TestBatchedTimeFrames:
         for delays, latency, frames in zip(delays_list, latencies, batched):
             assert frames == fast_time_frames(graph, delays, latency)
 
-    def test_fixed_placements_match(self):
-        graph = fir16()
-        delays = random_delays(graph, 9)
-        latency = base_timing(graph, delays).critical + 2
-        op = next(iter(graph)).op_id
-        plain = fast_time_frames(graph, delays, latency)
-        fixed = {op: plain[op][1]}
-        batched = batched_time_frames(
-            graph, [delays, delays], [latency, latency], [None, fixed])
-        assert batched[0] == plain
-        assert batched[1] == fast_time_frames(graph, delays, latency, fixed)
-        assert batched[1] != batched[0]
-
     def test_error_message_parity(self):
         graph = diffeq()
         delays = random_delays(graph, 2)
-        bad = base_timing(graph, delays).critical  # make one op's frame
-        op = next(iter(graph)).op_id               # empty via fixed
-        fixed = {op: bad + 5}
+        bad = base_timing(graph, delays).critical - 1
         with pytest.raises(SchedulingError) as batched_err:
-            batched_time_frames(graph, [delays], [bad], [fixed])
+            batched_time_frames(graph, [delays], [bad])
         with pytest.raises(SchedulingError) as single_err:
-            fast_time_frames(graph, delays, bad, fixed)
+            fast_time_frames(graph, delays, bad)
         assert str(batched_err.value) == str(single_err.value)
 
     def test_length_mismatch_raises(self):

@@ -245,9 +245,43 @@ class TestCacheDir:
             assert "ignoring engine cache" in captured.err
             assert f"format version {version}" in captured.err
             with open(path, "rb") as fh:
-                assert fh.read().startswith(cache_store.MAGIC + b" v5\n")
+                assert fh.read().startswith(
+                    cache_store.MAGIC
+                    + b" v%d\n" % cache_store.SNAPSHOT_VERSION)
             layers = cache_store.load(path).layers
             assert layers["probes"] and layers["paths"]
+
+    def test_v5_snapshot_is_reported_and_ignored(self, tmp_path, capsys):
+        """A snapshot in the format-5 layout (evaluation keys with a
+        trailing ``stop_at_area`` slot, timing values holding ASAP
+        starts and the latency) is a version mismatch: the run prints
+        what a cold run prints and saves a current file."""
+        from repro.bench import fir16
+        from repro.core import EvaluationEngine, cache_store, find_design
+        from repro.library import paper_library
+
+        args = ["synth", "fir", "-l", "11", "-a", "8"]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        engine = EvaluationEngine()
+        find_design(fir16(), paper_library(), 11, 8, engine=engine)
+        state = engine.cache_state()
+        layers = state["layers"]
+        layers["evaluations"] = {key + (None,): value for key, value
+                                 in layers["evaluations"].items()}
+        layers["timing"] = {key: ({}, latency) for key, latency
+                            in layers["timing"].items()}
+        path = self._snapshot_file(tmp_path)
+        self._write_payload(path, 5, state)
+        assert main(args + ["--cache-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold
+        assert "ignoring engine cache" in captured.err
+        assert "format version 5" in captured.err
+        restored = cache_store.load(path)
+        assert restored.version == cache_store.SNAPSHOT_VERSION
+        assert all(type(latency) is int
+                   for latency in restored.layers["timing"].values())
 
     def test_inconsistent_key_tables_warn_and_run_cold(self, tmp_path,
                                                        capsys):

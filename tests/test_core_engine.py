@@ -265,7 +265,7 @@ class TestCacheBehaviour:
         with pytest.raises(ReproError):
             EvaluationEngine(scheduler="magic")
         with pytest.raises(ReproError):
-            EvaluationEngine(area_model="magic")
+            engine.evaluate(graph, allocation, 7, area_model="magic")
 
     @pytest.mark.parametrize("cache", [True, False])
     def test_unknown_area_model_fails_before_any_work(self, lib, cache):
@@ -432,18 +432,17 @@ class TestOneBindingPerRealization:
     def test_one_binding_per_realization(self, area_model, scheduler):
         for index, graph in enumerate(self.GRAPHS):
             requests = self.requests(graph, index)
-            cached = EvaluationEngine(area_model=area_model,
-                                      scheduler=scheduler)
-            reference = EvaluationEngine(area_model=area_model,
-                                         scheduler=scheduler, cache=False)
+            cached = EvaluationEngine(scheduler=scheduler)
+            reference = EvaluationEngine(scheduler=scheduler, cache=False)
             realized = 0
             for allocation, bound in requests:
-                got = cached.evaluate(graph, allocation, bound)
+                got = cached.evaluate(graph, allocation, bound, area_model)
                 assert evaluation_fingerprint(got) == evaluation_fingerprint(
-                    reference.evaluate(graph, allocation, bound)), graph.name
+                    reference.evaluate(graph, allocation, bound,
+                                       area_model)), graph.name
                 realized += got is not None
             for allocation, bound in requests:  # memo hits bind nothing
-                cached.evaluate(graph, allocation, bound)
+                cached.evaluate(graph, allocation, bound, area_model)
             assert cached.stats.hits == len(requests)
             assert cached.stats.bindings == realized, graph.name
 
@@ -560,16 +559,20 @@ class TestCappedSolves:
     def test_an_uncapped_request_completes_a_prefix(self):
         graph, pooled, _ = same_delay_pools(37)
         engine = EvaluationEngine()
-        bound = engine.min_latency(graph, pooled) + 2
+        bound = engine.min_latency(graph, pooled)
         engine.evaluate(graph, pooled, bound)
         (key,) = prefixes(engine)
-        # stop_at_area scans without a cap: the prefix is solved in full
-        got = engine.evaluate(graph, pooled, bound, stop_at_area=0)
+        assert key[2] == bound
+        solves = engine.stats.density_schedules
+        # under "density" no list area caps the scan, so its first
+        # point, the prefix's latency, is solved in full
+        got = engine.evaluate(graph, pooled, bound, scheduler="density")
+        assert engine.stats.density_schedules == solves + 1
         assert not prefixes(engine)
         assert engine._schedules[key] is not None
         assert evaluation_fingerprint(got) == evaluation_fingerprint(
             EvaluationEngine(cache=False).evaluate(graph, pooled, bound,
-                                                   stop_at_area=0))
+                                                   scheduler="density"))
 
     def test_snapshots_leave_prefixes_out(self):
         from repro.core import cache_store, merge_snapshot, snapshot_engine

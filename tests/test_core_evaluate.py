@@ -71,15 +71,6 @@ class TestEvaluateAllocation:
         assert density is not None and listed is not None
         assert auto.area == min(density.area, listed.area)
 
-    def test_stop_at_area_early_exit(self, lib):
-        graph = fir16()
-        allocation = fast_alloc(graph, lib)
-        evaluation = evaluate_allocation(graph, allocation, 12,
-                                         stop_at_area=100,
-                                         scheduler="density")
-        # threshold met at the first (shortest) latency
-        assert evaluation.latency <= 10
-
     def test_versions_area_model(self, lib):
         graph = fir16()
         allocation = fast_alloc(graph, lib)

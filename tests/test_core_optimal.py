@@ -1,11 +1,15 @@
 """Tests for the exhaustive oracle and greedy-vs-optimal quality."""
 
+import itertools
+
 import pytest
 
 from repro.dfg import DFGBuilder, random_dag
 from repro.errors import NoSolutionError, ReproError
 from repro.library import paper_library
-from repro.core import find_design, optimal_design
+from repro.core import (EvaluationEngine, evaluate_allocation, find_design,
+                        optimal_design)
+from repro.reliability.composition import design_reliability
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +24,14 @@ def small_mixed():
     a2 = b.adder(deps=[m1])
     b.adder(deps=[a2])
     return b.build()
+
+
+def all_allocations(graph, library):
+    """Every allocation of *graph*: each op, each version of its type."""
+    ops = list(graph)
+    for combo in itertools.product(
+            *(library.versions_of(op.rtype) for op in ops)):
+        yield {op.op_id: version for op, version in zip(ops, combo)}
 
 
 class TestOptimal:
@@ -43,6 +55,32 @@ class TestOptimal:
     def test_loose_bounds_give_all_most_reliable(self, lib):
         result = optimal_design(small_mixed(), lib, 20, 40)
         assert result.reliability == pytest.approx(0.999 ** 4, rel=1e-9)
+
+    @pytest.mark.parametrize("graph,bounds", [
+        (small_mixed(), (5, 8)),
+        (small_mixed(), (6, 8)),
+        (random_dag(6, seed=0), (8, 10)),
+        (random_dag(6, seed=3), (10, 12)),
+    ], ids=["small-5-8", "small-6-8", "dag0-8-10", "dag3-10-12"])
+    def test_most_reliable_fit_at_its_minimum_area(self, lib, graph,
+                                                   bounds):
+        """The reliability is the best over every allocation whose
+        minimum-area realization fits both bounds, and the design is
+        that minimum-area realization of its allocation."""
+        latency_bound, area_bound = bounds
+        result = optimal_design(graph, lib, latency_bound, area_bound)
+        engine = EvaluationEngine()
+        best = 0.0
+        for allocation in all_allocations(graph, lib):
+            evaluation = engine.evaluate(graph, allocation, latency_bound)
+            if evaluation is not None and evaluation.area <= area_bound:
+                best = max(best, design_reliability(graph, allocation))
+        assert result.reliability == pytest.approx(best, rel=1e-12)
+        minimum = evaluate_allocation(graph, result.allocation,
+                                      latency_bound,
+                                      engine=EvaluationEngine(cache=False))
+        assert result.area == minimum.area
+        assert result.schedule.starts == minimum.schedule.starts
 
 
 class TestGreedyVsOptimal:

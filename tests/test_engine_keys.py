@@ -136,7 +136,7 @@ class TestRestore:
         key = engine.allocation_key(graph, allocation)
         delays = compile_graph(graph).delays_key(
             {op: v.delay for op, v in allocation.items()})
-        assert (0, key, bound, "instances", "auto", None) in \
+        assert (0, key, bound, "instances", "auto") in \
             state["layers"]["evaluations"]
         assert (0, delays) in state["layers"]["timing"]
 

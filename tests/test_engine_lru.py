@@ -57,7 +57,7 @@ class TestEngineLayerBounds:
         bound = engine.min_latency(graph, allocation) + 1
         key = (engine._record(graph).key,
                engine.allocation_key(graph, allocation), bound,
-               "instances", "auto", None)
+               "instances", "auto")
         engine._store("evaluations", key, None)
         assert engine.evaluate(graph, allocation, bound) is None
         assert engine.stats.hits == 1
