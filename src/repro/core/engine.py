@@ -240,6 +240,10 @@ class EngineStats:
     schedule_reuses: int = 0      # density schedules shared via delays key
     list_schedules: int = 0       # list-schedule probes run
     list_probe_hits: int = 0      # probes served from the probe cache
+    list_rounds: int = 0          # list greedy rounds (base probe missed)
+    list_fixpoints: int = 0       # ... realizations refused at a fixpoint
+    list_skips: int = 0           # ... trials answered without a run
+    list_runs_peak: int = 0       # most list runs in one realization
     bindings: int = 0             # left_edge_bind executions
     timing_requests: int = 0      # critical-path latency queries
     timing_hits: int = 0          # ... served from the timing cache
@@ -291,6 +295,10 @@ class EngineStats:
             f" (pruned {self.density_pruned},"
             f" solves capped {self.density_aborts})",
             f"  list probes cached    : {self.list_probe_hits} hits",
+            f"  list greedy rounds    : {self.list_rounds}"
+            f" (fixpoint refusals {self.list_fixpoints},"
+            f" trials skipped {self.list_skips},"
+            f" most runs in one realization {self.list_runs_peak})",
             f"  bindings run          : {self.bindings}"
             f" (schedules shared {self.schedule_reuses})",
             f"  timing queries        : {self.timing_requests}"
@@ -810,41 +818,26 @@ class EvaluationEngine:
         """Count-driven list realization (see evaluate.py's docstring)
         as an ``(area, build)`` candidate, or ``None``.
 
-        Every probe is served through the probe cache and yields a
-        latency only; the top-of-loop probe, the only one that can
-        become final, also records its placements (re-run with
-        recording when the probe cache answered it).  Those placements
-        are costed by :func:`_lane_area`, and ``build()`` turns them
-        into the schedule (:func:`~repro.hls.fastsched.placed_schedule`),
-        so a realization that density wins builds none.  The uncached
+        The counts come from :meth:`_list_counts`.  Their probe, the
+        only one that can become final, records its placements (re-run
+        with recording when a cache answered it).  Those placements are
+        costed by :func:`_lane_area`, and ``build()`` turns them into
+        the schedule (:func:`~repro.hls.fastsched.placed_schedule`), so
+        a realization that density wins builds none.  The uncached
         engine runs the reference :func:`list_schedule` for the final
         counts and costs that.
         """
-        unit_area = {name: unit for name, (_, unit) in pools.work.items()}
-        counts = _count_lower_bounds(pools.work, latency_bound)
-        max_rounds = sum(counts.values()) + len(graph)
-        for _ in range(max_rounds):
-            placed: List[Tuple[int, int]] = []
-            if self._list_probe(graph, record, signature, allocation,
-                                counts, placed) <= latency_bound:
-                break
-            best_name = None
-            best_key = None
-            for name in counts:
-                trial = dict(counts)
-                trial[name] += 1
-                latency = self._list_probe(graph, record, signature,
-                                           allocation, trial)
-                key = (latency, unit_area[name], name)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_name = name
-            counts[best_name] += 1
-        else:
+        runs = self.stats.list_schedules
+        counts, placed = self._list_counts(graph, record, signature,
+                                           allocation, pools, latency_bound)
+        runs = self.stats.list_schedules - runs
+        if runs > self.stats.list_runs_peak:
+            self.stats.list_runs_peak = runs
+        if counts is None:
             return None
         if self.cache_enabled:
             state = self._list_state(graph, record, signature, allocation)
-            if not placed:  # a probe-cache hit recorded nothing
+            if not placed:  # a cache hit recorded nothing
                 fastsched.list_probe_latency(state, tuple(counts.values()),
                                              placed=placed)
             starts = [0] * record.n_ops
@@ -856,6 +849,74 @@ class EvaluationEngine:
             starts = record.compiled.gather(reference.starts)
             build = lambda: reference
         return _lane_area(pools, starts, area_model), build
+
+    def _list_counts(self, graph, record, signature, allocation, pools,
+                     latency_bound):
+        """The greedy: instance counts grown from the work-conservation
+        bound one unit a round, each round to the pool whose +1 trial
+        probes best by ``(latency, unit area, name)``, until the counts
+        meet *latency_bound*.  Returns ``(counts, placed)``, the
+        placements of the final probe (empty when a cache answered it),
+        or ``(None, None)`` when no counts do within the round limit.
+
+        A cached engine stops the greedy at its fixpoint.  Each run it
+        makes records which pools waited for a lane, in a dict local to
+        this realization (a probe-cache hit has no flags and counts as
+        waited everywhere).  One more lane of a pool that never waited
+        changes no placement (:func:`~repro.hls.fastsched._run_list`),
+        so (a) a trial on a pool that did not wait in the round's base
+        run takes the base latency and flags without a run, and (b)
+        once the chosen pool waited in none of the round's runs, the
+        next round's base and trials repeat this round's runs exactly,
+        so every later round chooses the same pool and misses the bound
+        again: the realization is refused at once, as the full loop
+        would refuse it after its last round.  The uncached engine, the
+        oracle, records no flags and runs the full loop.
+        """
+        stats = self.stats
+        unit_area = {name: unit for name, (_, unit) in pools.work.items()}
+        counts = _count_lower_bounds(pools.work, latency_bound)
+        # counts vector -> per-pool wait flags of its run, when known
+        waits: Optional[dict] = {} if self.cache_enabled else None
+        max_rounds = sum(counts.values()) + len(graph)
+        for _ in range(max_rounds):
+            placed: List[Tuple[int, int]] = []
+            base = self._list_probe(graph, record, signature, allocation,
+                                    counts, placed, waits)
+            if base <= latency_bound:
+                return counts, placed
+            stats.list_rounds += 1
+            base_waited = None if waits is None else \
+                waits.get(tuple(counts.values()))
+            flags = [base_waited]
+            best_index = best_key = None
+            for index, name in enumerate(counts):
+                trial = dict(counts)
+                trial[name] += 1
+                vector = tuple(trial.values())
+                if base_waited is not None and not base_waited[index]:
+                    # the extra lane would only ever hold a free slot
+                    stats.list_skips += 1
+                    latency = base
+                    waits[vector] = base_waited
+                    self._store("probes", (record.key, signature, vector),
+                                latency)
+                else:
+                    latency = self._list_probe(graph, record, signature,
+                                               allocation, trial, None,
+                                               waits)
+                    flags.append(None if waits is None
+                                 else waits.get(vector))
+                key = (latency, unit_area[name], name)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_index = index
+            if all(waited is not None and not waited[best_index]
+                   for waited in flags):
+                stats.list_fixpoints += 1
+                return None, None
+            counts[best_key[2]] += 1
+        return None, None
 
     def _list_state(self, graph, record, signature, allocation
                     ) -> fastsched.ListState:
@@ -869,10 +930,12 @@ class EvaluationEngine:
         return self._list_slot[1]
 
     def _list_probe(self, graph, record, signature, allocation,
-                    counts, placed=None) -> int:
+                    counts, placed=None, waits=None) -> int:
         """Latency of the list schedule under *counts*; a probe run on
         the compiled core appends its ``(rank, start)`` placements to
-        *placed* when given (a probe-cache hit appends nothing)."""
+        *placed* when given, and stores its per-pool wait flags in
+        *waits* under the counts vector (a probe-cache hit does
+        neither)."""
         # counts keep _count_lower_bounds' key order (first use in op
         # order), which the allocation key already determines
         key = (record.key, signature, tuple(counts.values()))
@@ -883,9 +946,12 @@ class EvaluationEngine:
                 return cached
         self.stats.list_schedules += 1
         if self.cache_enabled:
+            waited = [False] * len(key[2])
             latency = fastsched.list_probe_latency(
                 self._list_state(graph, record, signature, allocation),
-                key[2], placed=placed)
+                key[2], placed=placed, waited=waited)
+            if waits is not None:
+                waits[key[2]] = waited
             self._store("probes", key, latency)
         else:
             latency = list_schedule(graph, allocation, counts).latency

@@ -44,7 +44,10 @@ speedups:
     budget after budget with :func:`list_probe_latency`, which returns
     the latency alone and builds no schedule; the probe that meets the
     bound records its placements, and :func:`placed_schedule` builds
-    the schedule from them only when it is needed.
+    the schedule from them only when it is needed.  A probe also
+    reports which pools had an operation wait for a lane: one more lane
+    of a pool that never waited changes no placement, which lets the
+    engine's greedy skip such trials and stop at its fixpoint.
 
 The ``batched_*`` entry points run the same per-item kernels over a
 list of requests, so there is one implementation of each kernel.
@@ -524,23 +527,26 @@ def prepare_list_state(graph: DataFlowGraph, allocation) -> ListState:
 
 def list_probe_latency(state: ListState, counts,
                        max_steps: int = 100_000,
-                       placed: Optional[List[Tuple[int, int]]] = None
-                       ) -> int:
+                       placed: Optional[List[Tuple[int, int]]] = None,
+                       waited: Optional[List[bool]] = None) -> int:
     """Latency of the list schedule of a prepared *state* under the
     instance *counts*, one per :attr:`ListState.pools` entry, in that
     order.  Builds no schedule: a count-increment search reads only
     this number from a probe, and asks the probe that may become final
     to record its ``(rank, start)`` placements in *placed*, which
-    :func:`placed_schedule` turns into the schedule."""
+    :func:`placed_schedule` turns into the schedule.  A *waited* list
+    (one ``False`` per pool) gets ``True`` for every pool one of whose
+    operations waited for a lane (see :func:`_run_list`)."""
     for name, count in zip(state.pools, counts):
         if count < 1:
             raise SchedulingError(
                 f"no instances budgeted for version {name!r}")
-    return _run_list(state, counts, max_steps, placed)
+    return _run_list(state, counts, max_steps, placed, waited)
 
 
 def _run_list(state: ListState, counts, max_steps: int,
-              placed: Optional[List[Tuple[int, int]]]) -> int:
+              placed: Optional[List[Tuple[int, int]]],
+              waited: Optional[List[bool]] = None) -> int:
     """The event loop: returns the latency, and appends ``(rank,
     start)`` to *placed* (when given) in placement order.
 
@@ -549,8 +555,17 @@ def _run_list(state: ListState, counts, max_steps: int,
     (predecessor counters plus per-version free-lane heaps) and idle
     steps are skipped, so the cost scales with placements rather than
     with the latency horizon.  Every budget must be positive.
+
+    Each deferral sets its pool's flag in *waited*.  A pool whose flag
+    stays ``False`` never ran out of lanes, and one more lane of it
+    changes nothing: at every step its busy lanes are its running
+    operations, the same in both runs, so the extra lane only ever
+    holds a free slot and the run places every op at the same step
+    (and sets the same flags).
     """
     pool, d, succs = state.pool, state.d, state.succs
+    if waited is None:
+        waited = [False] * len(counts)
     free = [[0] * count for count in counts]
     pending = state.n_preds[:]
     ready_at = [0] * len(d)
@@ -569,6 +584,7 @@ def _run_list(state: ListState, counts, max_steps: int,
             lanes = free[pool[r]]
             if lanes[0] > step:
                 deferred.append(r)
+                waited[pool[r]] = True
                 continue
             finish = step + d[r]
             heapq.heapreplace(lanes, finish)

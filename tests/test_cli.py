@@ -116,6 +116,7 @@ class TestEngineFlags:
         captured = capsys.readouterr()
         assert "engine statistics" in captured.err
         assert "evaluations requested" in captured.err
+        assert "list greedy rounds" in captured.err
         assert "engine statistics" not in captured.out  # stdout stays clean
 
     def test_explore_stats(self, capsys):

@@ -635,6 +635,70 @@ class TestCappedSolves:
             assert cached.stats.bindings == uncached.stats.bindings == 0
 
 
+class TestListFixpoint:
+    """The cached list greedy stops at its fixpoint: a realization is
+    refused once the chosen pool waited in none of the round's runs,
+    and a trial on a pool that never waited takes the base latency
+    without a run.  The uncached engine runs the full loop."""
+
+    @staticmethod
+    def tight_cases():
+        """Random allocations at the critical path and one above."""
+        for seed in range(12):
+            graph = random_dag(30, seed=seed)
+            rng = random.Random(seed)
+            allocation = {op.op_id: rng.choice(paper_library().versions_of(
+                op.rtype)) for op in graph}
+            critical = EvaluationEngine().min_latency(graph, allocation)
+            for bound in (critical, critical + 1):
+                yield graph, allocation, bound
+
+    @pytest.mark.parametrize("scheduler", ["list", "auto"])
+    def test_cached_equals_uncached_at_tight_bounds(self, scheduler):
+        cached, uncached = EvaluationEngine(), EvaluationEngine(cache=False)
+        for graph, allocation, bound in self.tight_cases():
+            got = cached.evaluate(graph, allocation, bound,
+                                  scheduler=scheduler)
+            expected = uncached.evaluate(graph, allocation, bound,
+                                         scheduler=scheduler)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.schedule.starts == expected.schedule.starts
+                assert (got.latency, got.area) == \
+                    (expected.latency, expected.area)
+                assert got.binding.op_to_instance == \
+                    expected.binding.op_to_instance
+        assert cached.stats.list_fixpoints > 0
+        assert cached.stats.list_skips > 0
+        assert cached.stats.list_rounds < uncached.stats.list_rounds
+        assert uncached.stats.list_fixpoints == \
+            uncached.stats.list_skips == 0
+        assert 0 < cached.stats.list_runs_peak < \
+            uncached.stats.list_runs_peak
+
+    def test_counters_reach_the_reports(self):
+        engine = EvaluationEngine()
+        for graph, allocation, bound in self.tight_cases():
+            engine.evaluate(graph, allocation, bound, scheduler="list")
+        report = engine.stats.as_dict()
+        for name in ("list_rounds", "list_fixpoints", "list_skips",
+                     "list_runs_peak"):
+            assert report[name] == getattr(engine.stats, name) > 0
+        assert f"fixpoint refusals {engine.stats.list_fixpoints}" in \
+            engine.stats.as_text()
+        engine.stats.reset()
+        assert engine.stats.list_runs_peak == 0
+
+    def test_wide_dag_at_tight_latency_counts(self):
+        engine = EvaluationEngine()
+        result = find_design(random_dag(200, seed=1), paper_library(), 10,
+                             100, engine=engine)
+        assert (result.latency, result.area,
+                round(result.reliability, 6)) == (10, 70, 0.761391)
+        # the full greedy ran 11,558 list schedules here
+        assert engine.stats.list_schedules <= 1_500
+
+
 class TestBindOnRead:
     """An evaluation is bound the first time its binding is read, and
     only then."""

@@ -416,6 +416,56 @@ class TestListProbeKernel:
         assert probe(graph, allocation, counts) == expected
 
 
+def run_flagged(state, counts):
+    """A probe's latency, placements and per-pool wait flags."""
+    placed, waited = [], [False] * len(counts)
+    latency = fastsched.list_probe_latency(state, counts, placed=placed,
+                                           waited=waited)
+    return latency, placed, waited
+
+
+class TestWaitFlags:
+    """A pool none of whose operations waited for a lane: one more lane
+    of it places every operation at the same step (the lemma the
+    engine's list greedy stops on)."""
+
+    @given(graph_params, st.booleans(),
+           st.tuples(st.integers(1, 3), st.integers(1, 3),
+                     st.integers(1, 3)))
+    @settings(max_examples=120, deadline=None)
+    def test_a_lane_more_of_a_never_waiting_pool_changes_nothing(
+            self, params, zero_delays, budget):
+        graph = build(params)
+        allocation = pooled_allocation(graph, params[1], zero_delays)
+        state = fastsched.prepare_list_state(graph, allocation)
+        counts = [budget[int(name[1:])] for name in state.pools]
+        base = run_flagged(state, counts)
+        for p, waited in enumerate(base[2]):
+            if waited:
+                continue
+            more = counts[:]
+            more[p] += 1
+            assert run_flagged(state, more) == base
+
+    @pytest.mark.parametrize("zero_delays", [False, True])
+    def test_flags_name_exactly_the_pools_that_waited(self, zero_delays):
+        graph = random_dag(30, seed=7)
+        allocation = pooled_allocation(graph, 7, zero_delays)
+        state = fastsched.prepare_list_state(graph, allocation)
+        size = [state.pool.count(p) for p in range(len(state.pools))]
+        # a lane per operation: nothing waits
+        assert run_flagged(state, size)[2] == [False] * len(size)
+        # one lane a pool: some pool has two ops ready at once
+        _, placed, waited = run_flagged(state, [1] * len(size))
+        assert any(waited)
+        for p, flag in enumerate(waited):
+            if not flag:
+                # never deferred: the one-lane run is the unbounded one
+                more = [1] * len(size)
+                more[p] = size[p]
+                assert run_flagged(state, more)[1] == placed
+
+
 class TestEngineImplEquivalence:
     """A cached engine runs the compiled core, a ``cache=False`` engine
     the reference kernels: identical evaluations, independent code."""
